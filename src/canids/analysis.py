@@ -55,12 +55,12 @@ def window_entropy(window) -> float:
     """Entropy of the arbitration-ID distribution within one window, in bits."""
     if window.size == 0:
         raise ValueError("window is empty")
-    counts = Counter(f.arbitration_id for f in window.frames)
+    counts = Counter(window.frames.arbitration_id.tolist())
     return entropy_bits(counts.values())
 
 
-def entropy_sweep(frames, sizes) -> list:
-    """Per-window-size entropy statistics over non-overlapping windows.
+def entropy_sweep(table, sizes) -> list:
+    """Per-window-size entropy statistics over non-overlapping windows of a FrameTable.
 
     growth_rate is the relative change of the mean vs the previous swept size
     (0/0 taken as 0); the first size has none. Sizes exceeding the frame count
@@ -72,7 +72,7 @@ def entropy_sweep(frames, sizes) -> list:
         raise ValueError("sizes must be >= 1")
     out = []
     prev_mean = None
-    ids = [f.arbitration_id for f in frames]
+    ids = table.arbitration_id.tolist()
     for size in sizes:
         n_full = len(ids) // size
         if n_full == 0:

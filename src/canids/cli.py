@@ -10,6 +10,7 @@ from pathlib import Path
 from . import pipeline
 from .analysis import compute_metrics
 from .config import KEY_SPECS, ConfigError, PipelineConfig
+from .detector import DetectionReport, summary_table
 from .ingest import ParseError
 
 EXIT_OK = 0
@@ -17,6 +18,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
+VIEWS = ("sequence", "mean", "max")
 STAGE_COMMANDS = ("synth", "preprocess", "entropy", "train-encoder", "embed",
                   "train-detector", "detect", "evaluate", "run", "sweep")
 
@@ -56,20 +58,21 @@ def load_config(args) -> PipelineConfig:
 def cmd_evaluate(cfg: PipelineConfig) -> None:
     """Recompute the metric summary from previously written detection CSVs."""
     work = Path(cfg.work_dir)
-    print("Win  Seq  Type      Accuracy  Precision  Recall   F1-score  AUC")
-    for view in ("sequence", "mean", "max"):
+    rows = {}
+    for view in VIEWS:
         path = work / f"detect_{view}.csv"
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run detect first")
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            rows = [(float(r[1]), int(r[2]), int(r[3])) for r in reader]
-        mb = compute_metrics([r[1] for r in rows], [r[2] for r in rows], [r[0] for r in rows])
-        auc = f"{mb.auc:.4f}" if mb.auc is not None else "n/a"
-        print(f"{cfg.window_size:<4} {cfg.sequence_length:<4} {view:<9} "
-              f"{mb.accuracy:.4f}    {mb.precision:.4f}     {mb.recall:.4f}   "
-              f"{mb.f1:.4f}    {auc}")
+            rows[view] = [(int(r[0]), float(r[1]), int(r[2]), int(r[3])) for r in reader]
+    metrics = {view: compute_metrics([r[2] for r in rows[view]], [r[3] for r in rows[view]],
+                                     [r[1] for r in rows[view]])
+               for view in VIEWS}
+    report = DetectionReport(threshold=cfg.threshold, sequence_rows=rows["sequence"],
+                             mean_rows=rows["mean"], max_rows=rows["max"], metrics=metrics)
+    print(summary_table(report, cfg.window_size, cfg.sequence_length))
 
 
 def dispatch(command: str, cfg: PipelineConfig) -> None:

@@ -6,7 +6,7 @@ then embeds arbitrary graphs into 1x32 vectors via global mean pooling.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,12 +60,11 @@ class EncoderModel:
     def parameters(self):
         return list(self.params.values())
 
-    def forward(self, graph: WindowGraph, norm_adj: np.ndarray = None):
+    def forward(self, graph: WindowGraph):
         """Return (node_embeddings (W,32), reconstruction (W,9)), both differentiable."""
         if graph.node_features.shape[1] != IN_DIM:
             raise ValueError(f"expected {IN_DIM}-wide node features, got {graph.node_features.shape[1]}")
-        if norm_adj is None:
-            norm_adj = normalized_adjacency(graph)
+        norm_adj = normalized_adjacency(graph.num_nodes)
         p = self.params
         h = nn.relu(nn.linear(nn.Tensor(graph.node_features), p["enc1_w"], p["enc1_b"]))
         h = nn.relu(nn.linear(h, p["enc2_w"], p["enc2_b"]))
@@ -90,8 +89,8 @@ class EncoderModel:
         nn.restore_parameters(self.parameters(), path)
 
 
-def _reconstruction_loss(model: EncoderModel, graph: WindowGraph, adj: np.ndarray) -> nn.Tensor:
-    _, recon = model.forward(graph, adj)
+def _reconstruction_loss(model: EncoderModel, graph: WindowGraph) -> nn.Tensor:
+    _, recon = model.forward(graph)
     return nn.mse_loss(recon, nn.Tensor(graph.node_features))
 
 
@@ -112,7 +111,6 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     val_graphs = graphs[len(graphs) - n_val :] if n_val else list(graphs)
 
     model = EncoderModel(seed=config.seed)
-    adjs = {id(g): normalized_adjacency(g) for g in graphs}
     log = []
     best_val = np.inf
     best_state = model.snapshot()
@@ -121,7 +119,7 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     for epoch in range(config.epochs):
         train_loss = 0.0
         for g in train_graphs:
-            loss = _reconstruction_loss(model, g, adjs[id(g)])
+            loss = _reconstruction_loss(model, g)
             loss.backward()
             if config.grad_clip > 0:
                 nn.clip_global_norm(model.parameters(), config.grad_clip)
@@ -130,8 +128,7 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
         train_loss /= len(train_graphs)
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"encoder training diverged at epoch {epoch}")
-        val_loss = float(np.mean([
-            _reconstruction_loss(model, g, adjs[id(g)]).item() for g in val_graphs]))
+        val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
         log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss

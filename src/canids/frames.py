@@ -1,9 +1,11 @@
-"""Core CAN frame, normalized frame, and window types shared across the pipeline."""
+"""Core CAN frame, columnar frame table, and window types shared across the pipeline."""
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 MAX_DLC = 8
 MAX_ARBITRATION_ID = 1 << 29  # 29-bit extended IDs
@@ -57,25 +59,45 @@ def pad_payload(data: Sequence[int]) -> bytes:
     return bytes(data) + b"\x00" * (MAX_DLC - len(data))
 
 
-@dataclass(frozen=True)
-class NormalizedFrame:
-    """Frame after field normalization; both real-valued and binarized bytes kept."""
+LABELS = tuple(Label)  # FrameTable.label codes index into this; NORMAL is code 0
+_LABEL_CODE = {label: code for code, label in enumerate(LABELS)}
 
-    timestamp: float
-    arbitration_id: int
-    dlc_norm: float            # dlc / 8
-    byte_norm: tuple           # payload[i] / 255, 8 values in [0, 1]
-    byte_bin: tuple            # 1 where payload[i] > 0, 8 values in {0, 1}
-    label: Label = Label.NORMAL
+
+@dataclass(frozen=True, eq=False)
+class FrameTable:
+    """One log as columns; row i is frame i. Slicing returns a table of views."""
+
+    timestamp: np.ndarray       # float64[N]
+    arbitration_id: np.ndarray  # int64[N]
+    dlc: np.ndarray             # uint8[N]
+    payload: np.ndarray         # uint8[N, 8], zero beyond dlc
+    label: np.ndarray           # int8[N], codes into LABELS
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[CanFrame]) -> "FrameTable":
+        n = len(frames)
+        return cls(
+            timestamp=np.fromiter((f.timestamp for f in frames), np.float64, n),
+            arbitration_id=np.fromiter((f.arbitration_id for f in frames), np.int64, n),
+            dlc=np.fromiter((f.dlc for f in frames), np.uint8, n),
+            payload=np.frombuffer(b"".join(f.payload for f in frames), np.uint8).reshape(n, MAX_DLC),
+            label=np.fromiter((_LABEL_CODE[f.label] for f in frames), np.int8, n))
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, rows: slice) -> "FrameTable":
+        return FrameTable(self.timestamp[rows], self.arbitration_id[rows], self.dlc[rows],
+                          self.payload[rows], self.label[rows])
 
 
 @dataclass
 class Window:
-    """W consecutive frames; labeled anomalous when any member frame is an attack."""
+    """W consecutive rows of a frame table; labeled anomalous when any row is an attack."""
 
     index: int
-    frames: list  # list[NormalizedFrame], exactly W entries
-    label: int    # 1 = anomalous
+    frames: FrameTable  # exactly W rows
+    label: int          # 1 = anomalous
 
     @property
     def size(self) -> int:
@@ -83,4 +105,4 @@ class Window:
 
     def attack_kinds(self) -> set:
         """Attack labels present in this window (empty for a normal window)."""
-        return {f.label for f in self.frames if f.label.is_attack}
+        return {LABELS[c] for c in np.unique(self.frames.label)} - {Label.NORMAL}

@@ -1,14 +1,13 @@
-"""Order-preserving window graphs: path edges over frames, 9-dim node features."""
+"""Order-preserving window graphs: a path over the window's frames, 9-dim node features."""
 from __future__ import annotations
 
-import csv
 import enum
+import functools
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .frames import Window
+from .frames import MAX_DLC, Window
 
 
 class ByteMode(enum.Enum):
@@ -18,14 +17,12 @@ class ByteMode(enum.Enum):
 
 @dataclass
 class WindowGraph:
-    """Directed path graph over a window's frames.
+    """Path graph over a window's frames; its topology is fixed by the node count.
 
     node_features: (W, 9) array, column 0 = dlc_norm, columns 1..8 = byte features.
-    edges: (i, i+1) pairs for i in [0, W-2].
     """
 
     node_features: np.ndarray
-    edges: list
     label: int
     window_index: int
 
@@ -39,44 +36,25 @@ def build_graph(window: Window, byte_mode: ByteMode = ByteMode.BINARIZED) -> Win
     w = window.size
     if w < 2:
         raise ValueError(f"window must hold at least 2 frames to form a path, got {w}")
-    feats = np.empty((w, 9), dtype=np.float64)
-    for i, f in enumerate(window.frames):
-        feats[i, 0] = f.dlc_norm
-        if byte_mode is ByteMode.BINARIZED:
-            feats[i, 1:] = f.byte_bin
-        else:
-            feats[i, 1:] = f.byte_norm
-    edges = [(i, i + 1) for i in range(w - 1)]
-    return WindowGraph(node_features=feats, edges=edges, label=window.label, window_index=window.index)
+    t = window.frames
+    payload = t.payload > 0 if byte_mode is ByteMode.BINARIZED else t.payload / 255.0
+    feats = np.column_stack((t.dlc / MAX_DLC, payload))
+    return WindowGraph(node_features=feats, label=window.label, window_index=window.index)
 
 
-def normalized_adjacency(graph: WindowGraph) -> np.ndarray:
-    """Symmetric degree-normalized adjacency with self-loops.
+@functools.lru_cache(maxsize=None)
+def normalized_adjacency(w: int) -> np.ndarray:
+    """Symmetric degree-normalized adjacency with self-loops of the w-node path.
 
-    A_hat = D^(-1/2) (A + A^T + I) D^(-1/2), where D is the row-degree diagonal
-    of the symmetrized, self-looped adjacency. Self-loops guarantee degree >= 1.
+    A_hat = D^(-1/2) (A + A^T + I) D^(-1/2), where A holds the path edges
+    (i, i+1) and D is the row-degree diagonal of the symmetrized, self-looped
+    adjacency. Self-loops guarantee degree >= 1. The result is shared per w and
+    read-only.
     """
-    w = graph.num_nodes
-    a = np.zeros((w, w), dtype=np.float64)
-    for (i, j) in graph.edges:
-        a[i, j] = 1.0
+    a = np.eye(w, k=1)
     a_sym = np.minimum(a + a.T + np.eye(w), 1.0)
     deg = a_sym.sum(axis=1)
     d_inv_sqrt = 1.0 / np.sqrt(deg)
-    return a_sym * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-
-
-def write_graph_dump(graphs, feature_path, edge_path) -> None:
-    """Dump node features and an edge manifest for external inspection."""
-    with Path(feature_path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_index", "node_index"] + [f"f{i}" for i in range(9)])
-        for g in graphs:
-            for i in range(g.num_nodes):
-                w.writerow([g.window_index, i] + [repr(float(v)) for v in g.node_features[i]])
-    with Path(edge_path).open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_index", "src", "dst"])
-        for g in graphs:
-            for (i, j) in g.edges:
-                w.writerow([g.window_index, i, j])
+    out = a_sym * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    out.flags.writeable = False
+    return out

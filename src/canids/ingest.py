@@ -1,13 +1,13 @@
-"""CAN log parsing and the preprocessing chain: padding, normalization, windowing, splits."""
+"""CAN log parsing and the preprocessing chain: padding, windowing, splits."""
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .frames import MAX_DLC, CanFrame, Label, NormalizedFrame, Window, pad_payload
+from .frames import LABELS, MAX_DLC, CanFrame, FrameTable, Label, Window, pad_payload
 
 log = logging.getLogger(__name__)
 
@@ -77,8 +77,8 @@ def parse_log(path, mapping: ColumnMapping = DEFAULT_MAPPING, strict: bool = Fal
     """Parse a CSV CAN log into CanFrame objects, preserving file order.
 
     Payloads shorter than 8 bytes are zero-padded. In strict mode a payload
-    longer than the declared DLC is a parse error; otherwise it is kept and
-    padded (the DLC still wins for downstream normalization). Non-monotone
+    longer than the declared DLC is a parse error; otherwise it is truncated
+    to the DLC, so the bytes beyond the DLC are dropped. Non-monotone
     timestamps produce a warning, not an error.
     """
     path = Path(path)
@@ -158,33 +158,19 @@ def write_log(frames: Iterable[CanFrame], path) -> None:
             w.writerow([repr(f.timestamp), f"{f.arbitration_id:03X}", f.dlc, payload_hex, f.label.value])
 
 
-def normalize(frame: CanFrame) -> NormalizedFrame:
-    """Map a frame to [0, 1] features: dlc/8, byte/255, plus nonzero-indicator bytes."""
-    return NormalizedFrame(
-        timestamp=frame.timestamp,
-        arbitration_id=frame.arbitration_id,
-        dlc_norm=frame.dlc / MAX_DLC,
-        byte_norm=tuple(b / 255.0 for b in frame.payload),
-        byte_bin=tuple(1 if b > 0 else 0 for b in frame.payload),
-        label=frame.label,
-    )
-
-
-def make_windows(frames, window_size: int) -> list:
-    """Split frames into non-overlapping windows of exactly window_size.
+def make_windows(table: FrameTable, window_size: int) -> list:
+    """Split a frame table into non-overlapping windows of exactly window_size rows.
 
     A trailing run shorter than window_size is discarded. A window is labeled 1
     when any of its frames carries an attack label.
     """
     if window_size < 1:
         raise ValueError(f"window_size must be >= 1, got {window_size}")
-    windows = []
-    n_full = len(frames) // window_size
-    for i in range(n_full):
-        chunk = frames[i * window_size : (i + 1) * window_size]
-        label = 1 if any(f.label.is_attack for f in chunk) else 0
-        windows.append(Window(index=i, frames=list(chunk), label=label))
-    return windows
+    n_full = len(table) // window_size
+    attack = table.label[: n_full * window_size].reshape(n_full, window_size).any(axis=1)
+    return [Window(index=i, frames=table[i * window_size : (i + 1) * window_size],
+                   label=int(attack[i]))
+            for i in range(n_full)]
 
 
 def split_dataset(windows, ratios=(0.6, 0.2, 0.2)):
@@ -214,8 +200,9 @@ def write_windows_csv(windows, path) -> None:
         header += ["arbitration_id", "label"]
         w.writerow(header)
         for win in windows:
-            for j, f in enumerate(win.frames):
-                row = [win.index, j, repr(f.dlc_norm)]
-                row += list(f.byte_bin)
-                row += [f"{f.arbitration_id:03X}", f.label.value]
-                w.writerow(row)
+            t = win.frames
+            rows = zip((t.dlc / MAX_DLC).tolist(), (t.payload > 0).astype(int).tolist(),
+                       t.arbitration_id.tolist(), t.label.tolist())
+            for j, (dlc_norm, byte_bin, arb, code) in enumerate(rows):
+                w.writerow([win.index, j, repr(dlc_norm)] + byte_bin
+                           + [f"{arb:03X}", LABELS[code].value])

@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Parameter
-
 MAGIC = b"CANCKPT"
 VERSION = 1
 
@@ -35,6 +33,13 @@ def save_checkpoint(params, path) -> None:
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
+def _read(fh, n: int, path: Path, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise CheckpointError(f"{path}: truncated checkpoint (short read in {what})")
+    return data
+
+
 def load_checkpoint(path) -> dict:
     """Read a checkpoint into a name -> ndarray mapping."""
     path = Path(path)
@@ -42,17 +47,17 @@ def load_checkpoint(path) -> dict:
     with path.open("rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<BI", fh.read(5))
+        version, count = struct.unpack("<BI", _read(fh, 5, path, "header"))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
+            (nlen,) = struct.unpack("<I", _read(fh, 4, path, "name"))
+            name = _read(fh, nlen, path, "name").decode("utf-8")
+            (rank,) = struct.unpack("<I", _read(fh, 4, path, f"dims of {name!r}"))
+            shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path, f"dims of {name!r}"))
             n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
-            out[name] = data
+            data = _read(fh, 8 * n, path, f"data of {name!r}")
+            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return out
 
 

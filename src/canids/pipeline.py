@@ -11,15 +11,13 @@ import json
 import logging
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, ingest, synth
 from .config import PipelineConfig
 from .detector import (DetectorConfig, DetectorModel, detect, make_sequences,
                        summary_table, train_detector, write_report_csvs)
-from .encoder import (EncoderConfig, EncoderModel, GraphEmbedding, embed,
-                      read_embeddings_csv, train_encoder, write_embeddings_csv)
-from .frames import Label
+from .encoder import (EncoderConfig, EncoderModel, embed, read_embeddings_csv,
+                      train_encoder, write_embeddings_csv)
+from .frames import FrameTable, Label
 from .graph import ByteMode, build_graph
 
 log = logging.getLogger(__name__)
@@ -46,7 +44,7 @@ class Workspace:
     def stage_hash(self, stage: str, keys, upstream=()) -> str:
         blob = {k: self.config.values[k] for k in keys}
         blob["_upstream"] = [self.manifest.get(u, "") for u in upstream]
-        if stage in ("preprocess", "entropy"):
+        if stage == "preprocess":
             p = Path(self.config.input_log)
             blob["_input"] = hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else ""
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
@@ -82,19 +80,19 @@ def run_synth(config: PipelineConfig) -> Path:
     return out
 
 
-def load_normalized_frames(config: PipelineConfig):
+def load_frames(config: PipelineConfig) -> FrameTable:
+    """Parse the input log into one frame table."""
     if not config.input_log or not Path(config.input_log).exists():
         raise FileNotFoundError(f"input log not found: {config.input_log!r}")
     frames = ingest.parse_log(config.input_log)
     if not frames:
         raise ValueError(f"input log {config.input_log} is empty")
-    return [ingest.normalize(f) for f in frames]
+    return FrameTable.from_frames(frames)
 
 
 def prepare_splits(config: PipelineConfig):
-    """Parse, normalize, window, and split the input log chronologically."""
-    normalized = load_normalized_frames(config)
-    windows = ingest.make_windows(normalized, config.window_size)
+    """Parse, window, and split the input log chronologically."""
+    windows = ingest.make_windows(load_frames(config), config.window_size)
     train, val, test = ingest.split_dataset(windows, config.ratios())
     return {"train": train, "val": val, "test": test}
 
@@ -195,8 +193,7 @@ def stage_detect(ws: Workspace, embeddings, model: DetectorModel):
 
 
 def run_entropy(config: PipelineConfig) -> Path:
-    normalized = load_normalized_frames(config)
-    stats = analysis.entropy_sweep(normalized, config.entropy_sizes)
+    stats = analysis.entropy_sweep(load_frames(config), config.entropy_sizes)
     out = Path(config.work_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "entropy_sweep.csv"
@@ -231,7 +228,7 @@ def run_sweep(config: PipelineConfig) -> Path:
                 sub.values["work_dir"] = str(base_dir / f"w{w}_l{l}")
                 try:
                     report, _ = run_pipeline(sub)
-                except ValueError as e:
+                except (ValueError, FloatingPointError) as e:
                     log.warning("sweep cell (w=%d, l=%d) skipped: %s", w, l, e)
                     continue
                 for view in ("sequence", "mean", "max"):

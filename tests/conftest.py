@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from canids.frames import CanFrame, Label, pad_payload
-from canids.ingest import make_windows, normalize
+from canids.frames import CanFrame, FrameTable, Label, pad_payload
+from canids.ingest import make_windows
 
 
 def make_frame(ts=0.0, arb=0x130, dlc=8, data=(1, 2, 3, 4, 5, 6, 7, 8), label=Label.NORMAL):
@@ -20,7 +20,7 @@ def normal_frames(n, arb_cycle=(0x100, 0x200, 0x300), dt=0.001):
 
 
 def windows_from(frames, window_size):
-    return make_windows([normalize(f) for f in frames], window_size)
+    return make_windows(FrameTable.from_frames(frames), window_size)
 
 
 @pytest.fixture

@@ -33,9 +33,9 @@ from canids.config import PipelineConfig
 from canids.detector import (DetectorConfig, DetectorModel, detect,
                              make_sequences, train_detector)
 from canids.encoder import EncoderConfig, EncoderModel, GraphEmbedding, train_encoder
-from canids.frames import CanFrame, pad_payload
-from canids.graph import WindowGraph, build_graph
-from canids.ingest import make_windows, normalize
+from canids.frames import CanFrame, FrameTable, pad_payload
+from canids.graph import WindowGraph, build_graph, normalized_adjacency
+from canids.ingest import make_windows
 from canids.nn.tensor import Parameter, Tensor
 from canids.pipeline import prepare_splits, run_pipeline, run_synth
 
@@ -139,8 +139,7 @@ def random_path_graph(w=4, seed=0, label=0, index=0):
     rng = np.random.default_rng(seed)
     feats = rng.integers(0, 2, size=(w, 9)).astype(float)
     feats[:, 0] = rng.integers(0, 9, size=w) / 8.0
-    return WindowGraph(node_features=feats, edges=[(i, i + 1) for i in range(w - 1)],
-                       label=label, window_index=index)
+    return WindowGraph(node_features=feats, label=label, window_index=index)
 
 
 def toy_embeddings(labels, seed=0, offset=2.0):
@@ -178,9 +177,7 @@ def test_criterion_1_gradients(capfd):
                 lambda: nn.mse_loss(nn.tanh(a), Tensor(np.zeros((4, 3)))), [a])
 
             # gcn_conv with a normalized 3-path adjacency
-            g3 = random_path_graph(w=3, seed=seed)
-            from canids.graph import normalized_adjacency
-            adj = normalized_adjacency(g3)
+            adj = normalized_adjacency(3)
             xg = Parameter(r.normal(size=(3, 5)), "xg")
             wg = Parameter(r.normal(size=(5, 4)), "wg")
             bg = Parameter(r.normal(size=4), "bg")
@@ -232,6 +229,10 @@ def _frame(i):
                     payload=pad_payload([i % 256] * 8))
 
 
+def _table(n):
+    return FrameTable.from_frames([_frame(i) for i in range(n)])
+
+
 def test_criterion_2_structural_oracles(capfd):
     with criterion(2, "structural oracles (windowing, graph sizes, sequences)", capfd):
         rng = np.random.default_rng(2)
@@ -239,21 +240,20 @@ def test_criterion_2_structural_oracles(capfd):
         for _ in range(1000):
             n = int(rng.integers(0, 400))
             w = int(rng.integers(2, 60))
-            frames = [normalize(_frame(i)) for i in range(n)]
-            windows = make_windows(frames, w)
+            windows = make_windows(_table(n), w)
             assert len(windows) == n // w
             assert all(win.size == w for win in windows)
             covered = sum(win.size for win in windows)
             assert n - covered == n % w  # trailing remainder discarded
 
-        # (b) node/edge counts on the supported window sizes
+        # (b) node counts and path topology on the supported window sizes
         for w in (50, 75, 100, 125, 150):
-            frames = [normalize(_frame(i)) for i in range(w)]
-            (window,) = make_windows(frames, w)
+            (window,) = make_windows(_table(w), w)
             g = build_graph(window)
             assert g.num_nodes == w
-            assert len(g.edges) == w - 1
-            assert g.edges == [(i, i + 1) for i in range(w - 1)]
+            nodes = np.arange(w)
+            band = np.abs(nodes[:, None] - nodes[None, :]) <= 1  # path edges + self-loops
+            assert np.array_equal(normalized_adjacency(g.num_nodes) != 0, band)
 
         # (c) sequence count and any-attack label vs brute force, all m <= 20
         for m in range(1, 21):
@@ -280,9 +280,8 @@ def test_criterion_3_entropy_oracles(capfd):
             expected = float(-(p * np.log2(p)).sum())
             assert entropy_bits(counts.tolist()) == pytest.approx(expected, abs=1e-12)
 
-        frames = [normalize(_frame(i)) for i in range(2000)]
         sizes = [10, 20, 40, 80]
-        stats = entropy_sweep(frames, sizes)
+        stats = entropy_sweep(_table(2000), sizes)
         assert [s.window_size for s in stats] == sizes
         assert stats[0].growth_rate is None       # first size carries no rate
         assert all(s.growth_rate is not None for s in stats[1:])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from canids.analysis import (MetricBlock, auc_score, compute_metrics,
                              entropy_bits, entropy_sweep, window_entropy,
                              write_entropy_csv)
+from canids.frames import FrameTable
 
 from conftest import make_frame, normal_frames, windows_from
 
@@ -77,8 +78,7 @@ class TestWindowEntropy:
 
 class TestEntropySweep:
     def norm(self, frames):
-        from canids.ingest import normalize
-        return [normalize(f) for f in frames]
+        return FrameTable.from_frames(frames)
 
     def test_single_size_no_growth_rate(self):
         stats = entropy_sweep(self.norm(normal_frames(100)), [10])

@@ -42,3 +42,13 @@ def test_missing_and_mismatched_params(tmp_path):
         restore_parameters([Parameter(np.zeros(2), "b")], tmp_path / "m.ckpt")
     with pytest.raises(CheckpointError, match="shape"):
         restore_parameters([Parameter(np.zeros(3), "a")], tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize("cut", [3, 10, 14, 20, 22, 30, 40, 100, -8, -1])
+def test_truncated_file_names_the_file(tmp_path, cut):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint([Parameter(np.ones((3, 4)), "weight"), Parameter(np.ones(2), "b")], path)
+    data = path.read_bytes()
+    path.write_bytes(data[:cut])
+    with pytest.raises(CheckpointError, match="m.ckpt"):
+        load_checkpoint(path)

@@ -14,8 +14,7 @@ def random_graph(w=6, seed=0, label=0, index=0):
     rng = np.random.default_rng(seed)
     feats = rng.integers(0, 2, size=(w, 9)).astype(float)
     feats[:, 0] = rng.integers(0, 9, size=w) / 8.0
-    return WindowGraph(node_features=feats, edges=[(i, i + 1) for i in range(w - 1)],
-                       label=label, window_index=index)
+    return WindowGraph(node_features=feats, label=label, window_index=index)
 
 
 class TestForward:
@@ -110,11 +109,10 @@ class TestEmbed:
         # embedding; any other frame permutation does
         model = EncoderModel(seed=0)
         g = random_graph(w=10, seed=5)
-        rev = WindowGraph(node_features=g.node_features[::-1].copy(),
-                          edges=g.edges, label=0, window_index=0)
+        rev = WindowGraph(node_features=g.node_features[::-1].copy(), label=0, window_index=0)
         assert np.allclose(embed(model, g).vector, embed(model, rev).vector)
         rolled = WindowGraph(node_features=np.roll(g.node_features, 3, axis=0),
-                             edges=g.edges, label=0, window_index=0)
+                             label=0, window_index=0)
         assert not np.allclose(embed(model, g).vector, embed(model, rolled).vector)
 
     def test_label_and_index_carried(self):

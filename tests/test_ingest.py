@@ -1,12 +1,12 @@
-import math
-
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.frames import CanFrame, Label, pad_payload
-from canids.ingest import (ColumnMapping, ParseError, make_windows, normalize,
-                           parse_log, split_dataset, write_log, write_windows_csv)
+from canids.frames import LABELS, CanFrame, FrameTable, Label, pad_payload
+from canids.graph import ByteMode, build_graph
+from canids.ingest import (ColumnMapping, ParseError, make_windows, parse_log,
+                           split_dataset, write_log, write_windows_csv)
 
 from conftest import make_frame, normal_frames, windows_from
 
@@ -86,31 +86,76 @@ class TestParseLog:
         assert out.read_bytes() == out2.read_bytes()
 
 
+def node_features(frame, mode):
+    """Feature row of `frame` as build_graph computes it in the given byte mode."""
+    (window,) = windows_from([frame, frame], 2)
+    return build_graph(window, mode).node_features[0]
+
+
 class TestNormalize:
     def test_maximal_values(self):
-        nf = normalize(make_frame(dlc=8, data=[0xFF] + [0] * 7))
-        assert nf.dlc_norm == 1.0
-        assert nf.byte_norm[0] == 1.0
-        assert nf.byte_bin[0] == 1
+        frame = make_frame(dlc=8, data=[0xFF] + [0] * 7)
+        norm = node_features(frame, ByteMode.NORMALIZED)
+        binr = node_features(frame, ByteMode.BINARIZED)
+        assert norm[0] == binr[0] == 1.0
+        assert norm[1] == 1.0
+        assert binr[1] == 1.0
 
     def test_zero_case(self):
-        nf = normalize(make_frame(dlc=0, data=[]))
-        assert nf.dlc_norm == 0.0
-        assert nf.byte_norm == (0.0,) * 8
-        assert nf.byte_bin == (0,) * 8
+        frame = make_frame(dlc=0, data=[])
+        norm = node_features(frame, ByteMode.NORMALIZED)
+        binr = node_features(frame, ByteMode.BINARIZED)
+        assert norm[0] == binr[0] == 0.0
+        assert norm[1:].tolist() == [0.0] * 8
+        assert binr[1:].tolist() == [0.0] * 8
 
     def test_midrange_byte(self):
-        nf = normalize(make_frame(dlc=8, data=[0, 0, 0, 0x80, 0, 0, 0, 0]))
-        assert nf.byte_norm[3] == pytest.approx(128 / 255)
-        assert nf.byte_bin[3] == 1
+        frame = make_frame(dlc=8, data=[0, 0, 0, 0x80, 0, 0, 0, 0])
+        assert node_features(frame, ByteMode.NORMALIZED)[4] == pytest.approx(128 / 255)
+        assert node_features(frame, ByteMode.BINARIZED)[4] == 1.0
 
     @given(st.integers(0, 8), st.lists(st.integers(0, 255), min_size=0, max_size=8))
     def test_bounds_and_binarization(self, dlc, data):
         data = data[:dlc]
-        nf = normalize(make_frame(dlc=dlc, data=data))
-        for bn, bb in zip(nf.byte_norm, nf.byte_bin):
+        frame = make_frame(dlc=dlc, data=data)
+        norm = node_features(frame, ByteMode.NORMALIZED)
+        binr = node_features(frame, ByteMode.BINARIZED)
+        assert norm[0] == binr[0] == dlc / 8
+        for b, bn, bb in zip(frame.payload, norm[1:], binr[1:]):
             assert 0.0 <= bn <= 1.0
-            assert bb == math.ceil(bn) if bn in (0.0, 1.0) else bb == (1 if bn > 0 else 0)
+            assert bn == b / 255.0
+            assert bb == (1.0 if b > 0 else 0.0)
+
+
+class TestFrameTable:
+    def test_columns_match_frames(self):
+        frames = [make_frame(ts=0.5, arb=0x1A0, dlc=2, data=[7, 0]),
+                  make_frame(ts=0.75, arb=0x7FF, dlc=8, label=Label.SPOOFING)]
+        t = FrameTable.from_frames(frames)
+        assert len(t) == 2
+        assert t.timestamp.tolist() == [0.5, 0.75]
+        assert t.arbitration_id.tolist() == [0x1A0, 0x7FF]
+        assert t.dlc.tolist() == [2, 8]
+        assert t.payload.tolist() == [list(f.payload) for f in frames]
+        assert [LABELS[c] for c in t.label] == [Label.NORMAL, Label.SPOOFING]
+        assert (t.timestamp.dtype, t.arbitration_id.dtype, t.dlc.dtype, t.payload.dtype,
+                t.label.dtype) == (np.float64, np.int64, np.uint8, np.uint8, np.int8)
+
+    def test_slices_are_views(self):
+        t = FrameTable.from_frames(normal_frames(10))
+        part = t[2:6]
+        assert len(part) == 4
+        for name in ("timestamp", "arbitration_id", "dlc", "payload", "label"):
+            assert np.shares_memory(getattr(part, name), getattr(t, name))
+
+    def test_window_attack_kinds(self):
+        frames = normal_frames(6)
+        frames[1] = make_frame(ts=0.001, label=Label.REPLAY)
+        frames[4] = make_frame(ts=0.004, label=Label.FLOODING)
+        first, second = windows_from(frames, 3)
+        assert first.attack_kinds() == {Label.REPLAY}
+        assert second.attack_kinds() == {Label.FLOODING}
+        assert windows_from(normal_frames(3), 3)[0].attack_kinds() == set()
 
 
 class TestMakeWindows:
@@ -130,14 +175,14 @@ class TestMakeWindows:
         assert [w.label for w in windows] == [0, 1]
 
     def test_empty_input(self):
-        assert make_windows([], 10) == []
+        assert make_windows(FrameTable.from_frames([]), 10) == []
 
     @given(st.integers(0, 400), st.integers(1, 50))
     @settings(max_examples=60)
     def test_partition_property(self, n, w):
         windows = windows_from(normal_frames(n), w)
         assert len(windows) == n // w
-        seen = [f.timestamp for win in windows for f in win.frames]
+        seen = [t for win in windows for t in win.frames.timestamp.tolist()]
         expected = [i * 0.001 for i in range((n // w) * w)]
         assert seen == expected  # disjoint, ordered, covers first floor(n/w)*w frames
 
