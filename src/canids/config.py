@@ -95,6 +95,13 @@ class PipelineConfig:
             raise ConfigError(f"split ratios must be positive and sum to 1, got {ratios}")
         if self.byte_mode not in ("binarized", "normalized"):
             raise ConfigError(f"byte_mode must be binarized or normalized, got {self.byte_mode!r}")
+        for key, low in (("encoder_epochs", 1), ("detector_epochs", 1), ("detector_batch", 1),
+                         ("grad_clip", 0), ("encoder_patience", 0), ("detector_patience", 0)):
+            if not self.values[key] >= low:
+                raise ConfigError(f"{key} must be >= {low}, got {self.values[key]}")
+        for key in ("encoder_lr", "detector_lr"):
+            if not self.values[key] > 0:
+                raise ConfigError(f"{key} must be > 0, got {self.values[key]}")
 
     def ratios(self):
         return (self.train_ratio, self.val_ratio, self.test_ratio)

@@ -72,32 +72,29 @@ def make_sequences(embeddings, length: int) -> list:
     return out
 
 
-def _gru_params(prefix: str, d_in: int, d_h: int, rng) -> dict:
-    names = {"w_z": (d_in, d_h), "u_z": (d_h, d_h), "b_z": (d_h,),
-             "w_r": (d_in, d_h), "u_r": (d_h, d_h), "b_r": (d_h,),
-             "w_n": (d_in, d_h), "u_n": (d_h, d_h), "b_in": (d_h,), "b_hn": (d_h,)}
-    params = {}
-    for key, shape in names.items():
-        fan_in = shape[0] if len(shape) > 1 else d_h
-        params[key] = nn.Parameter(nn.seeded_init(shape, fan_in, rng), f"{prefix}_{key}")
-    return params
+def _gru_arrays(prefix: str, d_in: int, d_h: int, rng) -> list:
+    shapes = {"w_z": (d_in, d_h), "u_z": (d_h, d_h), "b_z": (d_h,),
+              "w_r": (d_in, d_h), "u_r": (d_h, d_h), "b_r": (d_h,),
+              "w_n": (d_in, d_h), "u_n": (d_h, d_h), "b_in": (d_h,), "b_hn": (d_h,)}
+    return [(f"{prefix}_{key}", nn.seeded_init(shape, shape[0] if len(shape) > 1 else d_h, rng))
+            for key, shape in shapes.items()]
 
 
-class DetectorModel:
+class DetectorModel(nn.Module):
     def __init__(self, seed: int = 0, dropout_p: float = DROPOUT_P):
         rng = np.random.default_rng(seed)
-        self.gru1 = _gru_params("gru1", EMBED_DIM, HIDDEN_DIM, rng)
-        self.gru2 = _gru_params("gru2", HIDDEN_DIM, HIDDEN_DIM, rng)
-        self.fc1_w = nn.Parameter(nn.seeded_init((HIDDEN_DIM, HEAD_DIM), HIDDEN_DIM, rng), "fc1_w")
-        self.fc1_b = nn.Parameter(nn.seeded_init((HEAD_DIM,), HIDDEN_DIM, rng), "fc1_b")
-        self.fc2_w = nn.Parameter(nn.seeded_init((HEAD_DIM, 1), HEAD_DIM, rng), "fc2_w")
-        self.fc2_b = nn.Parameter(nn.seeded_init((1,), HEAD_DIM, rng), "fc2_b")
+        named = _gru_arrays("gru1", EMBED_DIM, HIDDEN_DIM, rng)
+        named += _gru_arrays("gru2", HIDDEN_DIM, HIDDEN_DIM, rng)
+        named += [("fc1_w", nn.seeded_init((HIDDEN_DIM, HEAD_DIM), HIDDEN_DIM, rng)),
+                  ("fc1_b", nn.seeded_init((HEAD_DIM,), HIDDEN_DIM, rng)),
+                  ("fc2_w", nn.seeded_init((HEAD_DIM, 1), HEAD_DIM, rng)),
+                  ("fc2_b", nn.seeded_init((1,), HEAD_DIM, rng))]
+        super().__init__(named)
+        self.gru1 = {n[5:]: p for n, p in self.params.items() if n.startswith("gru1_")}
+        self.gru2 = {n[5:]: p for n, p in self.params.items() if n.startswith("gru2_")}
+        self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b = (
+            self.params[n] for n in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"))
         self.dropout_p = dropout_p
-
-    def parameters(self):
-        out = list(self.gru1.values()) + list(self.gru2.values())
-        out += [self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b]
-        return out
 
     def _head(self, h) -> nn.Tensor:
         return nn.sigmoid(nn.linear(nn.relu(nn.linear(h, self.fc1_w, self.fc1_b)),
@@ -125,19 +122,6 @@ class DetectorModel:
             window_probs.append(self._head(h2))
         return window_probs[-1], window_probs
 
-    def snapshot(self) -> dict:
-        return {p.name: p.data.copy() for p in self.parameters()}
-
-    def load_state(self, state: dict) -> None:
-        for p in self.parameters():
-            p.data[...] = state[p.name]
-
-    def save(self, path) -> None:
-        nn.save_checkpoint(self.parameters(), path)
-
-    def load(self, path) -> None:
-        nn.restore_parameters(self.parameters(), path)
-
 
 def detector_forward(model: DetectorModel, seq: EmbeddingSequence, training: bool = False, rng=None):
     """Score one sequence: (sequence probability, per-timestep window probabilities)."""
@@ -164,7 +148,6 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
     best_f1 = -1.0
     best_state = model.snapshot()
     best_epoch = -1
-    stale = 0
     n = len(train_seqs)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -175,8 +158,8 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
             loss = nn.bce_loss(seq_probs, nn.Tensor(y_train[idx]))
             loss.backward()
             if config.grad_clip > 0:
-                nn.clip_global_norm(model.parameters(), config.grad_clip)
-            nn.adam_step(model.parameters(), lr=config.lr)
+                nn.clip_global_norm(model, config.grad_clip)
+            nn.adam_step(model, lr=config.lr)
             epoch_loss += loss.item() * len(idx)
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
@@ -189,11 +172,8 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
             best_f1 = val_metrics.f1
             best_state = model.snapshot()
             best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
+        elif epoch - best_epoch > config.patience:
+            break
     model.load_state(best_state)
     return model, {"epochs_run": len(log), "best_epoch": best_epoch, "best_val_f1": best_f1,
                    "history": log}

@@ -38,7 +38,7 @@ class GraphEmbedding:
     label: int
 
 
-class EncoderModel:
+class EncoderModel(nn.Module):
     """AE encoder 9->16->16, three 32-wide graph convolutions, decoder 32->16->9."""
 
     def __init__(self, seed: int = 0):
@@ -52,13 +52,9 @@ class EncoderModel:
             ("dec1", EMBED_DIM, LATENT_DIM),
             ("dec2", LATENT_DIM, IN_DIM),
         ]
-        self.params = {}
-        for name, d_in, d_out in widths:
-            self.params[f"{name}_w"] = nn.Parameter(nn.seeded_init((d_in, d_out), d_in, rng), f"{name}_w")
-            self.params[f"{name}_b"] = nn.Parameter(nn.seeded_init((d_out,), d_in, rng), f"{name}_b")
-
-    def parameters(self):
-        return list(self.params.values())
+        super().__init__([(f"{name}_{kind}", nn.seeded_init(shape, d_in, rng))
+                          for name, d_in, d_out in widths
+                          for kind, shape in (("w", (d_in, d_out)), ("b", (d_out,)))])
 
     def forward(self, graph: WindowGraph):
         """Return (node_embeddings (W,32), reconstruction (W,9)), both differentiable."""
@@ -74,19 +70,6 @@ class EncoderModel:
         d = nn.relu(nn.linear(node_emb, p["dec1_w"], p["dec1_b"]))
         recon = nn.linear(d, p["dec2_w"], p["dec2_b"])
         return node_emb, recon
-
-    def snapshot(self) -> dict:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_state(self, state: dict) -> None:
-        for name, p in self.params.items():
-            p.data[...] = state[name]
-
-    def save(self, path) -> None:
-        nn.save_checkpoint(self.parameters(), path)
-
-    def load(self, path) -> None:
-        nn.restore_parameters(self.parameters(), path)
 
 
 def _reconstruction_loss(model: EncoderModel, graph: WindowGraph) -> nn.Tensor:
@@ -115,15 +98,14 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     best_val = np.inf
     best_state = model.snapshot()
     best_epoch = -1
-    stale = 0
     for epoch in range(config.epochs):
         train_loss = 0.0
         for g in train_graphs:
             loss = _reconstruction_loss(model, g)
             loss.backward()
             if config.grad_clip > 0:
-                nn.clip_global_norm(model.parameters(), config.grad_clip)
-            nn.adam_step(model.parameters(), lr=config.lr)
+                nn.clip_global_norm(model, config.grad_clip)
+            nn.adam_step(model, lr=config.lr)
             train_loss += loss.item()
         train_loss /= len(train_graphs)
         if not np.isfinite(train_loss):
@@ -134,11 +116,8 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
             best_val = val_loss
             best_state = model.snapshot()
             best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale > config.patience:
-                break
+        elif epoch - best_epoch > config.patience:
+            break
     model.load_state(best_state)
     return model, {"epochs_run": len(log), "best_epoch": best_epoch, "history": log}
 

@@ -26,10 +26,6 @@ class Label(enum.Enum):
                 return member
         raise ValueError(f"unknown label {s!r}")
 
-    @property
-    def is_attack(self) -> bool:
-        return self is not Label.NORMAL
-
 
 @dataclass(frozen=True)
 class CanFrame:

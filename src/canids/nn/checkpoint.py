@@ -5,6 +5,8 @@ u32 dims..., then raw float64 data. Round trips are bit exact.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -18,46 +20,59 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(params, path) -> None:
+def write_atomic(path, data: bytes) -> None:
+    """Write `data` to a temp file beside `path`, then rename it over `path`, so a
+    failed write leaves the previous file intact; the temp file never outlives the call."""
     path = Path(path)
-    with path.open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BI", VERSION, len(params)))
-        for p in params:
-            name = p.name.encode("utf-8")
-            fh.write(struct.pack("<I", len(name)))
-            fh.write(name)
-            fh.write(struct.pack("<I", len(p.data.shape)))
-            for d in p.data.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def _read(fh, n: int, path: Path, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"{path}: truncated checkpoint (short read in {what})")
-    return data
+def save_checkpoint(params, path) -> None:
+    parts = [MAGIC, struct.pack("<BI", VERSION, len(params))]
+    for p in params:
+        name = p.name.encode("utf-8")
+        parts += [struct.pack("<I", len(name)), name,
+                  struct.pack(f"<{1 + p.data.ndim}I", p.data.ndim, *p.data.shape),
+                  np.ascontiguousarray(p.data, dtype="<f8").tobytes()]
+    write_atomic(path, b"".join(parts))
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into a name -> ndarray mapping."""
+    """Read a checkpoint into a name -> ndarray mapping. Every length is checked
+    against the bytes left, so a truncated or corrupt file raises CheckpointError."""
     path = Path(path)
+    buf = memoryview(path.read_bytes())
+    pos = len(MAGIC)
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise CheckpointError(f"{path}: truncated or corrupt checkpoint "
+                                  f"({what} needs {n} bytes, {len(buf) - pos} left)")
+        pos += n
+        return buf[pos - n : pos]
+
+    if buf[:pos] != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file")
+    version, count = struct.unpack("<BI", take(5, "header"))
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     out = {}
-    with path.open("rb") as fh:
-        if fh.read(len(MAGIC)) != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<BI", _read(fh, 5, path, "header"))
-        if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read(fh, 4, path, "name"))
-            name = _read(fh, nlen, path, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read(fh, 4, path, f"dims of {name!r}"))
-            shape = struct.unpack(f"<{rank}I", _read(fh, 4 * rank, path, f"dims of {name!r}"))
-            n = int(np.prod(shape)) if shape else 1
-            data = _read(fh, 8 * n, path, f"data of {name!r}")
-            out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    for _ in range(count):
+        (nlen,) = struct.unpack("<I", take(4, "name"))
+        try:
+            name = str(take(nlen, "name"), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: corrupt checkpoint (parameter name is not utf-8)") from None
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
+        data = take(8 * math.prod(shape), f"data of {name!r}")
+        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return out
 
 

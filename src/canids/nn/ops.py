@@ -29,7 +29,6 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data + b.data, parents=(a, b))
 
     def bwd(g):
         if _tracked(a):
@@ -37,13 +36,11 @@ def add(a, b) -> Tensor:
         if _tracked(b):
             b.accumulate(_unbroadcast(g, b.data.shape))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data + b.data, parents=(a, b), backward_fn=bwd)
 
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data - b.data, parents=(a, b))
 
     def bwd(g):
         if _tracked(a):
@@ -51,13 +48,11 @@ def sub(a, b) -> Tensor:
         if _tracked(b):
             b.accumulate(-_unbroadcast(g, b.data.shape))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data - b.data, parents=(a, b), backward_fn=bwd)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data * b.data, parents=(a, b))
 
     def bwd(g):
         if _tracked(a):
@@ -65,15 +60,13 @@ def mul(a, b) -> Tensor:
         if _tracked(b):
             b.accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data * b.data, parents=(a, b), backward_fn=bwd)
 
 
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.shape[-1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
 
     def bwd(g):
         if _tracked(a):
@@ -81,47 +74,40 @@ def matmul(a, b) -> Tensor:
         if _tracked(b):
             b.accumulate(a.data.T @ g)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(a.data @ b.data, parents=(a, b), backward_fn=bwd)
 
 
 def relu(x) -> Tensor:
     x = _wrap(x)
     mask = x.data > 0  # subgradient at 0 is 0
-    out = Tensor(np.where(mask, x.data, 0.0), parents=(x,))
 
     def bwd(g):
         if _tracked(x):
             x.accumulate(g * mask)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.where(mask, x.data, 0.0), parents=(x,), backward_fn=bwd)
 
 
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
     s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(s, parents=(x,))
 
     def bwd(g):
         if _tracked(x):
             x.accumulate(g * s * (1.0 - s))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(s, parents=(x,), backward_fn=bwd)
 
 
 def tanh(x) -> Tensor:
     x = _wrap(x)
     t = np.tanh(x.data)
-    out = Tensor(t, parents=(x,))
 
     def bwd(g):
         if _tracked(x):
             x.accumulate(g * (1.0 - t * t))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(t, parents=(x,), backward_fn=bwd)
 
 
 def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -133,23 +119,18 @@ def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
-        out = Tensor(x.data, parents=(x,))
-
         def bwd_id(g):
             if _tracked(x):
                 x.accumulate(g)
 
-        out.backward_fn = bwd_id
-        return out
+        return Tensor(x.data, parents=(x,), backward_fn=bwd_id)
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, parents=(x,))
 
     def bwd(g):
         if _tracked(x):
             x.accumulate(g * mask)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(x.data * mask, parents=(x,), backward_fn=bwd)
 
 
 def linear(x, weight, bias) -> Tensor:
@@ -169,14 +150,12 @@ def global_mean_pool(node_feats) -> Tensor:
     """Columnwise mean over nodes: (W, d) -> (1, d); backward spreads grad by 1/W."""
     x = _wrap(node_feats)
     w = x.data.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True), parents=(x,))
 
     def bwd(g):
         if _tracked(x):
             x.accumulate(np.broadcast_to(g / w, x.data.shape))
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(x.data.mean(axis=0, keepdims=True), parents=(x,), backward_fn=bwd)
 
 
 def gru_cell(x, h_prev, params: dict) -> Tensor:
@@ -202,7 +181,6 @@ def mse_loss(pred, target) -> Tensor:
         raise ValueError(f"mse shape mismatch: {pred.data.shape} vs {target.data.shape}")
     diff = pred.data - target.data
     n = diff.size
-    out = Tensor(np.array(np.mean(diff * diff)), parents=(pred, target))
 
     def bwd(g):
         if _tracked(pred):
@@ -210,8 +188,7 @@ def mse_loss(pred, target) -> Tensor:
         if _tracked(target):
             target.accumulate(-g * 2.0 * diff / n)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.array(np.mean(diff * diff)), parents=(pred, target), backward_fn=bwd)
 
 
 def bce_loss(prob, label) -> Tensor:
@@ -222,12 +199,11 @@ def bce_loss(prob, label) -> Tensor:
     p = np.clip(prob.data, BCE_EPS, 1.0 - BCE_EPS)
     y = label.data
     n = p.size
-    out = Tensor(np.array(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))), parents=(prob, label))
 
     def bwd(g):
         if _tracked(prob):
             inside = (prob.data > BCE_EPS) & (prob.data < 1.0 - BCE_EPS)
             prob.accumulate(g * inside * (p - y) / (p * (1.0 - p)) / n)
 
-    out.backward_fn = bwd
-    return out
+    return Tensor(np.array(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))),
+                  parents=(prob, label), backward_fn=bwd)

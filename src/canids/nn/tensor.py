@@ -22,9 +22,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Backpropagate from this (scalar) tensor through the recorded graph."""
         if self.data.size != 1:
@@ -58,21 +55,25 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
 
 class Parameter(Tensor):
-    """Trainable tensor with a name and Adam moment state."""
+    """Trainable named tensor. Its gradient accumulates in place in `grad_buffer`
+    (a view of its Module's flat gradient, or its own array); `grad` is None
+    until backward reaches it, then it is that buffer."""
 
-    __slots__ = ("name", "adam_m", "adam_v", "adam_t")
+    __slots__ = ("name", "grad_buffer")
 
-    def __init__(self, data, name: str):
+    def __init__(self, data, name: str, grad_buffer=None):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
-        self.adam_t = 0
+        self.grad_buffer = np.zeros_like(self.data) if grad_buffer is None else grad_buffer
+
+    def accumulate(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = self.grad_buffer
+            self.grad[...] = g
+        else:
+            self.grad += g
 
 
 def seeded_init(shape, fan_in: int, rng: np.random.Generator) -> np.ndarray:

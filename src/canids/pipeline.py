@@ -11,7 +11,7 @@ import json
 import logging
 from pathlib import Path
 
-from . import analysis, ingest, synth
+from . import analysis, ingest, nn, synth
 from .config import PipelineConfig
 from .detector import (DetectorConfig, DetectorModel, detect, make_sequences,
                        summary_table, train_detector, write_report_csvs)
@@ -39,7 +39,8 @@ class Workspace:
         return self.dir / name
 
     def _save_manifest(self) -> None:
-        self.manifest_path.write_text(json.dumps(self.manifest, indent=1, sort_keys=True))
+        text = json.dumps(self.manifest, indent=1, sort_keys=True)
+        nn.write_atomic(self.manifest_path, text.encode())
 
     def stage_hash(self, stage: str, keys, upstream=()) -> str:
         blob = {k: self.config.values[k] for k in keys}

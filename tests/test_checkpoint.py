@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,38 @@ def test_truncated_file_names_the_file(tmp_path, cut):
     path.write_bytes(data[:cut])
     with pytest.raises(CheckpointError, match="m.ckpt"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("offset, patch", [
+    (16, b"\xff"),              # first byte of the name "weight"
+    (12, b"\xff" * 4),          # name length
+    (22, b"\xff" * 4),          # rank
+    (26, b"\xff" * 8),          # dims (0xFFFFFFFF, 0xFFFFFFFF)
+], ids=["name_byte", "name_length", "rank", "dims"])
+def test_corrupt_record_names_the_file(tmp_path, offset, patch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint([Parameter(np.ones((3, 4)), "weight"), Parameter(np.ones(2), "b")], path)
+    data = bytearray(path.read_bytes())
+    data[offset : offset + len(patch)] = patch
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="m.ckpt"):
+        load_checkpoint(path)
+
+
+def _half_write(path, data):
+    """Stands in for Path.write_bytes: writes half of the data, then fails."""
+    with open(path, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("disk full")
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint([Parameter(np.ones(3), "a")], path)
+    before = path.read_bytes()
+    monkeypatch.setattr(Path, "write_bytes", _half_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint([Parameter(np.zeros(3), "a"), Parameter(np.zeros(2), "b")], path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]

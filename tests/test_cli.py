@@ -160,3 +160,26 @@ def test_truncated_checkpoint_exit_code(synth_log, tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:20])
     assert main(["detect", "--config", str(cfg)]) == EXIT_DATA
     assert "detector.ckpt" in capsys.readouterr().err
+
+
+def test_corrupt_checkpoint_exit_code(synth_log, tmp_path, capsys):
+    root, log = synth_log
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    ckpt = tmp_path / "work" / "encoder.ckpt"
+    data = bytearray(ckpt.read_bytes())
+    data[16] = 0xFF  # first byte of the first parameter name
+    ckpt.write_bytes(bytes(data))
+    assert main(["embed", "--config", str(cfg)]) == EXIT_DATA
+    assert "encoder.ckpt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0"])
+def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, override):
+    root, log = synth_log
+    cfg = run_cfg(root, log, name="override.cfg")
+    work = tmp_path / "work"
+    assert main(["run", "--config", str(cfg), "--set", f"work_dir={work}",
+                 "--set", override]) == EXIT_CONFIG
+    assert not work.exists()

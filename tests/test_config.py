@@ -53,6 +53,14 @@ def test_bad_value_reports_line(tmp_path):
     "threshold = 1.5\n",
     "train_ratio = 0.5\n",  # ratios no longer sum to 1
     "byte_mode = ternary\n",
+    "encoder_epochs = 0\n",
+    "detector_epochs = 0\n",
+    "detector_batch = 0\n",
+    "encoder_lr = 0\n",
+    "detector_lr = -0.001\n",
+    "grad_clip = -1\n",
+    "encoder_patience = -1\n",
+    "detector_patience = -1\n",
 ])
 def test_validation_failures(tmp_path, text):
     with pytest.raises(ConfigError):
@@ -96,3 +104,10 @@ def test_set_overrides():
     assert cfg.window_size == 100
     with pytest.raises(ConfigError):
         cfg.set("nonsense", "1")
+
+
+def test_validation_boundaries_accepted(tmp_path):
+    cfg = PipelineConfig.from_file(write_cfg(
+        tmp_path, "grad_clip = 0\nencoder_patience = 0\ndetector_patience = 0\n"
+                  "encoder_epochs = 1\ndetector_epochs = 1\ndetector_batch = 1\n"))
+    assert cfg.grad_clip == 0.0 and cfg.detector_batch == 1

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from canids import nn
+from canids.detector import DetectorModel
+from canids.encoder import EncoderModel
+from canids.graph import WindowGraph
 from canids.nn.tensor import Parameter, Tensor, seeded_init
 
 from gradcheck import assert_gradients_match
@@ -210,39 +213,145 @@ class TestGradients:
         assert_gradients_match(loss, [w1, b1, w2, b2] + list(gru.values()), rtol=1e-4)
 
 
+def module(**arrays):
+    return nn.Module([(name, np.asarray(a, dtype=float)) for name, a in arrays.items()])
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = param([1.0, 2.0])
-        p.grad = np.zeros(2)
-        nn.adam_step([p], lr=0.1)
-        assert p.data.tolist() == [1.0, 2.0]
+        m = module(p=[1.0, 2.0])
+        m.params["p"].accumulate(np.zeros(2))
+        nn.adam_step(m, lr=0.1)
+        assert m.params["p"].data.tolist() == [1.0, 2.0]
 
     def test_first_step_is_minus_lr(self):
-        p = param([0.0])
-        p.grad = np.ones(1)
-        nn.adam_step([p], lr=0.1)
-        assert p.data[0] == pytest.approx(-0.1, rel=1e-6)
+        m = module(p=[0.0])
+        m.params["p"].accumulate(np.ones(1))
+        nn.adam_step(m, lr=0.1)
+        assert m.params["p"].data[0] == pytest.approx(-0.1, rel=1e-6)
 
     def test_missing_gradient_errors(self):
         with pytest.raises(ValueError, match="no gradient"):
-            nn.adam_step([param([1.0])])
+            nn.adam_step(module(p=[1.0]))
+
+    def test_unreached_parameter_errors(self):
+        m = module(used=[1.0, 2.0], unused=[3.0])
+        nn.mse_loss(m.params["used"], Tensor(np.zeros(2))).backward()
+        with pytest.raises(ValueError, match="'unused' has no gradient"):
+            nn.adam_step(m)
 
     def test_quadratic_bowl_convergence(self):
-        w = param(np.random.default_rng(0).normal(size=8))
+        m = module(w=np.random.default_rng(0).normal(size=8))
+        w = m.params["w"]
         w.data /= np.linalg.norm(w.data)  # ||w0|| = 1
         for _ in range(200):
             loss = nn.mse_loss(w, Tensor(np.zeros(8)))
             loss.backward()
-            nn.adam_step([w], lr=0.05)
+            nn.adam_step(m, lr=0.05)
         assert np.linalg.norm(w.data) < 1e-2
 
     def test_clip_global_norm(self):
-        p1, p2 = param(np.zeros(3)), param(np.zeros(4))
-        p1.grad = np.full(3, 10.0)
-        p2.grad = np.full(4, 10.0)
-        norm = nn.clip_global_norm([p1, p2], 5.0)
+        m = module(p1=np.zeros(3), p2=np.zeros(4))
+        p1, p2 = m.parameters()
+        p1.accumulate(np.full(3, 10.0))
+        p2.accumulate(np.full(4, 10.0))
+        norm = nn.clip_global_norm(m, 5.0)
         assert norm == pytest.approx(10 * np.sqrt(7))
         assert np.sqrt(sum((p.grad ** 2).sum() for p in (p1, p2))) == pytest.approx(5.0)
+
+
+class TestModule:
+    def test_parameters_are_views_of_flat_vectors(self):
+        m = module(w=np.arange(6.0).reshape(2, 3), b=[7.0])
+        w, b = m.parameters()
+        assert [p.name for p in m.parameters()] == ["w", "b"]
+        assert m.data.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0]
+        assert np.shares_memory(w.data, m.data) and np.shares_memory(b.data, m.data)
+        nn.mse_loss(nn.matmul(Tensor(np.ones((1, 2))), w), Tensor(np.zeros((1, 3)))).backward()
+        assert w.grad.base is m.grad and np.array_equal(m.grad[:6], w.grad.ravel())
+
+    def test_snapshot_and_load_state_copy(self):
+        m = module(w=[1.0, 2.0])
+        state = m.snapshot()
+        m.params["w"].data[...] = 9.0
+        assert state.tolist() == [1.0, 2.0]
+        m.load_state(state)
+        assert m.params["w"].data.tolist() == [1.0, 2.0]
+
+    def test_save_load_round_trip(self, tmp_path):
+        src = module(w=np.arange(6.0).reshape(2, 3), b=[7.0])
+        src.save(tmp_path / "m.ckpt")
+        dst = module(w=np.zeros((2, 3)), b=[0.0])
+        dst.load(tmp_path / "m.ckpt")
+        assert dst.data.tobytes() == src.data.tobytes()
+
+    def test_standalone_parameter_accumulates(self):
+        p = param([1.0, 2.0])
+        p.accumulate(np.ones(2))
+        p.accumulate(np.ones(2))
+        assert p.grad.tolist() == [2.0, 2.0]
+
+
+def _reference_clip(grads, max_norm):
+    """The per-parameter clipping loop the flat version replaced."""
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        for g in grads:
+            g *= scale
+    return norm
+
+
+def _reference_adam(datas, grads, moments, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The per-parameter Adam loop the flat version replaced."""
+    for i, (d, g) in enumerate(zip(datas, grads)):
+        m, v = moments[i]
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        d -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        moments[i] = (m, v)
+
+
+def _detector_loss(model, rng):
+    probs, _ = model.forward_batch(rng.normal(size=(4, 3, 32)), training=True, rng=rng)
+    return nn.bce_loss(probs, Tensor(np.array([[0.0], [1.0], [1.0], [0.0]])))
+
+
+def _encoder_loss(model, rng):
+    feats = rng.integers(0, 2, size=(6, 9)).astype(float)
+    _, recon = model.forward(WindowGraph(node_features=feats, label=0, window_index=0))
+    return nn.mse_loss(recon, Tensor(feats))
+
+
+@pytest.mark.parametrize("which", ["encoder", "detector"])
+def test_flat_step_equals_per_parameter_loops(which):
+    model, build_loss = ((EncoderModel(seed=3), _encoder_loss) if which == "encoder"
+                         else (DetectorModel(seed=3), _detector_loss))
+    rng = np.random.default_rng(0)
+    params = model.parameters()
+    datas = [p.data.copy() for p in params]
+    moments = [(np.zeros_like(d), np.zeros_like(d)) for d in datas]
+    fired = []
+    for t in range(1, 9):
+        build_loss(model, rng).backward()
+        grads = [p.grad.copy() for p in params]
+        max_norm = 1e-3 if t % 2 else 1e3
+        ref_norm = _reference_clip(grads, max_norm)
+        assert nn.clip_global_norm(model, max_norm) == ref_norm
+        fired.append(ref_norm > max_norm)
+        _reference_adam(datas, grads, moments, t, lr=0.01)
+        nn.adam_step(model, lr=0.01)
+        assert model.adam_t == t
+        for p, d in zip(params, datas):
+            assert np.array_equal(p.data, d)
+        assert np.array_equal(model.adam_m, np.concatenate([m.ravel() for m, _ in moments]))
+        assert np.array_equal(model.adam_v, np.concatenate([v.ravel() for _, v in moments]))
+    assert any(fired) and not all(fired)
 
 
 class TestSeededInit:
@@ -269,12 +378,13 @@ class TestSeededInit:
 def test_determinism_forward_and_update():
     def run():
         r = np.random.default_rng(5)
-        w = param(seeded_init((4, 4), 4, r), "w")
+        m = module(w=seeded_init((4, 4), 4, r))
+        w = m.params["w"]
         x = Tensor(r.normal(size=(3, 4)))
         for _ in range(3):
             loss = nn.mse_loss(nn.tanh(nn.matmul(x, w)), Tensor(np.zeros((3, 4))))
             loss.backward()
-            nn.adam_step([w], lr=0.01)
+            nn.adam_step(m, lr=0.01)
         return w.data.copy()
 
     assert np.array_equal(run(), run())

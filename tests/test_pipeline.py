@@ -1,4 +1,7 @@
 import logging
+from pathlib import Path
+
+import pytest
 
 from canids import pipeline
 from canids.analysis import compute_metrics
@@ -28,3 +31,24 @@ def test_sweep_skips_diverged_cell(tmp_path, monkeypatch, caplog):
     cells = [tuple(line.split(",")[:2]) for line in out.read_text().splitlines()[1:]]
     assert cells == [("10", "5")] * 3 + [("10", "8")] * 3 + [("20", "8")] * 3
     assert any("(w=20, l=5) skipped" in r.getMessage() for r in caplog.records)
+
+
+def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
+    cfg = PipelineConfig()
+    cfg.set("work_dir", str(tmp_path))
+    ws = pipeline.Workspace(cfg)
+    ws.mark("preprocess", "abc")
+    before = ws.manifest_path.read_bytes()
+
+    def half_write(path, data):
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_write)
+    with pytest.raises(OSError, match="disk full"):
+        ws.mark("embed", "def")
+    monkeypatch.undo()
+    assert ws.manifest_path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+    assert pipeline.Workspace(cfg).manifest == {"preprocess": "abc"}
