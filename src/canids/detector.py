@@ -230,7 +230,7 @@ def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5
 def write_report_csvs(report: DetectionReport, out_dir) -> None:
     out_dir = Path(out_dir)
     for view in ("sequence", "mean", "max"):
-        with (out_dir / f"detect_{view}.csv").open("w", newline="") as fh:
+        with nn.atomic_path(out_dir / f"detect_{view}.csv") as tmp, tmp.open("w", newline="") as fh:
             w = csv.writer(fh)
             unit = "start_index" if view == "sequence" else "window_index"
             w.writerow([unit, "probability", "decision", "label"])

@@ -132,7 +132,7 @@ def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:
 
 def write_embeddings_csv(embeddings, path) -> None:
     """Embedding export: one row per window (window_index, label, 32 values)."""
-    with Path(path).open("w", newline="") as fh:
+    with nn.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_index", "label"] + [f"e{i}" for i in range(EMBED_DIM)])
         for e in embeddings:

@@ -3,11 +3,16 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .frames import LABELS, MAX_DLC, CanFrame, FrameTable, Label, Window, pad_payload
+import numpy as np
+
+from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, CanFrame, FrameTable, Label, Window
+from .nn import atomic_path
 
 log = logging.getLogger(__name__)
 
@@ -39,17 +44,17 @@ class ColumnMapping:
 DEFAULT_MAPPING = ColumnMapping()
 
 
-def _parse_hex(text: str, what: str, line_no: int) -> int:
+def _parse_hex(text: str, what: str) -> int:
     t = text.strip()
     if t.lower().startswith("0x"):
         t = t[2:]
     try:
         return int(t, 16)
     except ValueError:
-        raise ParseError(line_no, f"malformed hex {what} {text!r}") from None
+        raise ValueError(f"malformed hex {what} {text!r}") from None
 
 
-def _parse_payload(text: str, line_no: int) -> list:
+def _parse_payload(text: str) -> list:
     t = text.strip()
     if not t:
         return []
@@ -60,91 +65,196 @@ def _parse_payload(text: str, line_no: int) -> list:
     else:
         # one contiguous hex string, two digits per byte
         if len(t) % 2 != 0:
-            raise ParseError(line_no, f"odd-length contiguous hex payload {text!r}")
+            raise ValueError(f"odd-length contiguous hex payload {text!r}")
         parts = [t[i : i + 2] for i in range(0, len(t), 2)]
     out = []
     for p in parts:
-        v = _parse_hex(p, "payload byte", line_no)
+        v = _parse_hex(p, "payload byte")
         if v > 0xFF:
-            raise ParseError(line_no, f"payload byte {p!r} exceeds 0xFF")
+            raise ValueError(f"payload byte {p!r} exceeds 0xFF")
         out.append(v)
     if len(out) > MAX_DLC:
-        raise ParseError(line_no, f"payload has {len(out)} bytes, max is {MAX_DLC}")
+        raise ValueError(f"payload has {len(out)} bytes, max is {MAX_DLC}")
     return out
 
 
-def parse_log(path, mapping: ColumnMapping = DEFAULT_MAPPING, strict: bool = False) -> list:
-    """Parse a CSV CAN log into CanFrame objects, preserving file order.
+def _parse_id(text: str) -> int:
+    return _parse_hex(text, "arbitration id")
 
-    Payloads shorter than 8 bytes are zero-padded. In strict mode a payload
-    longer than the declared DLC is a parse error; otherwise it is truncated
-    to the DLC, so the bytes beyond the DLC are dropped. Non-monotone
-    timestamps produce a warning, not an error.
+
+def _field(rows, width, index, default):
+    """Column `index` of every row as text; `default` where a row is too short or the
+    column is absent. A negative positional index counts from the end, as in Python."""
+    if index is None:
+        return [default] * len(rows)
+    present = (width > index) & (width >= -index)
+    if present.all():
+        return list(map(itemgetter(index), rows))
+    return [row[index] if ok else default for row, ok in zip(rows, present.tolist())]
+
+
+def _convert(texts, convert, dtype, fast=None):
+    """(values, rejected) for one column. An all-valid column takes one C-level pass
+    over `fast` (default: map(convert, texts)); otherwise each cell is converted
+    alone, a rejected or missing (None) cell becomes 0, and an integer too large for
+    `dtype` becomes -1, which fails every range check."""
+    n = len(texts)
+    if None not in texts:
+        try:
+            return np.fromiter(fast or map(convert, texts), dtype, n), np.zeros(n, bool)
+        except (ValueError, OverflowError):
+            pass
+    values = np.zeros(n, dtype)
+    rejected = np.zeros(n, bool)
+    for i, text in enumerate(texts):
+        if text is None:  # missing column
+            rejected[i] = True
+            continue
+        try:
+            values[i] = convert(text)
+        except ValueError:
+            rejected[i] = True
+        except OverflowError:
+            values[i] = -1
+    return values, rejected
+
+
+def _label_code(text: str) -> int:
+    """Index of a label text in LABELS: empty text is Normal, an unknown label -1."""
+    try:
+        return LABELS.index(Label.from_string(text)) if text else 0
+    except ValueError:
+        return -1
+
+
+def _reason(convert, text, missing: str = "") -> str:
+    """Why `convert` rejects `text` (None: the column is missing)."""
+    if text is None:
+        return missing
+    try:
+        convert(text)
+    except ValueError as e:
+        return str(e)
+
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_NIBBLE = np.full(128, -1, np.int16)  # ASCII hex digit -> value; anything else -> -1
+_NIBBLE[[ord(c) for c in _HEX_DIGITS]] = [int(c, 16) for c in _HEX_DIGITS]
+_CANONICAL_WIDTH = 3 * MAX_DLC - 1  # "HH HH HH HH HH HH HH HH"
+
+
+def _decode_payloads(texts):
+    """(payload uint8[N, 8], byte count int64[N], rejected bool[N]).
+
+    The form write_log emits (two hex digits per byte, single spaces, at most 8
+    bytes, or empty) is decoded for all rows at once through a nibble table; any
+    other text goes through _parse_payload for that row alone."""
+    n = len(texts)
+    length = np.fromiter(map(len, texts), np.int64, n)
+    chars = np.array(texts, dtype=f"U{_CANONICAL_WIDTH}").view(np.uint32)
+    chars = chars.reshape(n, _CANONICAL_WIDTH)
+    nibbles = _NIBBLE[np.minimum(chars, 127, out=chars)]  # code points >= 127 are not hex
+    high, low = nibbles[:, 0::3], nibbles[:, 1::3]
+    count = (length + 1) // 3
+    used = np.arange(MAX_DLC) < count[:, None]
+    canonical = (((length % 3 == 2) | (length == 0)) & (length <= _CANONICAL_WIDTH)
+                 & np.all(((high >= 0) & (low >= 0)) | ~used, axis=1)
+                 & np.all((chars[:, 2::3] == ord(" ")) | ~used[:, 1:], axis=1))
+    payload = np.where(used & canonical[:, None], high * 16 + low, 0).astype(np.uint8)
+    rejected = np.zeros(n, bool)
+    for i in np.flatnonzero(~canonical):
+        try:
+            data = _parse_payload(texts[i])
+        except ValueError:
+            rejected[i] = True
+            continue
+        payload[i, : len(data)] = data
+        count[i] = len(data)
+    return payload, count, rejected
+
+
+_BLOCK_ROWS = 4096  # rows converted at a time: bounds how many cell strings are alive at once
+
+
+def _parse_block(rows, lines, mapping: ColumnMapping, index, missing, strict: bool) -> FrameTable:
+    """Convert and validate consecutive non-blank rows; `lines` holds their physical
+    line numbers. Raises ParseError for the first bad row."""
+    n = len(rows)
+    width = np.fromiter(map(len, rows), np.int64, n)
+    ts_text, id_text, dlc_text, payload_text, label_text = (
+        _field(rows, width, None if key is None else index(key), default)
+        for key, default in ((mapping.timestamp, None), (mapping.arbitration_id, None),
+                             (mapping.dlc, None), (mapping.payload, ""), (mapping.label, "")))
+    timestamp, ts_bad = _convert(ts_text, float, np.float64)
+    # int(text, 16) also reads "0x_1", which _parse_id rejects
+    fast_id = None if "_" in "".join(filter(None, id_text)) else map(int, id_text, repeat(16))
+    arb, id_bad = _convert(id_text, _parse_id, np.int64, fast_id)
+    dlc, dlc_bad = _convert(dlc_text, int, np.int64)
+    payload, count, payload_bad = _decode_payloads(payload_text)
+    payload[np.arange(MAX_DLC) >= dlc[:, None]] = 0  # the declared DLC wins
+    codes = {text: _label_code(text) for text in set(label_text)}
+    label = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
+
+    # in the order a row is checked, so a row's message is its first failure
+    checks = [
+        (ts_bad, lambda i: _reason(float, ts_text[i], missing(mapping.timestamp))),
+        (id_bad, lambda i: _reason(_parse_id, id_text[i], missing(mapping.arbitration_id))),
+        (dlc_bad, lambda i: _reason(int, dlc_text[i], missing(mapping.dlc))),
+        ((dlc < 0) | (dlc > MAX_DLC), lambda i: f"dlc {int(dlc_text[i])} outside [0, {MAX_DLC}]"),
+        (payload_bad, lambda i: _reason(_parse_payload, payload_text[i])),
+        ((count > dlc) & strict, lambda i: f"payload has {count[i]} bytes but dlc is {dlc[i]}"),
+        (label < 0, lambda i: _reason(Label.from_string, label_text[i])),
+        ((arb < 0) | (arb >= MAX_ARBITRATION_ID),
+         lambda i: f"arbitration id {_parse_id(id_text[i]):#x} outside 29-bit range"),
+    ]
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise ParseError(lines[i], next(message(i) for mask, message in checks if mask[i]))
+    return FrameTable(timestamp, arb, dlc.astype(np.uint8), payload, label)
+
+
+def parse_log(path, mapping: ColumnMapping = DEFAULT_MAPPING, strict: bool = False) -> FrameTable:
+    """Parse a CSV CAN log into one FrameTable, rows in file order.
+
+    Blank lines are skipped. A malformed row raises ParseError naming its physical
+    line (1-based, header included); when several rows are bad, the first in file
+    order is named, with the first failing check of that row. Rows are converted
+    column by column, a block of rows at a time: payloads in the form write_log
+    emits ("HH HH ...") are decoded for the whole block at once; comma-separated,
+    contiguous ("A1B2C3") and single-digit forms are parsed row by row. Payloads
+    shorter than 8 bytes are zero-padded. In strict mode a payload longer than the
+    declared DLC is a parse error; otherwise it is truncated to the DLC, so the
+    bytes beyond the DLC are dropped. Non-monotone timestamps produce a warning,
+    not an error.
     """
     path = Path(path)
-    frames = []
-    prev_ts = None
-    warned = False
+    blocks, rows, lines = [], [], []
     with path.open(newline="") as fh:
+        reader = csv.reader(fh)
         if mapping.has_header:
-            reader = csv.DictReader(fh)
-            rows = ((i + 2, row) for i, row in enumerate(reader))
-
-            def get(row, key):
-                if key not in row or row[key] is None:
-                    raise KeyError(key)
-                return row[key]
-
+            # a repeated name maps to its last column, as in csv.DictReader
+            position = {name: i for i, name in enumerate(next(reader, None) or [])}
+            index, missing = position.get, "missing column {!r}".format
         else:
-            reader = csv.reader(fh)
-            rows = ((i + 1, row) for i, row in enumerate(reader))
-
-            def get(row, key):
-                return row[int(key)]
-
-        for line_no, row in rows:
-            if not row:
-                continue
-            try:
-                ts = float(get(row, mapping.timestamp))
-                arb = _parse_hex(get(row, mapping.arbitration_id), "arbitration id", line_no)
-                dlc = int(get(row, mapping.dlc))
-            except (KeyError, IndexError) as e:
-                raise ParseError(line_no, f"missing column {e}") from None
-            except ValueError as e:
-                raise ParseError(line_no, str(e)) from None
-            if not 0 <= dlc <= MAX_DLC:
-                raise ParseError(line_no, f"dlc {dlc} outside [0, {MAX_DLC}]")
-            try:
-                raw = get(row, mapping.payload)
-            except (KeyError, IndexError):
-                raw = ""
-            data = _parse_payload(raw or "", line_no)
-            if len(data) > dlc:
-                if strict:
-                    raise ParseError(line_no, f"payload has {len(data)} bytes but dlc is {dlc}")
-                data = data[:dlc]  # the declared DLC wins
-            label = Label.NORMAL
-            if mapping.label is not None:
-                try:
-                    text = get(row, mapping.label)
-                except (KeyError, IndexError):
-                    text = None
-                if text:
-                    try:
-                        label = Label.from_string(text)
-                    except ValueError as e:
-                        raise ParseError(line_no, str(e)) from None
-            try:
-                frame = CanFrame(ts, arb, dlc, pad_payload(data), label)
-            except ValueError as e:
-                raise ParseError(line_no, str(e)) from None
-            if prev_ts is not None and ts < prev_ts and not warned:
-                log.warning("%s: non-monotone timestamp at line %d (kept in file order)", path, line_no)
-                warned = True
-            prev_ts = ts
-            frames.append(frame)
-    return frames
+            index, missing = int, lambda key: "missing column list index out of range"
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    blocks.append(_parse_block(rows, lines[-len(rows):], mapping, index,
+                                               missing, strict))
+                    rows = []
+        blocks.append(_parse_block(rows, lines[len(lines) - len(rows):], mapping, index,
+                                   missing, strict))
+    table = FrameTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
+                         for f in fields(FrameTable)))
+    back = np.flatnonzero(table.timestamp[1:] < table.timestamp[:-1])
+    if back.size:
+        log.warning("%s: non-monotone timestamp at line %d (kept in file order)",
+                    path, lines[back[0] + 1])
+    return table
 
 
 def write_log(frames: Iterable[CanFrame], path) -> None:
@@ -192,8 +302,7 @@ def split_dataset(windows, ratios=(0.6, 0.2, 0.2)):
 
 def write_windows_csv(windows, path) -> None:
     """Dump a windowed dataset: one row per frame with its window index and features."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         header = ["window_index", "frame_ordinal", "dlc_norm"]
         header += [f"byte_bin{i}" for i in range(1, 9)]

@@ -2,8 +2,8 @@ from .tensor import Parameter, Tensor, seeded_init
 from .ops import (add, bce_loss, dropout, gcn_conv, global_mean_pool, gru_cell,
                   linear, matmul, mse_loss, mul, relu, sigmoid, sub, tanh)
 from .optim import adam_step, clip_global_norm
-from .checkpoint import (CheckpointError, load_checkpoint, restore_parameters, save_checkpoint,
-                         write_atomic)
+from .checkpoint import (CheckpointError, atomic_path, load_checkpoint, restore_parameters,
+                         save_checkpoint, write_atomic)
 from .module import Module
 
 __all__ = [
@@ -11,5 +11,6 @@ __all__ = [
     "add", "sub", "mul", "matmul", "linear", "relu", "sigmoid", "tanh",
     "dropout", "gcn_conv", "global_mean_pool", "gru_cell", "mse_loss", "bce_loss",
     "adam_step", "clip_global_norm",
-    "save_checkpoint", "load_checkpoint", "restore_parameters", "write_atomic", "CheckpointError",
+    "save_checkpoint", "load_checkpoint", "restore_parameters", "write_atomic", "atomic_path",
+    "CheckpointError",
 ]

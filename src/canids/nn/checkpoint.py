@@ -5,6 +5,7 @@ u32 dims..., then raw float64 data. Round trips are bit exact.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -20,16 +21,23 @@ class CheckpointError(ValueError):
     pass
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write `data` to a temp file beside `path`, then rename it over `path`, so a
-    failed write leaves the previous file intact; the temp file never outlives the call."""
+@contextlib.contextmanager
+def atomic_path(path):
+    """Yield a temp path beside `path` to write to; rename it over `path` when the
+    block succeeds, so a failed write leaves the previous file intact. The temp file
+    never outlives the block."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_bytes(data)
+        yield tmp
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_atomic(path, data: bytes) -> None:
+    with atomic_path(path) as tmp:
+        tmp.write_bytes(data)
 
 
 def save_checkpoint(params, path) -> None:

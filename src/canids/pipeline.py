@@ -1,8 +1,10 @@
 """Stage orchestration: wiring ingest -> graph -> encoder -> detector -> analysis.
 
-Every stage writes its artifacts into the work dir and records an input hash in
-manifest.json, so unchanged stages are skipped on rerun and stale intermediates
-are rebuilt.
+Every stage writes its artifacts into the work dir (each through a temp file and a
+rename) and records its input hash, and the sha256 of each CSV or text output, in
+manifest.json. A stage is skipped on rerun only when its input hash matches and
+those outputs still have their recorded digests, so stale or truncated
+intermediates are rebuilt.
 """
 from __future__ import annotations
 
@@ -50,12 +52,22 @@ class Workspace:
             blob["_input"] = hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else ""
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
 
-    def fresh(self, stage: str, digest: str, outputs) -> bool:
-        return (self.manifest.get(stage) == digest
-                and all(self.path(o).exists() for o in outputs))
+    def _sha256(self, name: str) -> str:
+        return hashlib.sha256(self.path(name).read_bytes()).hexdigest()
 
-    def mark(self, stage: str, digest: str) -> None:
+    def fresh(self, stage: str, digest: str, outputs=(), checkpoints=()) -> bool:
+        """Whether the stage ran on these inputs and its outputs are intact: each
+        output still has the sha256 recorded by `mark`. A checkpoint need only
+        exist, as loading one rejects a truncated or corrupt file (CheckpointError)."""
+        return (self.manifest.get(stage) == digest
+                and all(self.path(o).exists() and self.manifest.get(o) == self._sha256(o)
+                        for o in outputs)
+                and all(self.path(c).exists() for c in checkpoints))
+
+    def mark(self, stage: str, digest: str, outputs=()) -> None:
+        """Record the stage's input hash and each output file's sha256."""
         self.manifest[stage] = digest
+        self.manifest.update({o: self._sha256(o) for o in outputs})
         self._save_manifest()
 
 
@@ -85,10 +97,10 @@ def load_frames(config: PipelineConfig) -> FrameTable:
     """Parse the input log into one frame table."""
     if not config.input_log or not Path(config.input_log).exists():
         raise FileNotFoundError(f"input log not found: {config.input_log!r}")
-    frames = ingest.parse_log(config.input_log)
-    if not frames:
+    table = ingest.parse_log(config.input_log)
+    if not len(table):
         raise ValueError(f"input log {config.input_log} is empty")
-    return FrameTable.from_frames(frames)
+    return table
 
 
 def prepare_splits(config: PipelineConfig):
@@ -106,7 +118,7 @@ def stage_preprocess(ws: Workspace):
     if not ws.fresh("preprocess", digest, outputs):
         for s in SPLITS:
             ingest.write_windows_csv(splits[s], ws.path(f"windows_{s}.csv"))
-        ws.mark("preprocess", digest)
+        ws.mark("preprocess", digest, outputs)
     return splits
 
 
@@ -123,7 +135,7 @@ def stage_train_encoder(ws: Workspace, splits):
                            upstream=("preprocess",))
     ckpt = "encoder.ckpt"
     model = EncoderModel(seed=cfg.encoder_seed)
-    if ws.fresh("train-encoder", digest, [ckpt]):
+    if ws.fresh("train-encoder", digest, checkpoints=[ckpt]):
         model.load(ws.path(ckpt))
         return model
     normal_graphs = _graphs_for([w for w in splits["train"] if w.label == 0], cfg)
@@ -133,10 +145,9 @@ def stage_train_encoder(ws: Workspace, splits):
         epochs=cfg.encoder_epochs, lr=cfg.encoder_lr, patience=cfg.encoder_patience,
         seed=cfg.encoder_seed, grad_clip=cfg.grad_clip))
     model.save(ws.path(ckpt))
-    with ws.path("encoder_log.csv").open("w") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for row in train_log["history"]:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r}\n")
+    nn.write_atomic(ws.path("encoder_log.csv"), ("epoch,train_loss,val_loss\n" + "".join(
+        f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r}\n"
+        for row in train_log["history"])).encode())
     ws.mark("train-encoder", digest)
     return model
 
@@ -151,7 +162,7 @@ def stage_embed(ws: Workspace, splits, model: EncoderModel):
         graphs = _graphs_for(splits[s], ws.config)
         embeddings[s] = [embed(model, g) for g in graphs]
         write_embeddings_csv(embeddings[s], ws.path(f"embeddings_{s}.csv"))
-    ws.mark("embed", digest)
+    ws.mark("embed", digest, outputs)
     return embeddings
 
 
@@ -164,7 +175,7 @@ def stage_train_detector(ws: Workspace, embeddings):
                            upstream=("embed",))
     ckpt = "detector.ckpt"
     model = DetectorModel(seed=cfg.detector_seed)
-    if ws.fresh("train-detector", digest, [ckpt]):
+    if ws.fresh("train-detector", digest, checkpoints=[ckpt]):
         model.load(ws.path(ckpt))
         return model
     train_seqs = make_sequences(embeddings["train"], cfg.sequence_length)
@@ -173,10 +184,9 @@ def stage_train_detector(ws: Workspace, embeddings):
         epochs=cfg.detector_epochs, lr=cfg.detector_lr, batch_size=cfg.detector_batch,
         patience=cfg.detector_patience, seed=cfg.detector_seed, grad_clip=cfg.grad_clip))
     model.save(ws.path(ckpt))
-    with ws.path("detector_log.csv").open("w") as fh:
-        fh.write("epoch,train_loss,val_f1\n")
-        for row in train_log["history"]:
-            fh.write(f"{row['epoch']},{row['train_loss']!r},{row['val_f1']!r}\n")
+    nn.write_atomic(ws.path("detector_log.csv"), ("epoch,train_loss,val_f1\n" + "".join(
+        f"{row['epoch']},{row['train_loss']!r},{row['val_f1']!r}\n"
+        for row in train_log["history"])).encode())
     ws.mark("train-detector", digest)
     return model
 
@@ -188,8 +198,9 @@ def stage_detect(ws: Workspace, embeddings, model: DetectorModel):
     report = detect(model, embeddings["test"], cfg.sequence_length, cfg.threshold)
     write_report_csvs(report, ws.dir)
     text = summary_table(report, cfg.window_size, cfg.sequence_length)
-    ws.path("summary.txt").write_text(text + "\n")
-    ws.mark("detect", digest)
+    nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())
+    ws.mark("detect", digest, ["detect_sequence.csv", "detect_mean.csv", "detect_max.csv",
+                               "summary.txt"])
     return report
 
 

@@ -1,14 +1,26 @@
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canids import ingest
+from canids.config import PipelineConfig
 from canids.frames import LABELS, CanFrame, FrameTable, Label, pad_payload
 from canids.graph import ByteMode, build_graph
-from canids.ingest import (ColumnMapping, ParseError, make_windows, parse_log,
+from canids.ingest import (DEFAULT_MAPPING, ColumnMapping, ParseError, make_windows, parse_log,
                            split_dataset, write_log, write_windows_csv)
+from canids.pipeline import prepare_splits
 
 from conftest import make_frame, normal_frames, windows_from
+
+
+COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")
+HEADERLESS = ColumnMapping(timestamp="0", arbitration_id="1", dlc="2", payload="3",
+                           label="4", has_header=False)
 
 
 def write_csv(tmp_path, rows, header="timestamp,arbitration_id,dlc,payload,label"):
@@ -17,43 +29,80 @@ def write_csv(tmp_path, rows, header="timestamp,arbitration_id,dlc,payload,label
     return path
 
 
+def frames_of(table):
+    """The CanFrames of a parsed table, for write_log."""
+    return [CanFrame(float(t), int(a), int(d), bytes(p), LABELS[c])
+            for t, a, d, p, c in zip(table.timestamp, table.arbitration_id, table.dlc,
+                                     table.payload, table.label)]
+
+
+def assert_tables_equal(a, b):
+    assert len(a) == len(b)
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
 class TestParseLog:
     def test_short_payload_is_zero_padded(self, tmp_path):
         path = write_csv(tmp_path, ["1.000,0x130,5,11 22 33 44 55,Normal"])
-        (frame,) = parse_log(path)
-        assert frame.payload == bytes([0x11, 0x22, 0x33, 0x44, 0x55, 0, 0, 0])
-        assert frame.dlc == 5
-        assert frame.arbitration_id == 0x130
+        t = parse_log(path)
+        assert len(t) == 1
+        assert t.payload[0].tolist() == [0x11, 0x22, 0x33, 0x44, 0x55, 0, 0, 0]
+        assert t.dlc[0] == 5
+        assert t.arbitration_id[0] == 0x130
 
     def test_dlc_zero_empty_payload(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,130,0,,Normal"])
-        (frame,) = parse_log(path)
-        assert frame.payload == b"\x00" * 8
+        t = parse_log(path)
+        assert len(t) == 1
+        assert t.payload[0].tolist() == [0] * 8
 
     def test_large_file_preserves_count_and_order(self, tmp_path):
         rows = [f"{i * 0.001},{0x100 + (i % 7):X},8,{'AA ' * 8},Normal" for i in range(1000)]
         path = write_csv(tmp_path, rows)
-        frames = parse_log(path)
-        assert len(frames) == 1000
-        assert [f.timestamp for f in frames] == [i * 0.001 for i in range(1000)]
+        t = parse_log(path)
+        assert len(t) == 1000
+        assert t.timestamp.tolist() == [i * 0.001 for i in range(1000)]
 
     def test_contiguous_hex_payload(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,0x1,3,A1B2C3,Normal"])
-        (frame,) = parse_log(path)
-        assert frame.payload[:3] == bytes([0xA1, 0xB2, 0xC3])
+        t = parse_log(path)
+        assert t.payload[0, :3].tolist() == [0xA1, 0xB2, 0xC3]
 
     def test_comma_payload_and_headerless_mapping(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text('0.5,7FF,2,"01,02"\n')
         mapping = ColumnMapping(timestamp="0", arbitration_id="1", dlc="2",
                                 payload="3", label=None, has_header=False)
-        (frame,) = parse_log(path, mapping)
-        assert frame.payload[:2] == bytes([1, 2])
-        assert frame.label is Label.NORMAL
+        t = parse_log(path, mapping)
+        assert len(t) == 1
+        assert t.payload[0, :2].tolist() == [1, 2]
+        assert LABELS[t.label[0]] is Label.NORMAL
 
     def test_malformed_hex_names_line(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,XYZ,8,00,Normal"])
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=r"^line 2: malformed hex arbitration id 'XYZ'$"):
+            parse_log(path)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = write_csv(tmp_path, ["1.0,100,0,,Normal", "", "", "1.0,XYZ,8,00,Normal"])
+        with pytest.raises(ParseError, match=r"^line 5: malformed hex arbitration id 'XYZ'$") as e:
+            parse_log(path)
+        assert e.value.line_no == 5
+
+    def test_line_numbers_count_blank_lines_headerless(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("1.0,100,0,,Normal\n\n\n1.1,100,0,,Normal\n1.2,XYZ,8,00,Normal\n")
+        with pytest.raises(ParseError, match=r"^line 5: malformed hex arbitration id 'XYZ'$"):
+            parse_log(path, HEADERLESS)
+
+    def test_first_bad_line_and_first_failing_check(self, tmp_path):
+        # line 3 fails its label and its id range; line 4 fails earlier checks
+        path = write_csv(tmp_path, ["1.0,100,0,,Normal", "1.1,20000000,0,,Bogus",
+                                    "abc,XYZ,9,,Normal"])
+        with pytest.raises(ParseError, match=r"^line 3: unknown label 'Bogus'$"):
             parse_log(path)
 
     def test_dlc_out_of_range(self, tmp_path):
@@ -65,25 +114,254 @@ class TestParseLog:
         path = write_csv(tmp_path, ["1.0,100,2,01 02 03,Normal"])
         with pytest.raises(ParseError):
             parse_log(path, strict=True)
-        parse_log(path, strict=False)  # tolerated otherwise
+        t = parse_log(path, strict=False)  # tolerated otherwise, truncated to the dlc
+        assert t.payload[0].tolist() == [1, 2, 0, 0, 0, 0, 0, 0]
 
     def test_non_monotone_timestamps_warn_not_error(self, tmp_path, caplog):
-        path = write_csv(tmp_path, ["1.0,100,0,,Normal", "0.5,100,0,,Normal"])
+        path = write_csv(tmp_path, ["1.0,100,0,,Normal", "", "0.5,100,0,,Normal"])
         with caplog.at_level("WARNING"):
-            frames = parse_log(path)
-        assert len(frames) == 2
-        assert frames[1].timestamp == 0.5  # file order kept
-        assert any("non-monotone" in r.message for r in caplog.records)
+            t = parse_log(path)
+        assert len(t) == 2
+        assert t.timestamp[1] == 0.5  # file order kept
+        assert any("non-monotone timestamp at line 4" in r.message for r in caplog.records)
 
     def test_round_trip_is_identical(self, tmp_path):
         frames = normal_frames(50) + [make_frame(ts=0.06, label=Label.FUZZING, dlc=3, data=[9, 0, 1])]
         out = tmp_path / "out.csv"
         write_log(frames, out)
-        assert parse_log(out) == frames
+        assert_tables_equal(parse_log(out), FrameTable.from_frames(frames))
+        assert frames_of(parse_log(out)) == frames
         # serialize again: byte-for-byte stable
         out2 = tmp_path / "out2.csv"
-        write_log(parse_log(out), out2)
+        write_log(frames_of(parse_log(out)), out2)
         assert out.read_bytes() == out2.read_bytes()
+
+    def test_parse_builds_no_frame_objects(self, tmp_path, monkeypatch):
+        """The parse path stays columnar: no CanFrame is built from a parsed row."""
+        rows = [f"{i * 0.001},{0x100 + i % 3:X},8,{' '.join(['0A'] * 8)},Normal"
+                for i in range(40)]
+        path = write_csv(tmp_path, rows)
+
+        def refuse(self):
+            raise AssertionError("CanFrame built on the parse path")
+
+        monkeypatch.setattr(CanFrame, "__post_init__", refuse)
+        assert len(parse_log(path)) == 40
+        cfg = PipelineConfig()
+        cfg.set("input_log", str(path))
+        cfg.set("window_size", "5")
+        splits = prepare_splits(cfg)
+        assert sum(len(splits[s]) for s in ("train", "val", "test")) == 8
+
+
+# --- the per-row parser this module replaced, kept as the oracle -----------------
+# Line numbers are physical lines (csv reader's line_num) and a hex error carries
+# one "line N:" prefix; otherwise it is the row-at-a-time parser unchanged.
+
+def _oracle_hex(text, what, line_no):
+    t = text.strip()
+    if t.lower().startswith("0x"):
+        t = t[2:]
+    try:
+        return int(t, 16)
+    except ValueError:
+        raise ParseError(line_no, f"malformed hex {what} {text!r}") from None
+
+
+def _oracle_payload(text, line_no):
+    t = text.strip()
+    if not t:
+        return []
+    if "," in t:
+        parts = [p for p in t.split(",") if p.strip()]
+    elif " " in t:
+        parts = t.split()
+    else:
+        if len(t) % 2 != 0:
+            raise ParseError(line_no, f"odd-length contiguous hex payload {text!r}")
+        parts = [t[i : i + 2] for i in range(0, len(t), 2)]
+    out = []
+    for p in parts:
+        v = _oracle_hex(p, "payload byte", line_no)
+        if v > 0xFF:
+            raise ParseError(line_no, f"payload byte {p!r} exceeds 0xFF")
+        out.append(v)
+    if len(out) > 8:
+        raise ParseError(line_no, f"payload has {len(out)} bytes, max is 8")
+    return out
+
+
+def oracle_parse_log(path, mapping, strict):
+    frames = []
+    with open(path, newline="") as fh:
+        if mapping.has_header:
+            reader = csv.DictReader(fh)
+
+            def get(row, key):
+                if key not in row or row[key] is None:
+                    raise KeyError(key)
+                return row[key]
+
+        else:
+            reader = csv.reader(fh)
+
+            def get(row, key):
+                return row[int(key)]
+
+        for row in reader:
+            line_no = reader.line_num
+            if not row:
+                continue
+            try:
+                ts = float(get(row, mapping.timestamp))
+                arb = _oracle_hex(get(row, mapping.arbitration_id), "arbitration id", line_no)
+                dlc = int(get(row, mapping.dlc))
+            except (KeyError, IndexError) as e:
+                raise ParseError(line_no, f"missing column {e}") from None
+            except ParseError:
+                raise
+            except ValueError as e:
+                raise ParseError(line_no, str(e)) from None
+            if not 0 <= dlc <= 8:
+                raise ParseError(line_no, f"dlc {dlc} outside [0, 8]")
+            try:
+                raw = get(row, mapping.payload)
+            except (KeyError, IndexError):
+                raw = ""
+            data = _oracle_payload(raw or "", line_no)
+            if len(data) > dlc:
+                if strict:
+                    raise ParseError(line_no, f"payload has {len(data)} bytes but dlc is {dlc}")
+                data = data[:dlc]
+            label = Label.NORMAL
+            if mapping.label is not None:
+                try:
+                    text = get(row, mapping.label)
+                except (KeyError, IndexError):
+                    text = None
+                if text:
+                    try:
+                        label = Label.from_string(text)
+                    except ValueError as e:
+                        raise ParseError(line_no, str(e)) from None
+            try:
+                frames.append(CanFrame(ts, arb, dlc, pad_payload(data), label))
+            except ValueError as e:
+                raise ParseError(line_no, str(e)) from None
+    return frames
+
+
+def _hex_byte_forms(data):
+    canonical = " ".join(f"{b:02X}" for b in data)
+    return st.sampled_from([
+        canonical, canonical, canonical, canonical.lower(),
+        ",".join(f"{b:02X}" for b in data),             # comma form
+        "".join(f"{b:02X}" for b in data),              # contiguous form
+        " ".join(f"{b:X}" for b in data),               # single-digit bytes
+        " " + canonical,                                # padded
+        "".join(chr(0xFF10 + int(c, 16)) if c.isdigit() else c
+                for c in canonical),                    # fullwidth digits (non-ASCII)
+    ])
+
+
+@st.composite
+def log_rows(draw, rate):
+    """The fields of one row; about `rate` percent of them are drawn malformed."""
+    def field(valid, invalid):
+        return draw(invalid if rate and draw(st.integers(0, 99)) < rate else valid)
+
+    ts = field(st.floats(0, 1000, allow_nan=False).map(repr) | st.sampled_from(["1e2", " 3.5", "inf"]),
+               st.sampled_from(["abc", "", "1.2.3"]))
+    arb = field(st.integers(0, 0x7FF).map(lambda v: f"{v:03X}")
+                | st.integers(0, (1 << 29) - 1).map(hex)
+                | st.sampled_from(["1_0", "0X1a", " 7ff "]),
+                st.integers(1 << 29, 1 << 70).map(hex)
+                | st.sampled_from(["XYZ", "-1", "", "0x", "0x_1F", "0x0x10", "1FFFFFFF", "20000000"]))
+    dlc = field(st.integers(0, 8), st.integers(-1, 9)
+                | st.sampled_from([99, 1 << 70]))
+    n_bytes = draw(st.just(min(max(dlc, 0), 8)) | st.integers(0, 8))
+    data = draw(st.lists(st.integers(0, 255), min_size=n_bytes, max_size=n_bytes))
+    payload = field(_hex_byte_forms(data),
+                    st.sampled_from(["ABC", "é1 02", "ZZ", "100,01", "1G",
+                                     " ".join(["0A"] * 9), "01 02 03 04 05 06 07 08 09 0A"]))
+    label = field(st.sampled_from(["Normal", "Normal", "Fuzzing", " replay", "SPOOFING",
+                                   "Flooding", ""]),
+                  st.sampled_from(["Bogus", " ", "Normal2"]))
+    dlc_text = field(st.just(str(dlc)), st.sampled_from(["x", "", "8.0"]))
+    row = [ts, arb, dlc_text, payload, label]
+    if rate and draw(st.integers(0, 99)) < rate:
+        row = row[: draw(st.integers(1, 4))]              # missing columns
+    if draw(st.integers(0, 49)) == 0:
+        row.append("extra")
+    return row
+
+
+@st.composite
+def logs(draw):
+    """(file text, mapping) for a log mixing valid and malformed rows and blank lines."""
+    rate = draw(st.sampled_from([0, 0, 0, 1, 5, 20]))
+    rows = draw(st.lists(log_rows(rate), max_size=12))
+    layout = draw(st.sampled_from(["header", "header", "no-label", "permuted",
+                                   "headerless", "headerless-no-label"]))
+    names = ["timestamp", "arbitration_id", "dlc", "payload", "label"]
+    order = list(range(5))
+    if layout == "permuted":
+        order = draw(st.permutations(order))
+    if layout in ("no-label", "headerless-no-label"):
+        order = order[:4]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if layout.startswith("headerless"):
+        mapping = ColumnMapping(timestamp="0", arbitration_id="1", dlc="2", payload="3",
+                                label=None if layout == "headerless-no-label" else "4",
+                                has_header=False)
+    else:
+        mapping = DEFAULT_MAPPING
+        writer.writerow([names[i] for i in order])
+    for row in rows:
+        for _ in range(draw(st.integers(0, 1)) * draw(st.integers(0, 2))):
+            out.write("\n")
+        cells = [row[i] for i in order if i < len(row)] + row[5:]
+        writer.writerow(cells)
+    return out.getvalue(), mapping
+
+
+def outcome(parse, path, mapping, strict):
+    try:
+        return parse(path, mapping, strict), None
+    except ParseError as e:
+        return None, (e.line_no, str(e))
+
+
+def assert_parses_like_row_parser(path, mapping=DEFAULT_MAPPING, strict=False):
+    expected, expected_error = outcome(oracle_parse_log, path, mapping, strict)
+    got, error = outcome(parse_log, path, mapping, strict)
+    assert error == expected_error
+    if expected is not None:
+        assert_tables_equal(got, FrameTable.from_frames(expected))
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("logs")
+
+
+@given(logs(), st.booleans(), st.sampled_from([2, 3, ingest._BLOCK_ROWS]))
+@settings(max_examples=400, deadline=None)
+def test_columnar_parse_matches_row_parser(log_dir, log, strict, block_rows):
+    text, mapping = log
+    path = log_dir / "log.csv"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        assert_parses_like_row_parser(path, mapping, strict)
+
+
+@pytest.mark.parametrize("text", ["0x_1F", "1_0", "0x0x10", "0X1a", " 7ff ", "-0x1", "0x",
+                                  "20000000", "1" * 20, "\uff11\uff10"])
+def test_id_forms_match_row_parser(tmp_path, text):
+    # "0x_1F" is read by int(text, 16) but rejected by the row parser
+    path = write_csv(tmp_path, ["1.0,100,0,,Normal", f"1.1,{text},0,,Normal"])
+    assert_parses_like_row_parser(path)
 
 
 def node_features(frame, mode):
@@ -212,3 +490,14 @@ def test_windows_csv_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("window_index,frame_ordinal,dlc_norm,byte_bin1")
     assert len(lines) == 1 + 6
+
+
+def test_failed_windows_csv_write_keeps_previous_file(tmp_path):
+    windows = windows_from(normal_frames(6), 3)
+    path = tmp_path / "w.csv"
+    write_windows_csv(windows, path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_windows_csv([windows[0], None], path)  # fails after the first window's rows
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]

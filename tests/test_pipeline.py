@@ -1,3 +1,4 @@
+import hashlib
 import logging
 from pathlib import Path
 
@@ -52,3 +53,68 @@ def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
     assert ws.manifest_path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
     assert pipeline.Workspace(cfg).manifest == {"preprocess": "abc"}
+
+
+RUN_CFG = """
+synth_duration = 6
+synth_jitter = 0.05
+synth_seed = 11
+ecu1 = 0x100 2 8 counter
+ecu2 = 0x1A0 4 6 mixed
+ecu3 = 0x2C0 5 8 walk
+ecu4 = 0x090 10 8 const
+attack1 = flooding 0.8 0.2 rate=2000
+attack2 = fuzzing 1.6 0.3 rate=600
+attack3 = replay 2.6 0.3 span=0.1:0.4
+attack4 = spoofing 3.4 0.4 rate=300 target=0x090 mutate=3:1:255
+attack5 = flooding 4.6 0.2 rate=2000
+attack6 = fuzzing 5.2 0.3 rate=600
+window_size = 50
+sequence_length = 10
+encoder_epochs = 3
+encoder_patience = 3
+detector_epochs = 4
+detector_patience = 4
+"""
+
+
+def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(RUN_CFG + f"synth_output = {tmp_path / 'traffic.csv'}\n"
+                                      f"input_log = {tmp_path / 'traffic.csv'}\n"
+                                      f"work_dir = {tmp_path / 'work'}\n")
+    cfg = PipelineConfig.from_file(tmp_path / "run.cfg")
+    pipeline.run_synth(cfg)
+    report, ws = pipeline.run_pipeline(cfg)
+    assert len(report.mean_rows) == 32
+    manifest = ws.manifest_path.read_bytes()
+    embeddings = ws.path("embeddings_test.csv")
+    full = embeddings.read_bytes()
+    embeddings.write_bytes(b"".join(full.splitlines(keepends=True)[:17]))  # header + 16 rows
+
+    report, ws = pipeline.run_pipeline(cfg)
+    assert embeddings.read_bytes() == full  # the embed stage ran again
+    assert len(report.mean_rows) == len(report.max_rows) == 32
+    assert len(pipeline.Workspace(cfg).path("detect_mean.csv").read_text().splitlines()) == 33
+    assert ws.manifest_path.read_bytes() == manifest
+    assert not list(ws.dir.glob("*.tmp"))
+
+
+def test_manifest_records_output_digests(tmp_path):
+    cfg = PipelineConfig()
+    cfg.set("work_dir", str(tmp_path))
+    ws = pipeline.Workspace(cfg)
+    ws.path("out.csv").write_text("a,b\n")
+    assert not ws.fresh("stage", "h", ["out.csv"])
+    ws.mark("stage", "h", ["out.csv"])
+    assert ws.manifest["out.csv"] == hashlib.sha256(b"a,b\n").hexdigest()
+    assert ws.fresh("stage", "h", ["out.csv"])
+    assert pipeline.Workspace(cfg).fresh("stage", "h", ["out.csv"])
+    assert not ws.fresh("stage", "other", ["out.csv"])
+    ws.path("out.csv").write_text("a,")
+    assert not ws.fresh("stage", "h", ["out.csv"])
+    ws.path("out.csv").unlink()
+    assert not ws.fresh("stage", "h", ["out.csv"])
+    # a manifest written before output digests were recorded is a miss
+    ws.path("out.csv").write_text("a,b\n")
+    del ws.manifest["out.csv"]
+    assert not ws.fresh("stage", "h", ["out.csv"])
