@@ -5,10 +5,11 @@ import csv
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
+
+from . import nn
 
 log = logging.getLogger(__name__)
 
@@ -98,7 +99,7 @@ def entropy_sweep(table, sizes) -> list:
 
 
 def write_entropy_csv(stats, path) -> None:
-    with Path(path).open("w", newline="") as fh:
+    with nn.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_size", "mean", "median", "min", "max", "std", "growth_rate"])
         for s in stats:

@@ -56,13 +56,18 @@ def load_config(args) -> PipelineConfig:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    """Recompute the metric summary from previously written detection CSVs."""
+    """Recompute the metric summary from detection CSVs that match their manifest sha256."""
     work = Path(cfg.work_dir)
+    if not work.is_dir():
+        raise FileNotFoundError(f"missing {work}; run detect first")
+    ws = pipeline.Workspace(cfg)
     rows = {}
     for view in VIEWS:
-        path = work / f"detect_{view}.csv"
+        path = ws.path(f"detect_{view}.csv")
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run detect first")
+        if not ws.intact(path.name):
+            raise ValueError(f"{path} does not match its sha256 in manifest.json; rerun detect")
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
             next(reader)

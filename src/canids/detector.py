@@ -8,10 +8,11 @@ aggregate each window's per-occurrence probabilities by mean or max.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import nn
 from .analysis import MetricBlock, compute_metrics
@@ -30,14 +31,6 @@ class DetectorConfig:
     patience: int = 20
     seed: int = 0
     grad_clip: float = 5.0  # 0 disables clipping
-    dropout: float = DROPOUT_P
-
-
-@dataclass(frozen=True)
-class EmbeddingSequence:
-    start_index: int
-    vectors: np.ndarray  # (L, 32), window order
-    label: int
 
 
 @dataclass
@@ -52,8 +45,10 @@ class DetectionReport:
         return {"sequence": self.sequence_rows, "mean": self.mean_rows, "max": self.max_rows}[view]
 
 
-def make_sequences(embeddings, length: int) -> list:
-    """Stride-1 sliding sequences S_n = [h_n, ..., h_{n+L-1}] with any-attack labels."""
+def make_sequences(embeddings, length: int):
+    """Stride-1 sliding sequences S_n = [h_n, ..., h_{n+L-1}] with any-attack labels,
+    as (vectors, labels): a read-only (S, L, 32) view of the stacked embeddings,
+    S = M - L + 1, whose row n starts at embeddings[n], and int64 (S,) labels."""
     if length < 1:
         raise ValueError(f"sequence length must be >= 1, got {length}")
     m = len(embeddings)
@@ -62,14 +57,11 @@ def make_sequences(embeddings, length: int) -> list:
     for prev, cur in zip(embeddings, embeddings[1:]):
         if cur.window_index != prev.window_index + 1:
             raise ValueError("embeddings must have consecutive window indices")
-    out = []
-    for n in range(m - length + 1):
-        chunk = embeddings[n : n + length]
-        out.append(EmbeddingSequence(
-            start_index=embeddings[n].window_index,
-            vectors=np.stack([e.vector for e in chunk]),
-            label=1 if any(e.label == 1 for e in chunk) else 0))
-    return out
+    stacked = np.stack([e.vector for e in embeddings])
+    vectors = sliding_window_view(stacked, length, axis=0).transpose(0, 2, 1)
+    attack = np.array([e.label == 1 for e in embeddings])
+    labels = sliding_window_view(attack, length).any(axis=1).astype(np.int64)
+    return vectors, labels
 
 
 def _gru_arrays(prefix: str, d_in: int, d_h: int, rng) -> list:
@@ -123,38 +115,32 @@ class DetectorModel(nn.Module):
         return window_probs[-1], window_probs
 
 
-def detector_forward(model: DetectorModel, seq: EmbeddingSequence, training: bool = False, rng=None):
-    """Score one sequence: (sequence probability, per-timestep window probabilities)."""
-    seq_prob, window_probs = model.forward_batch(seq.vectors[None, :, :], training, rng)
-    return float(seq_prob.data[0, 0]), [float(p.data[0, 0]) for p in window_probs]
-
-
 def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorConfig = DetectorConfig()):
     """Minimize sequence-level BCE; keep the epoch with best validation F1 at 0.5.
 
+    `train_seqs` and `val_seqs` are (vectors, labels) pairs from make_sequences.
     Window-level probabilities carry no loss. Raises on a single-class
     training set, where BCE evaluation is degenerate.
     """
-    labels = {s.label for s in train_seqs}
+    x_train, train_labels = train_seqs
+    x_val, y_val = val_seqs
+    labels = set(np.unique(train_labels).tolist())
     if labels != {0, 1}:
         raise ValueError(f"training set must contain both classes, got labels {sorted(labels)}")
     rng = np.random.default_rng(config.seed)
-    x_train = np.stack([s.vectors for s in train_seqs])
-    y_train = np.array([[s.label] for s in train_seqs], dtype=np.float64)
-    x_val = np.stack([s.vectors for s in val_seqs])
-    y_val = np.array([s.label for s in val_seqs], dtype=np.int64)
+    y_train = train_labels[:, None].astype(np.float64)
 
     log = []
     best_f1 = -1.0
     best_state = model.snapshot()
     best_epoch = -1
-    n = len(train_seqs)
+    n = len(x_train)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            seq_probs, _ = model.forward_batch(x_train[idx], training=True, rng=rng)
+            seq_probs = model.forward_batch(x_train[idx], training=True, rng=rng)[0]
             loss = nn.bce_loss(seq_probs, nn.Tensor(y_train[idx]))
             loss.backward()
             if config.grad_clip > 0:
@@ -164,7 +150,8 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
         epoch_loss /= n
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(f"detector training diverged at epoch {epoch}")
-        val_probs = _score_sequences(model, x_val)
+        with nn.no_grad():
+            val_probs = model.forward_batch(x_val)[0].data[:, 0]
         val_dec = (val_probs >= 0.5).astype(np.int64)
         val_metrics = compute_metrics(val_dec, y_val, val_probs)
         log.append({"epoch": epoch, "train_loss": epoch_loss, "val_f1": val_metrics.f1})
@@ -179,45 +166,25 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
                    "history": log}
 
 
-def _score_sequences(model: DetectorModel, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Inference-mode sequence probabilities, chunked to bound tape memory."""
-    out = np.empty(len(x))
-    for start in range(0, len(x), chunk):
-        probs, _ = model.forward_batch(x[start : start + chunk], training=False)
-        out[start : start + chunk] = probs.data[:, 0]
-    return out
+def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5) -> DetectionReport:
+    """Full detection pass: sequence view plus mean- and max-aggregated window views.
 
-
-def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5,
-           chunk: int = 256) -> DetectionReport:
-    """Full detection pass: sequence view plus mean- and max-aggregated window views."""
+    One forward gives P[n, t], sequence n's probability at timestep t, which scores
+    window n + t. Window w aggregates the anti-diagonal P[w - t, t] in ascending t:
+    diagonal w - S + 1 of the row-reversed P."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    seqs = make_sequences(embeddings, length)
-    m = len(embeddings)
-    base = embeddings[0].window_index
-
-    seq_probs = np.empty(len(seqs))
-    # per-window contribution lists, indexed by position in `embeddings`
-    contributions = [[] for _ in range(m)]
-    x = np.stack([s.vectors for s in seqs])
-    for start in range(0, len(seqs), chunk):
-        probs, window_probs = model.forward_batch(x[start : start + chunk], training=False)
-        seq_probs[start : start + chunk] = probs.data[:, 0]
-        for t, pt in enumerate(window_probs):
-            col = pt.data[:, 0]
-            for b in range(len(col)):
-                contributions[start + b + t].append(float(col[b]))
-
-    sequence_rows = [(s.start_index, float(p), int(p >= threshold), s.label)
-                     for s, p in zip(seqs, seq_probs)]
+    vectors, labels = make_sequences(embeddings, length)
+    with nn.no_grad():
+        window_probs = model.forward_batch(vectors)[1]
+    probs = np.hstack([p.data for p in window_probs])  # (S, L)
+    sequence_rows = [(embeddings[n].window_index, p, int(p >= threshold), label)
+                     for n, (p, label) in enumerate(zip(probs[:, -1].tolist(), labels.tolist()))]
     mean_rows, max_rows = [], []
     for w, e in enumerate(embeddings):
-        c = contributions[w]
-        mean_score = float(np.mean(c))
-        max_score = float(np.max(c))
-        mean_rows.append((e.window_index, mean_score, int(mean_score >= threshold), e.label))
-        max_rows.append((e.window_index, max_score, int(max_score >= threshold), e.label))
+        c = np.diagonal(probs[::-1], w - len(probs) + 1)
+        for rows, score in ((mean_rows, float(np.mean(c))), (max_rows, float(np.max(c)))):
+            rows.append((e.window_index, score, int(score >= threshold), e.label))
 
     metrics = {}
     for view, rows in (("sequence", sequence_rows), ("mean", mean_rows), ("max", max_rows)):

@@ -17,6 +17,7 @@ from .graph import WindowGraph, normalized_adjacency
 IN_DIM = 9
 LATENT_DIM = 16
 EMBED_DIM = 32
+VAL_FRACTION = 0.1  # trailing share of the training graphs held out for validation
 
 
 @dataclass
@@ -26,7 +27,6 @@ class EncoderConfig:
     patience: int = 20
     seed: int = 0
     grad_clip: float = 5.0  # 0 disables clipping
-    val_fraction: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     bad = [g.window_index for g in graphs if g.label != 0]
     if bad:
         raise ValueError(f"encoder training requires normal-only graphs; got attack windows {bad[:5]}")
-    n_val = max(1, int(len(graphs) * config.val_fraction)) if len(graphs) > 1 else 0
+    n_val = max(1, int(len(graphs) * VAL_FRACTION)) if len(graphs) > 1 else 0
     train_graphs = graphs[: len(graphs) - n_val] if n_val else list(graphs)
     val_graphs = graphs[len(graphs) - n_val :] if n_val else list(graphs)
 
@@ -110,7 +110,8 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
         train_loss /= len(train_graphs)
         if not np.isfinite(train_loss):
             raise FloatingPointError(f"encoder training diverged at epoch {epoch}")
-        val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
+        with nn.no_grad():
+            val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
         log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
         if val_loss < best_val:
             best_val = val_loss
@@ -123,10 +124,11 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
 
 
 def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:
-    """Pooled 1x32 embedding; the decoder is not executed."""
-    node_emb, _ = model.forward(graph)
-    pooled = nn.global_mean_pool(node_emb)
-    return GraphEmbedding(vector=pooled.data.reshape(EMBED_DIM).copy(),
+    """Pooled 1x32 embedding, recorded on no tape; the decoder's output is unused."""
+    with nn.no_grad():
+        node_emb, _ = model.forward(graph)
+        pooled = nn.global_mean_pool(node_emb)
+    return GraphEmbedding(vector=pooled.data.reshape(EMBED_DIM),
                           window_index=graph.window_index, label=graph.label)
 
 

@@ -1,4 +1,4 @@
-from .tensor import Parameter, Tensor, seeded_init
+from .tensor import Parameter, Tensor, no_grad, seeded_init
 from .ops import (add, bce_loss, dropout, gcn_conv, global_mean_pool, gru_cell,
                   linear, matmul, mse_loss, mul, relu, sigmoid, sub, tanh)
 from .optim import adam_step, clip_global_norm
@@ -7,7 +7,7 @@ from .checkpoint import (CheckpointError, atomic_path, load_checkpoint, restore_
 from .module import Module
 
 __all__ = [
-    "Tensor", "Parameter", "Module", "seeded_init",
+    "Tensor", "Parameter", "Module", "no_grad", "seeded_init",
     "add", "sub", "mul", "matmul", "linear", "relu", "sigmoid", "tanh",
     "dropout", "gcn_conv", "global_mean_pool", "gru_cell", "mse_loss", "bce_loss",
     "adam_step", "clip_global_norm",

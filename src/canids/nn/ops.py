@@ -113,17 +113,13 @@ def tanh(x) -> Tensor:
 def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Identity at inference time. The mask is captured for the backward pass.
+    Returns x itself at inference time. The mask is captured for the backward pass.
     """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if not training or p == 0.0:
-        def bwd_id(g):
-            if _tracked(x):
-                x.accumulate(g)
-
-        return Tensor(x.data, parents=(x,), backward_fn=bwd_id)
+        return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
     def bwd(g):

@@ -1,11 +1,28 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every op records its parents and a backward closure; Tensor.backward() walks
-the recorded graph in reverse topological order. Single-threaded by design.
+Every op records its parents and a backward closure, except under no_grad();
+Tensor.backward() walks the recorded graph in reverse topological order and
+frees it as it goes. Single-threaded by design.
 """
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Inside the block, new Tensors record no parents or backward closure, so
+    inference keeps no graph alive. Recording resumes when the block exits."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -15,15 +32,17 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
-        self.parents = parents
-        self.backward_fn = backward_fn
+        self.parents = parents if _recording else ()
+        self.backward_fn = backward_fn if _recording else None
 
     @property
     def shape(self):
         return self.data.shape
 
     def backward(self) -> None:
-        """Backpropagate from this (scalar) tensor through the recorded graph."""
+        """Backpropagate from this (scalar) tensor through the recorded graph, freeing
+        it: once a non-leaf node has passed its gradient on, it drops its parents,
+        backward closure and gradient. Leaves keep their gradient."""
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar, got shape {self.shape}")
         topo = []
@@ -43,8 +62,11 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node.backward_fn is not None and node.grad is not None:
+            if node.backward_fn is None:
+                continue
+            if node.grad is not None:
                 node.backward_fn(node.grad)
+            node.parents, node.backward_fn, node.grad = (), None, None
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:

@@ -55,13 +55,16 @@ class Workspace:
     def _sha256(self, name: str) -> str:
         return hashlib.sha256(self.path(name).read_bytes()).hexdigest()
 
+    def intact(self, name: str) -> bool:
+        """Whether the output file exists and still has the sha256 recorded by `mark`."""
+        return self.path(name).exists() and self.manifest.get(name) == self._sha256(name)
+
     def fresh(self, stage: str, digest: str, outputs=(), checkpoints=()) -> bool:
-        """Whether the stage ran on these inputs and its outputs are intact: each
-        output still has the sha256 recorded by `mark`. A checkpoint need only
-        exist, as loading one rejects a truncated or corrupt file (CheckpointError)."""
+        """Whether the stage ran on these inputs and its outputs are intact. A
+        checkpoint need only exist, as loading one rejects a truncated or corrupt
+        file (CheckpointError)."""
         return (self.manifest.get(stage) == digest
-                and all(self.path(o).exists() and self.manifest.get(o) == self._sha256(o)
-                        for o in outputs)
+                and all(self.intact(o) for o in outputs)
                 and all(self.path(c).exists() for c in checkpoints))
 
     def mark(self, stage: str, digest: str, outputs=()) -> None:
@@ -229,7 +232,7 @@ def run_sweep(config: PipelineConfig) -> Path:
     base_dir = Path(config.work_dir)
     base_dir.mkdir(parents=True, exist_ok=True)
     out = base_dir / "sweep_summary.csv"
-    with out.open("w") as fh:
+    with nn.atomic_path(out) as tmp, tmp.open("w") as fh:
         fh.write("window_size,sequence_length,type,accuracy,precision,recall,f1,auc\n")
         for w in config.sweep_window_sizes:
             for l in config.sweep_sequence_lengths:

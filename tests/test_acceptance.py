@@ -259,12 +259,15 @@ def test_criterion_2_structural_oracles(capfd):
         for m in range(1, 21):
             for length in range(1, m + 1):
                 labels = rng.integers(0, 2, size=m).tolist()
-                seqs = make_sequences(toy_embeddings(labels), length)
-                assert len(seqs) == m - length + 1
-                for s_i, s in enumerate(seqs):
+                embs = toy_embeddings(labels)
+                vectors, seq_labels = make_sequences(embs, length)
+                assert len(vectors) == len(seq_labels) == m - length + 1
+                for s_i, label in enumerate(seq_labels):
                     brute = 1 if any(labels[s_i:s_i + length]) else 0
-                    assert s.label == brute
-                    assert s.start_index == s_i
+                    assert label == brute
+                    # row s_i holds windows s_i .. s_i + length - 1, in order
+                    assert np.array_equal(vectors[s_i],
+                                          np.stack([e.vector for e in embs[s_i:s_i + length]]))
 
 
 # --- criterion 3: entropy oracles ---------------------------------------------
@@ -322,8 +325,9 @@ def test_criterion_5_overfit(capfd):
         assert enc_log["history"][-1]["train_loss"] < 1e-3
 
         labels = ([0] * 6 + [1] * 2) * 4
-        seqs = make_sequences(toy_embeddings(labels), 3)[:20]
-        assert {s.label for s in seqs} == {0, 1}
+        vectors, seq_labels = make_sequences(toy_embeddings(labels), 3)
+        seqs = (vectors[:20], seq_labels[:20])
+        assert set(seq_labels[:20]) == {0, 1}
         _, det_log = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(
             epochs=500, lr=5e-3, batch_size=8, patience=500, seed=0))
         assert det_log["history"][-1]["train_loss"] < 0.05

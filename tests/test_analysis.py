@@ -130,6 +130,16 @@ class TestEntropySweep:
         assert lines[1].endswith(",")  # first row has empty growth rate
         assert len(lines) == 3
 
+    def test_failed_csv_write_keeps_previous_file(self, tmp_path):
+        stats = entropy_sweep(self.norm(normal_frames(300)), [10, 20])
+        path = tmp_path / "e.csv"
+        write_entropy_csv(stats, path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            write_entropy_csv([stats[0], None], path)  # fails after the first row
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["e.csv"]
+
 
 class TestComputeMetrics:
     def test_perfect_predictions(self):

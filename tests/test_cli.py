@@ -175,6 +175,27 @@ def test_corrupt_checkpoint_exit_code(synth_log, tmp_path, capsys):
     assert "encoder.ckpt" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_report_that_fails_its_digest(synth_log, tmp_path, capsys):
+    root, log = synth_log
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    report = tmp_path / "work" / "detect_mean.csv"
+    full = report.read_bytes()
+    report.write_bytes(b"".join(full.splitlines(keepends=True)[:17]))  # header + 16 rows
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "detect_mean.csv" in err and "rerun detect" in err
+    # a report whose digest the manifest lacks is rejected the same way
+    report.write_bytes(full)
+    manifest = tmp_path / "work" / "manifest.json"
+    manifest.write_text(manifest.read_text().replace('"detect_max.csv"', '"other.csv"'))
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "detect_max.csv" in err and "rerun detect" in err
+
+
 @pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0"])
 def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, override):
     root, log = synth_log

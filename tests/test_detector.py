@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids import nn
-from canids.detector import (DetectorConfig, DetectorModel, EmbeddingSequence,
-                             detect, detector_forward, make_sequences,
+from canids.detector import (DetectorConfig, DetectorModel, detect, make_sequences,
                              summary_table, train_detector, write_report_csvs)
 from canids.encoder import GraphEmbedding
 
@@ -24,13 +23,16 @@ def embeddings_from_labels(labels, seed=0, offset=2.0):
 
 class TestMakeSequences:
     def test_stride_one_pattern(self):
-        seqs = make_sequences(embeddings_from_labels([0] * 5), 3)
-        assert [s.start_index for s in seqs] == [0, 1, 2]
-        assert all(s.vectors.shape == (3, 32) for s in seqs)
+        embs = embeddings_from_labels([0] * 5)
+        vectors, labels = make_sequences(embs, 3)
+        assert vectors.shape == (3, 3, 32) and labels.shape == (3,)
+        for n in range(3):  # row n starts at window n
+            assert np.array_equal(vectors[n], np.stack([e.vector for e in embs[n : n + 3]]))
+        assert not vectors.flags.writeable
 
     def test_full_length_single_sequence(self):
-        seqs = make_sequences(embeddings_from_labels([0] * 4), 4)
-        assert len(seqs) == 1
+        vectors, labels = make_sequences(embeddings_from_labels([0] * 4), 4)
+        assert len(vectors) == len(labels) == 1
 
     def test_length_exceeds_windows(self):
         with pytest.raises(ValueError):
@@ -47,10 +49,10 @@ class TestMakeSequences:
     def test_count_and_labels_vs_brute_force(self, m, data):
         length = data.draw(st.integers(1, m))
         labels = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
-        seqs = make_sequences(embeddings_from_labels(labels), length)
-        assert len(seqs) == m - length + 1
-        for n, s in enumerate(seqs):
-            assert s.label == (1 if any(labels[n : n + length]) else 0)
+        vectors, seq_labels = make_sequences(embeddings_from_labels(labels), length)
+        assert len(vectors) == len(seq_labels) == m - length + 1
+        for n, label in enumerate(seq_labels):
+            assert label == (1 if any(labels[n : n + length]) else 0)
 
     @given(st.integers(2, 20), st.data())
     @settings(max_examples=40)
@@ -59,9 +61,9 @@ class TestMakeSequences:
         k = data.draw(st.integers(0, m - 1))
         labels = [0] * m
         labels[k] = 1
-        seqs = make_sequences(embeddings_from_labels(labels), length)
+        _, seq_labels = make_sequences(embeddings_from_labels(labels), length)
         expected = min(k + 1, length, m - length + 1, m - k)
-        assert sum(s.label for s in seqs) == expected
+        assert seq_labels.sum() == expected
 
 
 class TestForward:
@@ -69,18 +71,18 @@ class TestForward:
         model = DetectorModel(seed=0)
         for p in model.parameters():
             p.data[...] = 0.0
-        (seq,) = [EmbeddingSequence(0, np.random.default_rng(0).normal(size=(4, 32)), 0)]
-        prob, window_probs = detector_forward(model, seq)
-        assert prob == pytest.approx(0.5)
-        assert window_probs == pytest.approx([0.5] * 4)
+        x = np.random.default_rng(0).normal(size=(1, 4, 32))
+        prob, window_probs = model.forward_batch(x)
+        assert prob.data[0, 0] == pytest.approx(0.5)
+        assert [p.data[0, 0] for p in window_probs] == pytest.approx([0.5] * 4)
 
     def test_shapes_and_ranges(self):
         model = DetectorModel(seed=1)
-        seq = EmbeddingSequence(0, np.random.default_rng(1).normal(size=(50, 32)), 0)
-        prob, window_probs = detector_forward(model, seq)
+        x = np.random.default_rng(1).normal(size=(1, 50, 32))
+        prob, window_probs = model.forward_batch(x)
         assert len(window_probs) == 50
-        assert all(0.0 < p < 1.0 for p in window_probs)
-        assert prob == window_probs[-1]  # head on the final hidden state
+        assert all(p.shape == (1, 1) and 0.0 < p.data[0, 0] < 1.0 for p in window_probs)
+        assert prob is window_probs[-1]  # head on the final hidden state
 
     def test_wrong_width(self):
         model = DetectorModel(seed=0)
@@ -102,9 +104,9 @@ class TestTraining:
     def separable_sequences(self, n=20, length=3):
         # sparse attack bursts so both sequence classes appear
         labels = ([0] * 6 + [1] * 2) * ((n + length + 7) // 8)
-        seqs = make_sequences(embeddings_from_labels(labels, offset=2.0), length)[:n]
-        assert {s.label for s in seqs} == {0, 1}
-        return seqs
+        vectors, seq_labels = make_sequences(embeddings_from_labels(labels, offset=2.0), length)
+        assert set(seq_labels[:n]) == {0, 1}
+        return vectors[:n], seq_labels[:n]
 
     def test_overfits_separable_sequences(self):
         seqs = self.separable_sequences()
@@ -184,12 +186,23 @@ class TestDetect:
 
     def test_detect_deterministic(self, trained):
         model, embs = trained
-        r1 = detect(model, embs, 5)
-        r2 = detect(model, embs, 5, chunk=7)  # batch partitioning must not matter
-        assert [r[1] for r in r1.sequence_rows] == pytest.approx(
-            [r[1] for r in r2.sequence_rows], abs=1e-12)
-        assert [r[1] for r in r1.max_rows] == pytest.approx(
-            [r[1] for r in r2.max_rows], abs=1e-12)
+        length = 5
+        report = detect(model, embs, length)
+        again = detect(model, embs, length)
+        for view in ("sequence", "mean", "max"):
+            assert report.view_rows(view) == again.view_rows(view)
+        # oracle: each sequence scored alone, then each window aggregated by brute force
+        vectors, _ = make_sequences(embs, length)
+        alone = []
+        for n, row in enumerate(report.sequence_rows):
+            seq_prob, window_probs = model.forward_batch(vectors[n : n + 1])
+            assert row[0] == n and row[1] == pytest.approx(seq_prob.data[0, 0], abs=1e-12)
+            alone.append([p.data[0, 0] for p in window_probs])
+        for w, (mean_row, max_row) in enumerate(zip(report.mean_rows, report.max_rows)):
+            c = [alone[n][w - n] for n in range(len(alone)) if 0 <= w - n < length]
+            assert len(c) == min(w, len(alone) - 1) - max(0, w - length + 1) + 1
+            assert mean_row[1] == pytest.approx(sum(c) / len(c), abs=1e-12)
+            assert max_row[1] == pytest.approx(max(c), abs=1e-12)
 
     def test_report_files_and_summary(self, trained, tmp_path):
         model, embs = trained
@@ -198,6 +211,8 @@ class TestDetect:
         for view in ("sequence", "mean", "max"):
             lines = (tmp_path / f"detect_{view}.csv").read_text().splitlines()
             assert len(lines) == 1 + len(report.view_rows(view))
+            # Python scalars, so the CSV holds repr(float) text
+            assert all(type(r[1]) is float and type(r[3]) is int for r in report.view_rows(view))
         text = summary_table(report, 50, 5)
         assert text.count("\n") == 3  # header + one row per view
         for col in ("Accuracy", "Precision", "Recall", "F1-score", "AUC"):

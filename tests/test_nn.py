@@ -217,6 +217,40 @@ def module(**arrays):
     return nn.Module([(name, np.asarray(a, dtype=float)) for name, a in arrays.items()])
 
 
+class TestTape:
+    def test_no_grad_records_nothing_and_recording_resumes(self):
+        w, b = param(np.ones((2, 2)), "w"), param(np.zeros(2), "b")
+        x = Tensor(np.array([[1.0, -2.0]]))
+        with nn.no_grad():
+            y = nn.sigmoid(nn.linear(x, w, b))
+            with nn.no_grad():
+                pass
+            inner = nn.relu(y)  # an inner block exits back into no_grad
+        assert y.parents == () and y.backward_fn is None
+        assert inner.parents == () and inner.backward_fn is None
+        assert np.array_equal(y.data, nn.sigmoid(nn.linear(x, w, b)).data)
+        with pytest.raises(RuntimeError, match="inside"):
+            with nn.no_grad():
+                raise RuntimeError("inside")
+        z = nn.linear(x, w, b)
+        assert z.parents and z.backward_fn is not None
+        nn.mse_loss(z, Tensor(np.zeros((1, 2)))).backward()
+        assert w.grad is not None and b.grad is not None
+
+    def test_backward_frees_the_graph_and_keeps_leaf_gradients(self):
+        model = DetectorModel(seed=0, dropout_p=0.0)
+        x = np.random.default_rng(0).normal(size=(2, 3, 32))
+        seq_probs = model.forward_batch(x)[0]
+        scale = Tensor(np.ones((2, 1)), requires_grad=True)  # a leaf that is no Parameter
+        loss = nn.bce_loss(nn.mul(seq_probs, scale), Tensor(np.array([[1.0], [0.0]])))
+        assert loss.parents and seq_probs.parents
+        loss.backward()
+        for node in (loss, seq_probs):
+            assert node.parents == () and node.backward_fn is None and node.grad is None
+        assert all(p.grad is not None and p.grad.any() for p in model.parameters())
+        assert scale.grad is not None and scale.grad.shape == (2, 1) and scale.grad.any()
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         m = module(p=[1.0, 2.0])

@@ -34,6 +34,27 @@ def test_sweep_skips_diverged_cell(tmp_path, monkeypatch, caplog):
     assert any("(w=20, l=5) skipped" in r.getMessage() for r in caplog.records)
 
 
+def test_failed_sweep_write_keeps_previous_summary(tmp_path, monkeypatch):
+    cfg = PipelineConfig()
+    cfg.set("work_dir", str(tmp_path))
+    cfg.set("sweep_window_sizes", "10,20")
+    cfg.set("sweep_sequence_lengths", "5")
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: (fake_report(), None))
+    out = pipeline.run_sweep(cfg)
+    before = out.read_bytes()
+
+    def crash_on_second_cell(cfg):
+        if cfg.window_size == 20:
+            raise KeyboardInterrupt
+        return fake_report(), None
+
+    monkeypatch.setattr(pipeline, "run_pipeline", crash_on_second_cell)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_sweep(cfg)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_summary.csv"]
+
+
 def test_failed_manifest_write_keeps_previous_manifest(tmp_path, monkeypatch):
     cfg = PipelineConfig()
     cfg.set("work_dir", str(tmp_path))
