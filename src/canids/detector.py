@@ -4,10 +4,17 @@ Sequences are sliding runs of L window embeddings. A 2-layer GRU (hidden 64,
 inter-layer dropout 0.3) with a 64->32->1 sigmoid head scores each timestep;
 the final timestep's score is the sequence probability. Window-level scores
 aggregate each window's per-occurrence probabilities by mean or max.
+
+Each GRU layer is one `nn.gru_layer` op over the whole batch of sequences, in
+training and at inference alike; `nn.gru_cell`, the unfused step, is kept only
+as the tests' oracle for it. Training runs the head on the final timestep only,
+since the loss reads nothing else; inference runs it on every timestep.
 """
 from __future__ import annotations
 
 import csv
+import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,6 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import nn
 from .analysis import MetricBlock, compute_metrics
 from .encoder import EMBED_DIM
+
+log = logging.getLogger(__name__)
 
 HIDDEN_DIM = 64
 HEAD_DIM = 32
@@ -95,23 +104,18 @@ class DetectorModel(nn.Module):
     def forward_batch(self, x: np.ndarray, training: bool = False, rng=None):
         """Run the GRU stack over a (B, L, 32) batch.
 
-        Returns (seq_probs Tensor (B, 1), window_probs list of L Tensors (B, 1)).
-        seq_probs is the head on the final hidden state, i.e. window_probs[-1].
+        Returns (seq_probs Tensor (B, 1), window_probs list of (B, 1) Tensors): the
+        head's output at every step, or in training only at the final step, which
+        is all the loss reads. seq_probs is window_probs[-1].
         """
         if x.ndim != 3 or x.shape[2] != EMBED_DIM:
             raise ValueError(f"expected (B, L, {EMBED_DIM}) input, got {x.shape}")
         if training and self.dropout_p > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        b, length, _ = x.shape
-        h1 = nn.Tensor(np.zeros((b, HIDDEN_DIM)))
-        h2 = nn.Tensor(np.zeros((b, HIDDEN_DIM)))
-        window_probs = []
-        for t in range(length):
-            xt = nn.Tensor(x[:, t, :])
-            h1 = nn.gru_cell(xt, h1, self.gru1)
-            h1d = nn.dropout(h1, self.dropout_p, training, rng)
-            h2 = nn.gru_cell(h1d, h2, self.gru2)
-            window_probs.append(self._head(h2))
+        h1 = nn.gru_layer(nn.Tensor(x.transpose(1, 0, 2)), self.gru1)
+        h2 = nn.gru_layer(nn.dropout(h1, self.dropout_p, training, rng), self.gru2)
+        steps = [x.shape[1] - 1] if training else range(x.shape[1])
+        window_probs = [self._head(nn.take_step(h2, t)) for t in steps]
         return window_probs[-1], window_probs
 
 
@@ -130,12 +134,13 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
     rng = np.random.default_rng(config.seed)
     y_train = train_labels[:, None].astype(np.float64)
 
-    log = []
+    history = []
     best_f1 = -1.0
     best_state = model.snapshot()
     best_epoch = -1
     n = len(x_train)
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -154,7 +159,9 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
             val_probs = model.forward_batch(x_val)[0].data[:, 0]
         val_dec = (val_probs >= 0.5).astype(np.int64)
         val_metrics = compute_metrics(val_dec, y_val, val_probs)
-        log.append({"epoch": epoch, "train_loss": epoch_loss, "val_f1": val_metrics.f1})
+        history.append({"epoch": epoch, "train_loss": epoch_loss, "val_f1": val_metrics.f1})
+        log.info("detector epoch %d: train loss %.6g, val F1 %.4f, %.2f s",
+                 epoch, epoch_loss, val_metrics.f1, time.perf_counter() - started)
         if val_metrics.f1 > best_f1:
             best_f1 = val_metrics.f1
             best_state = model.snapshot()
@@ -162,8 +169,8 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
         elif epoch - best_epoch > config.patience:
             break
     model.load_state(best_state)
-    return model, {"epochs_run": len(log), "best_epoch": best_epoch, "best_val_f1": best_f1,
-                   "history": log}
+    return model, {"epochs_run": len(history), "best_epoch": best_epoch, "best_val_f1": best_f1,
+                   "history": history}
 
 
 def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5) -> DetectionReport:

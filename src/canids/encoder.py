@@ -6,6 +6,8 @@ then embeds arbitrary graphs into 1x32 vectors via global mean pooling.
 from __future__ import annotations
 
 import csv
+import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -13,6 +15,8 @@ import numpy as np
 
 from . import nn
 from .graph import WindowGraph, normalized_adjacency
+
+log = logging.getLogger(__name__)
 
 IN_DIM = 9
 LATENT_DIM = 16
@@ -56,8 +60,8 @@ class EncoderModel(nn.Module):
                           for name, d_in, d_out in widths
                           for kind, shape in (("w", (d_in, d_out)), ("b", (d_out,)))])
 
-    def forward(self, graph: WindowGraph):
-        """Return (node_embeddings (W,32), reconstruction (W,9)), both differentiable."""
+    def encode(self, graph: WindowGraph) -> nn.Tensor:
+        """Node embeddings (W,32): the AE encoder, then the three graph convolutions."""
         if graph.node_features.shape[1] != IN_DIM:
             raise ValueError(f"expected {IN_DIM}-wide node features, got {graph.node_features.shape[1]}")
         norm_adj = normalized_adjacency(graph.num_nodes)
@@ -66,7 +70,12 @@ class EncoderModel(nn.Module):
         h = nn.relu(nn.linear(h, p["enc2_w"], p["enc2_b"]))
         h = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn1_w"], p["gcn1_b"]))
         h = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn2_w"], p["gcn2_b"]))
-        node_emb = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn3_w"], p["gcn3_b"]))
+        return nn.relu(nn.gcn_conv(h, norm_adj, p["gcn3_w"], p["gcn3_b"]))
+
+    def forward(self, graph: WindowGraph):
+        """Return (node_embeddings (W,32), reconstruction (W,9)), both differentiable."""
+        node_emb = self.encode(graph)
+        p = self.params
         d = nn.relu(nn.linear(node_emb, p["dec1_w"], p["dec1_b"]))
         recon = nn.linear(d, p["dec2_w"], p["dec2_b"])
         return node_emb, recon
@@ -94,11 +103,12 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     val_graphs = graphs[len(graphs) - n_val :] if n_val else list(graphs)
 
     model = EncoderModel(seed=config.seed)
-    log = []
+    history = []
     best_val = np.inf
     best_state = model.snapshot()
     best_epoch = -1
     for epoch in range(config.epochs):
+        started = time.perf_counter()
         train_loss = 0.0
         for g in train_graphs:
             loss = _reconstruction_loss(model, g)
@@ -112,7 +122,9 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
             raise FloatingPointError(f"encoder training diverged at epoch {epoch}")
         with nn.no_grad():
             val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
-        log.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+        history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
+        log.info("encoder epoch %d: train loss %.6g, val loss %.6g, %.2f s",
+                 epoch, train_loss, val_loss, time.perf_counter() - started)
         if val_loss < best_val:
             best_val = val_loss
             best_state = model.snapshot()
@@ -120,14 +132,13 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
         elif epoch - best_epoch > config.patience:
             break
     model.load_state(best_state)
-    return model, {"epochs_run": len(log), "best_epoch": best_epoch, "history": log}
+    return model, {"epochs_run": len(history), "best_epoch": best_epoch, "history": history}
 
 
 def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:
-    """Pooled 1x32 embedding, recorded on no tape; the decoder's output is unused."""
+    """Pooled 1x32 embedding, recorded on no tape; the decoder does not run."""
     with nn.no_grad():
-        node_emb, _ = model.forward(graph)
-        pooled = nn.global_mean_pool(node_emb)
+        pooled = nn.global_mean_pool(model.encode(graph))
     return GraphEmbedding(vector=pooled.data.reshape(EMBED_DIM),
                           window_index=graph.window_index, label=graph.label)
 

@@ -1,10 +1,16 @@
-"""Differentiable operations: linear, activations, dropout, graph conv, GRU cell,
-pooling, and the MSE/BCE losses. All return Tensors recorded for backprop."""
+"""Differentiable operations: linear, activations, dropout, graph conv, the GRU,
+pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
+
+The GRU comes twice. `gru_layer` runs one layer over a whole time-major sequence
+as a single op: a plain-numpy time loop forward and a hand-written BPTT backward.
+The detector uses it. `gru_cell` is one step built from the elementwise ops; it
+is the oracle that `gru_layer` is tested against, value for value.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, recording
 
 BCE_EPS = 1e-7
 
@@ -168,6 +174,86 @@ def gru_cell(x, h_prev, params: dict) -> Tensor:
                  mul(r, add(matmul(h_prev, params["u_n"]), params["b_hn"]))))
     one_minus_z = sub(Tensor(np.ones_like(z.data)), z)
     return add(mul(one_minus_z, n), mul(z, h_prev))
+
+
+_GRU_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_in", "b_hn")
+
+
+def gru_layer(x, params: dict) -> Tensor:
+    """One GRU layer over a time-major (L, B, D) sequence from a zero state; returns
+    the (L, B, H) hidden states as one op.
+
+    Each step evaluates gru_cell's expressions in gru_cell's order, with per-gate
+    GEMMs, so the values equal a stack of gru_cell steps bit for bit. Under
+    no_grad nothing per step is kept. The backward runs BPTT in reverse t, then
+    does the weight-gradient GEMMs for all L steps at once; it may run only once,
+    as it overwrites the cached gate values.
+    """
+    x = _wrap(x)
+    p = {k: _wrap(params[k]) for k in _GRU_KEYS}
+    w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_in, b_hn = (p[k].data for k in _GRU_KEYS)
+    length, batch, _ = x.data.shape
+    d_h = u_z.shape[0]
+    keep = recording()
+    hs = np.empty((length, batch, d_h))
+    # Gate values n, z, r and h U_n + b_hn per step; under no_grad only one step's.
+    gates = np.empty((4, length if keep else 1, batch, d_h))
+    h = np.zeros((batch, d_h))
+    for t in range(length):
+        xt = x.data[t]
+        n, z, r, hn = gates[:, t if keep else 0]
+        np.divide(1.0, 1.0 + np.exp(-(xt @ w_z + h @ u_z + b_z)), out=z)
+        np.divide(1.0, 1.0 + np.exp(-(xt @ w_r + h @ u_r + b_r)), out=r)
+        np.add(h @ u_n, b_hn, out=hn)
+        np.tanh(xt @ w_n + b_in + r * hn, out=n)
+        h = np.add((1.0 - z) * n, z * h, out=hs[t])
+    if not keep:
+        return Tensor(hs)
+
+    def bwd(g):
+        # BPTT overwrites each step's gate values with the gradients of a_n, a_z,
+        # a_r (the pre-activations) and of h U_n + b_hn.
+        dh = np.zeros((batch, d_h))
+        for t in reversed(range(length)):
+            dh += g[t]
+            n, z, r, hn = gates[:, t]
+            h_prev = hs[t - 1] if t else 0.0
+            one_minus_z = 1.0 - z
+            dh_next = dh * z
+            np.multiply(dh * (h_prev - n), z * one_minus_z, out=z)
+            np.multiply(dh * one_minus_z, 1.0 - n * n, out=n)
+            da_r = n * hn * (r * (1.0 - r))
+            np.multiply(n, r, out=hn)
+            r[...] = da_r
+            dh = dh_next + z @ u_z.T + r @ u_r.T + hn @ u_n.T
+        d_n, d_z, d_r, d_hn = gates.reshape(4, length * batch, d_h)
+        xs = x.data.reshape(length * batch, -1)
+        hs_prev = hs[:-1].reshape(-1, d_h)  # h_{t-1} for t >= 1; h_0 = 0 adds nothing
+        grads = {"w_n": xs.T @ d_n, "w_z": xs.T @ d_z, "w_r": xs.T @ d_r,
+                 "u_z": hs_prev.T @ d_z[batch:], "u_r": hs_prev.T @ d_r[batch:],
+                 "u_n": hs_prev.T @ d_hn[batch:],
+                 "b_in": d_n.sum(axis=0), "b_z": d_z.sum(axis=0), "b_r": d_r.sum(axis=0),
+                 "b_hn": d_hn.sum(axis=0)}
+        for key, grad in grads.items():
+            if _tracked(p[key]):
+                p[key].accumulate(grad)
+        if _tracked(x):
+            x.accumulate((d_n @ w_n.T + d_z @ w_z.T + d_r @ w_r.T).reshape(x.data.shape))
+
+    return Tensor(hs, parents=(x, *p.values()), backward_fn=bwd)
+
+
+def take_step(seq, t: int) -> Tensor:
+    """Step t of a time-major (L, ...) sequence; the backward fills only step t."""
+    seq = _wrap(seq)
+
+    def bwd(g):
+        if _tracked(seq):
+            full = np.zeros_like(seq.data)
+            full[t] = g
+            seq.accumulate(full)
+
+    return Tensor(seq.data[t], parents=(seq,), backward_fn=bwd)
 
 
 def mse_loss(pred, target) -> Tensor:

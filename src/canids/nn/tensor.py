@@ -25,6 +25,11 @@ def no_grad():
         _recording = previous
 
 
+def recording() -> bool:
+    """Whether new Tensors record their parents (False inside no_grad)."""
+    return _recording
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
 

@@ -33,9 +33,24 @@ class Workspace:
         self.dir = Path(config.work_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.dir / "manifest.json"
-        self.manifest = {}
-        if self.manifest_path.exists():
-            self.manifest = json.loads(self.manifest_path.read_text())
+        self.manifest = self._read_manifest()
+
+    def _read_manifest(self) -> dict:
+        """The recorded manifest; {} when there is none or it is unreadable, so that
+        every stage misses and the run rebuilds."""
+        if not self.manifest_path.exists():
+            return {}
+        try:
+            manifest = json.loads(self.manifest_path.read_text())
+        except ValueError as e:  # bad JSON or bad UTF-8
+            reason = str(e)
+        else:
+            if isinstance(manifest, dict):
+                return manifest
+            reason = f"a JSON {type(manifest).__name__}, not an object"
+        log.warning("%s is unreadable (%s); treating it as empty, so every stage reruns",
+                    self.manifest_path, reason)
+        return {}
 
     def path(self, name: str) -> Path:
         return self.dir / name

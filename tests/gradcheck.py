@@ -1,5 +1,8 @@
-"""Central finite-difference gradient checking against the autodiff engine."""
+"""Oracles for the autodiff engine: central finite differences, and the
+detector's forward as a stack of unfused GRU cells."""
 import numpy as np
+
+from canids import nn
 
 
 def finite_diff(build_loss, param, index, h=1e-5):
@@ -33,3 +36,32 @@ def assert_gradients_match(build_loss, params, h=1e-5, rtol=1e-4, max_coords=Non
             scale = max(abs(num), abs(ana), 1e-6)
             assert abs(num - ana) <= rtol * scale, (
                 f"{getattr(p, 'name', 'tensor')}[{i}]: analytic {ana} vs numeric {num}")
+
+
+def unfused_forward_batch(model, x, training=False, rng=None):
+    """DetectorModel.forward_batch built from one nn.gru_cell per layer and
+    timestep, one (B, H) dropout draw per timestep and the head on every step:
+    the oracle that the fused nn.gru_layer path must reproduce."""
+    b, length, _ = x.shape
+    h1 = h2 = nn.Tensor(np.zeros((b, model.gru1["u_z"].shape[0])))
+    window_probs = []
+    for t in range(length):
+        h1 = nn.gru_cell(nn.Tensor(x[:, t, :]), h1, model.gru1)
+        h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, training, rng), h2, model.gru2)
+        window_probs.append(model._head(h2))
+    return window_probs[-1], window_probs
+
+
+def gradients(build_loss, tensors: dict) -> dict:
+    """Backprop build_loss() once; a copy of each named tensor's gradient."""
+    for t in tensors.values():
+        t.grad = None
+    build_loss().backward()
+    return {name: np.array(t.grad, copy=True) for name, t in tensors.items()}
+
+
+def assert_close_gradients(got: dict, want: dict, rtol=1e-12):
+    """Each gradient in `got` within rtol of the largest entry of its oracle in `want`."""
+    assert got.keys() == want.keys()
+    for name, w in want.items():
+        assert np.abs(got[name] - w).max() <= rtol * np.abs(w).max(), name

@@ -2,7 +2,9 @@
 
 Criteria:
  1. analytic gradients match central finite differences for every operation
-    and for the composed encoder/detector losses (>= 10 seeds, rel err 1e-4)
+    and for the composed encoder/detector losses (>= 10 seeds, rel err 1e-4);
+    the fused GRU layer equals the unfused GRU cell stack (values exactly,
+    gradients to 1e-12 relative)
  2. structural oracles: window partition, graph node/edge counts, sequence
     count and any-attack labeling vs brute force
  3. entropy oracles: closed-form cases, 200 random count vectors, sweep shape
@@ -39,7 +41,8 @@ from canids.ingest import make_windows
 from canids.nn.tensor import Parameter, Tensor
 from canids.pipeline import prepare_splits, run_pipeline, run_synth
 
-from gradcheck import assert_gradients_match
+from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
+                       unfused_forward_batch)
 
 
 @contextmanager
@@ -219,6 +222,49 @@ def test_criterion_1_gradients(capfd):
             assert_gradients_match(
                 lambda: nn.bce_loss(det.forward_batch(xb, training=False)[0], yd),
                 det.parameters(), max_coords=3, rng=check_rng)
+
+            # gru_layer: finite differences, then the unfused gru_cell stack with the
+            # same parameters: equal values, gradients within 1e-12 relative
+            rl = np.random.default_rng(2000 + seed)
+            pl = {k: Parameter(rl.normal(size=(5, 4)) * 0.5, k) for k in gru_keys_w}
+            pl.update({k: Parameter(rl.normal(size=(4, 4)) * 0.5, k) for k in gru_keys_u})
+            pl.update({k: Parameter(rl.normal(size=4) * 0.5, k) for k in gru_keys_b})
+            xl = Parameter(rl.normal(size=(3, 2, 5)), "xl")
+            targets = [Tensor(rl.normal(size=(2, 4))) for _ in range(3)]
+            assert_gradients_match(
+                lambda: nn.mse_loss(nn.gru_layer(xl, pl), Tensor(np.stack([t.data for t in targets]))),
+                list(pl.values()) + [xl])
+
+            def cells():
+                h, out = Tensor(np.zeros((2, 4))), []
+                for t in range(3):
+                    h = nn.gru_cell(nn.take_step(xl, t), h, pl)
+                    out.append(h)
+                return out
+
+            def step_losses(hs):
+                loss = nn.mse_loss(hs[0], targets[0])
+                for h, target in zip(hs[1:], targets[1:]):
+                    loss = nn.add(loss, nn.mse_loss(h, target))
+                return loss
+
+            fused = nn.gru_layer(xl, pl)
+            assert all(np.array_equal(fused.data[t], h.data) for t, h in enumerate(cells()))
+            tensors = {**pl, "xl": xl}
+            assert_close_gradients(
+                gradients(lambda: step_losses([nn.take_step(nn.gru_layer(xl, pl), t)
+                                               for t in range(3)]), tensors),
+                gradients(lambda: step_losses(cells()), tensors))
+
+            # the detector: every window probability equal to the unfused stack's,
+            # and the sequence loss's gradients within 1e-12 relative
+            det = DetectorModel(seed=seed)
+            with nn.no_grad():
+                got, want = det.forward_batch(xb)[1], unfused_forward_batch(det, xb)[1]
+            assert all(np.array_equal(g.data, w.data) for g, w in zip(got, want, strict=True))
+            assert_close_gradients(
+                gradients(lambda: nn.bce_loss(det.forward_batch(xb)[0], yd), det.params),
+                gradients(lambda: nn.bce_loss(unfused_forward_batch(det, xb)[0], yd), det.params))
         assert time.monotonic() - t0 < 30.0
 
 

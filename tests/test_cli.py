@@ -1,4 +1,5 @@
 import hashlib
+import logging
 from pathlib import Path
 
 import pytest
@@ -173,6 +174,24 @@ def test_corrupt_checkpoint_exit_code(synth_log, tmp_path, capsys):
     ckpt.write_bytes(bytes(data))
     assert main(["embed", "--config", str(cfg)]) == EXIT_DATA
     assert "encoder.ckpt" in capsys.readouterr().err
+
+
+def test_run_rebuilds_after_truncated_manifest(synth_log, tmp_path, caplog):
+    root, log = synth_log
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    manifest = tmp_path / "work" / "manifest.json"
+    summary = tmp_path / "work" / "summary.txt"
+    ckpt = tmp_path / "work" / "encoder.ckpt"
+    recorded, table, trained = manifest.read_bytes(), summary.read_bytes(), ckpt.stat().st_mtime_ns
+    manifest.write_bytes(recorded[:40])
+    with caplog.at_level(logging.WARNING, logger="canids.pipeline"):
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert any(str(manifest) in r.getMessage() for r in caplog.records
+               if r.levelno == logging.WARNING)
+    assert ckpt.stat().st_mtime_ns != trained  # every stage missed, so the encoder retrained
+    assert manifest.read_bytes() == recorded and summary.read_bytes() == table
 
 
 def test_evaluate_rejects_report_that_fails_its_digest(synth_log, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from canids.detector import (DetectorConfig, DetectorModel, detect, make_sequenc
                              summary_table, train_detector, write_report_csvs)
 from canids.encoder import GraphEmbedding
 
-from gradcheck import assert_gradients_match
+from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
+                       unfused_forward_batch)
 
 
 def embeddings_from_labels(labels, seed=0, offset=2.0):
@@ -100,6 +103,30 @@ class TestForward:
             model.parameters(), rtol=1e-4, max_coords=4, rng=rng)
 
 
+    def test_training_forward_matches_unfused_cells_with_dropout(self):
+        """One (L, B, H) dropout draw is the stream of L per-step (B, H) draws, so a
+        training forward gives the unfused gru_cell stack's loss bit for bit."""
+        model = DetectorModel(seed=4, dropout_p=0.3)
+        x = np.random.default_rng(4).normal(size=(6, 9, 32))
+        y = nn.Tensor(np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]]))
+        rngs = [np.random.default_rng(11), np.random.default_rng(11)]
+        fused = nn.bce_loss(model.forward_batch(x, training=True, rng=rngs[0])[0], y)
+        unfused = nn.bce_loss(unfused_forward_batch(model, x, training=True, rng=rngs[1])[0], y)
+        assert fused.item() == unfused.item()
+        assert rngs[0].random() == rngs[1].random()  # the same number of draws
+        assert_close_gradients(
+            gradients(lambda: nn.bce_loss(model.forward_batch(
+                x, training=True, rng=np.random.default_rng(11))[0], y), model.params),
+            gradients(lambda: nn.bce_loss(unfused_forward_batch(
+                model, x, training=True, rng=np.random.default_rng(11))[0], y), model.params))
+
+    def test_training_runs_the_head_on_the_final_step_only(self):
+        model = DetectorModel(seed=0)
+        x = np.random.default_rng(0).normal(size=(3, 7, 32))
+        prob, window_probs = model.forward_batch(x, training=True, rng=np.random.default_rng(0))
+        assert window_probs == [prob] and prob.shape == (3, 1)
+
+
 class TestTraining:
     def separable_sequences(self, n=20, length=3):
         # sparse attack bursts so both sequence classes appear
@@ -129,6 +156,29 @@ class TestTraining:
         m1.save(tmp_path / "a.ckpt")
         m2.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_gru_cell_is_not_on_the_model_path(self, monkeypatch):
+        """Training and detection run the fused layer; the unfused cell is only an oracle."""
+        def refuse(*args):
+            raise AssertionError("gru_cell called on the model path")
+
+        monkeypatch.setattr(nn, "gru_cell", refuse)
+        monkeypatch.setattr(nn.ops, "gru_cell", refuse)
+        seqs = self.separable_sequences(n=10)
+        model, _ = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(epochs=2))
+        report = detect(model, embeddings_from_labels([0, 0, 1, 0, 0, 0]), 3)
+        assert len(report.sequence_rows) == 4
+
+    def test_logs_one_line_per_epoch(self, caplog):
+        seqs = self.separable_sequences(n=10)
+        with caplog.at_level(logging.INFO, logger="canids.detector"):
+            _, log = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(epochs=3))
+        lines = [r.getMessage() for r in caplog.records if r.name == "canids.detector"]
+        assert len(lines) == log["epochs_run"] == 3
+        for epoch, (line, row) in enumerate(zip(lines, log["history"])):
+            assert line.startswith(f"detector epoch {epoch}: train loss ")
+            assert f"{row['train_loss']:.6g}" in line and f"val F1 {row['val_f1']:.4f}" in line
+            assert line.endswith(" s")
 
     def test_single_class_rejected(self):
         seqs = make_sequences(embeddings_from_labels([0] * 6), 2)

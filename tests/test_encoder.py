@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,17 @@ class TestTraining:
         m2.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    def test_logs_one_line_per_epoch(self, caplog):
+        graphs = [random_graph(w=5, seed=i, index=i) for i in range(8)]
+        with caplog.at_level(logging.INFO, logger="canids.encoder"):
+            _, log = train_encoder(graphs, EncoderConfig(epochs=3, seed=0))
+        lines = [r.getMessage() for r in caplog.records if r.name == "canids.encoder"]
+        assert len(lines) == log["epochs_run"] == 3
+        for epoch, (line, row) in enumerate(zip(lines, log["history"])):
+            assert line.startswith(f"encoder epoch {epoch}: train loss ")
+            assert f"{row['train_loss']:.6g}" in line and f"val loss {row['val_loss']:.6g}" in line
+            assert line.endswith(" s")
+
     def test_rejects_attack_graphs(self):
         graphs = [random_graph(index=0), random_graph(label=1, index=1)]
         with pytest.raises(ValueError, match="normal-only"):
@@ -96,6 +109,18 @@ class TestEmbed:
         e = embed(model, g)
         assert np.allclose(node_emb.data[0], node_emb.data[1])
         assert e.vector == pytest.approx(node_emb.data[0])
+
+    def test_embed_does_not_run_the_decoder(self, monkeypatch):
+        """forward is encode plus the decoder; embed needs encode alone."""
+        model = EncoderModel(seed=0)
+        g = random_graph(w=7, seed=3)
+        node_emb, _ = model.forward(g)
+
+        def refuse(self, graph):
+            raise AssertionError("embed ran the decoder")
+
+        monkeypatch.setattr(EncoderModel, "forward", refuse)
+        assert np.array_equal(embed(model, g).vector, node_emb.data.mean(axis=0))
 
     @pytest.mark.parametrize("w", [50, 75, 100, 125, 150])
     def test_embedding_length_32(self, w):

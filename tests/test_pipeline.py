@@ -120,6 +120,25 @@ def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys):
     assert not list(ws.dir.glob("*.tmp"))
 
 
+@pytest.mark.parametrize("damage", ["truncated", "not an object"])
+def test_unreadable_manifest_is_treated_as_empty(tmp_path, caplog, damage):
+    cfg = PipelineConfig()
+    cfg.set("work_dir", str(tmp_path))
+    ws = pipeline.Workspace(cfg)
+    ws.path("out.csv").write_text("a,b\n")
+    ws.mark("stage", "h", ["out.csv"])
+    text = ws.manifest_path.read_text()
+    ws.manifest_path.write_text(text[:40] if damage == "truncated" else "[]")
+    with caplog.at_level(logging.WARNING, logger="canids.pipeline"):
+        ws = pipeline.Workspace(cfg)
+    assert ws.manifest == {}
+    assert not ws.fresh("stage", "h", ["out.csv"])
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING and str(ws.manifest_path) in record.getMessage()
+    ws.mark("stage", "h", ["out.csv"])  # the rerun leaves a readable manifest
+    assert pipeline.Workspace(cfg).manifest_path.read_text() == text
+
+
 def test_manifest_records_output_digests(tmp_path):
     cfg = PipelineConfig()
     cfg.set("work_dir", str(tmp_path))
