@@ -69,18 +69,18 @@ class PipelineConfig:
 
     def set(self, key: str, raw: str) -> None:
         key = key.strip()
-        if m := _ECU_RE.match(key):
-            self.ecus[int(m.group(1))] = _parse_ecu(raw)
-            return
-        if m := _ATTACK_RE.match(key):
-            self.attacks[int(m.group(1))] = _parse_attack(raw)
-            return
-        if key not in KEY_SPECS:
+        ecu, attack = _ECU_RE.match(key), _ATTACK_RE.match(key)
+        if not (ecu or attack or key in KEY_SPECS):
             raise ConfigError(f"unknown config key {key!r}")
-        caster, _ = KEY_SPECS[key]
         try:
-            self.values[key] = caster(raw.strip()) if isinstance(raw, str) else raw
-        except ValueError as e:
+            if ecu:
+                self.ecus[int(ecu.group(1))] = _parse_ecu(raw)
+            elif attack:
+                self.attacks[int(attack.group(1))] = _parse_attack(raw)
+            else:
+                caster, _ = KEY_SPECS[key]
+                self.values[key] = caster(raw.strip()) if isinstance(raw, str) else raw
+        except ValueError as e:  # a failed cast, a spec parser's ConfigError, a spec out of range
             raise ConfigError(f"bad value for {key!r}: {e}") from None
 
     def validate(self) -> None:

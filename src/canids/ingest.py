@@ -3,15 +3,15 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, CanFrame, FrameTable, Label, Window
+from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, FrameTable, Label, Window
 from .nn import atomic_path
 
 log = logging.getLogger(__name__)
@@ -248,8 +248,7 @@ def parse_log(path, mapping: ColumnMapping = DEFAULT_MAPPING, strict: bool = Fal
                     rows = []
         blocks.append(_parse_block(rows, lines[len(lines) - len(rows):], mapping, index,
                                    missing, strict))
-    table = FrameTable(*(np.concatenate([getattr(b, f.name) for b in blocks])
-                         for f in fields(FrameTable)))
+    table = FrameTable.concat(blocks)
     back = np.flatnonzero(table.timestamp[1:] < table.timestamp[:-1])
     if back.size:
         log.warning("%s: non-monotone timestamp at line %d (kept in file order)",
@@ -257,15 +256,27 @@ def parse_log(path, mapping: ColumnMapping = DEFAULT_MAPPING, strict: bool = Fal
     return table
 
 
-def write_log(frames: Iterable[CanFrame], path) -> None:
-    """Write frames in the same CSV schema parse_log reads back (round-trip safe)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+_HEX_TEXT = np.frombuffer(b"0123456789ABCDEF", np.uint8)
+
+
+def write_log(table: FrameTable, path) -> None:
+    """Write a frame table in the CSV schema parse_log reads back (round-trip safe),
+    through a temp file and a rename. Columns are formatted a block of rows at a
+    time; a payload is its first dlc bytes as "HH HH ..."."""
+    label_text = np.array([member.value for member in LABELS])
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["timestamp", "arbitration_id", "dlc", "payload", "label"])
-        for f in frames:
-            payload_hex = " ".join(f"{b:02X}" for b in f.payload[: f.dlc])
-            w.writerow([repr(f.timestamp), f"{f.arbitration_id:03X}", f.dlc, payload_hex, f.label.value])
+        for start in range(0, len(table), _BLOCK_ROWS):
+            t = table[start : start + _BLOCK_ROWS]
+            text = np.full((len(t), _CANONICAL_WIDTH + 1), ord(" "), np.uint8)
+            text[:, 0::3] = _HEX_TEXT[t.payload >> 4]
+            text[:, 1::3] = _HEX_TEXT[t.payload & 0xF]
+            # NUL out each row's tail: a bytes element of a numpy array drops trailing NULs
+            text[np.arange(_CANONICAL_WIDTH + 1) >= 3 * t.dlc[:, None].astype(np.int64) - 1] = 0
+            payload = text.view(f"S{_CANONICAL_WIDTH + 1}").ravel().astype(str)
+            w.writerows(zip(t.timestamp.tolist(), map("{:03X}".format, t.arbitration_id.tolist()),
+                            t.dlc.tolist(), payload.tolist(), label_text[t.label].tolist()))
 
 
 def make_windows(table: FrameTable, window_size: int) -> list:

@@ -13,13 +13,15 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, ingest, nn, synth
 from .config import PipelineConfig
 from .detector import (DetectorConfig, DetectorModel, detect, make_sequences,
                        summary_table, train_detector, write_report_csvs)
 from .encoder import (EncoderConfig, EncoderModel, embed, read_embeddings_csv,
                       train_encoder, write_embeddings_csv)
-from .frames import FrameTable, Label
+from .frames import LABELS, FrameTable
 from .graph import ByteMode, build_graph
 
 log = logging.getLogger(__name__)
@@ -92,19 +94,16 @@ class Workspace:
 def run_synth(config: PipelineConfig) -> Path:
     """Generate normal traffic, inject configured attacks, write a labeled CSV log."""
     profile = config.traffic_profile()
-    frames = synth.generate_normal(profile)
+    table = synth.generate_normal(profile)
     for i, spec in enumerate(config.attack_specs()):
-        frames = synth.inject(frames, spec, seed=config.synth_seed + 1000 + i)
+        table = synth.inject(table, spec, seed=config.synth_seed + 1000 + i)
     out = Path(config.synth_output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    ingest.write_log(frames, out)
-    counts = {}
-    for f in frames:
-        counts[f.label.value] = counts.get(f.label.value, 0) + 1
-    total = len(frames)
+    ingest.write_log(table, out)
+    counts = np.bincount(table.label, minlength=len(LABELS)).tolist()
+    total = len(table)
     print(f"{'Type':<10} {'Records':>10}  Ratio")
-    for label in Label:
-        c = counts.get(label.value, 0)
+    for label, c in zip(LABELS, counts):
         if c:
             print(f"{label.value:<10} {c:>10}  {100.0 * c / total:.2f}%")
     print(f"{'Total':<10} {total:>10}")

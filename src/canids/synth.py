@@ -1,13 +1,17 @@
-"""Synthetic CAN traffic generation and attack injection (flooding/fuzzing/replay/spoofing)."""
+"""Synthetic CAN traffic generation and attack injection (flooding/fuzzing/replay/spoofing).
+
+Generation and injection build FrameTables column by column. Every spec is
+checked when it is constructed, before any frame is generated, because a value
+out of range would wrap silently in a uint8 column.
+"""
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .frames import CanFrame, Label, pad_payload
+from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, FrameTable, Label
 
 STANDARD_ID_SPACE = 0x800  # 11-bit IDs for randomly fuzzed frames
 
@@ -25,6 +29,15 @@ class ByteSpec:
     b: int = 0
     c: int = 1
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("const", "counter", "walk"):
+            raise ValueError(f"unknown byte model {self.kind!r}")
+        if not 0 <= self.a <= 0xFF:
+            raise ValueError(f"{self.kind} byte a={self.a} outside [0, 255]")
+        if self.kind == "walk" and not (self.a <= self.b <= 0xFF and self.c >= 0):
+            raise ValueError(f"walk byte needs a <= b <= 255 and c >= 0, "
+                             f"got a={self.a} b={self.b} c={self.c}")
+
 
 @dataclass(frozen=True)
 class EcuSpec:
@@ -32,6 +45,14 @@ class EcuSpec:
     period_ms: float
     dlc: int
     bytes: Tuple[ByteSpec, ...] = ()  # one spec per payload byte up to dlc; missing = const 0
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.arbitration_id < MAX_ARBITRATION_ID:
+            raise ValueError(f"ECU arbitration_id {self.arbitration_id:#x} outside 29-bit range")
+        if not 0 <= self.dlc <= MAX_DLC:
+            raise ValueError(f"ECU {self.arbitration_id:#x} dlc {self.dlc} outside [0, {MAX_DLC}]")
+        if not self.period_ms > 0:
+            raise ValueError(f"ECU {self.arbitration_id:#x} has non-positive period")
 
 
 @dataclass(frozen=True)
@@ -46,9 +67,8 @@ class TrafficProfile:
             raise ValueError("profile needs at least one ECU spec")
         if not 0.0 <= self.jitter < 0.5:
             raise ValueError(f"jitter must lie in [0, 0.5), got {self.jitter}")
-        for spec in self.ecu_specs:
-            if spec.period_ms <= 0:
-                raise ValueError(f"ECU {spec.arbitration_id:#x} has non-positive period")
+        if not np.isfinite(self.duration):
+            raise ValueError(f"duration must be finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -61,130 +81,125 @@ class AttackSpec:
     replay_span: Tuple[float, float] = (0.0, 0.0)
     mutation: Tuple[Tuple[int, int, int], ...] = ()  # (byte index, lo, hi) inclusive ranges
 
+    def __post_init__(self) -> None:
+        if self.kind not in LABELS[1:]:
+            raise ValueError(f"not an attack kind: {self.kind}")
+        if not (np.isfinite(self.start) and 0 <= self.duration < np.inf):
+            raise ValueError(f"attack needs a finite start and a finite duration >= 0, "
+                             f"got {self.start} and {self.duration}")
+        if not 0 < self.rate < np.inf:
+            raise ValueError(f"{self.kind.value.lower()} rate must be positive and finite")
+        if not 0 <= self.target_id < MAX_ARBITRATION_ID:
+            raise ValueError(f"attack target_id {self.target_id:#x} outside 29-bit range")
+        if self.kind is Label.SPOOFING and not self.mutation:
+            raise ValueError("spoofing needs at least one byte mutation")
+        for index, lo, hi in self.mutation:
+            if not 0 <= index < MAX_DLC:
+                raise ValueError(f"mutation byte index {index} outside [0, {MAX_DLC - 1}]")
+            if not 0 <= lo <= hi <= 0xFF:
+                raise ValueError(f"mutation bounds {lo}:{hi} need 0 <= lo <= hi <= 255")
 
-def _byte_value(spec: ByteSpec, k: int, walk_state: dict, key, rng: np.random.Generator) -> int:
-    if spec.kind == "const":
-        return spec.a & 0xFF
-    if spec.kind == "counter":
-        return (spec.a + k * spec.b) & 0xFF
-    if spec.kind == "walk":
-        lo, hi = spec.a, spec.b
-        v = walk_state.get(key, (lo + hi) // 2)
-        v += int(rng.integers(-spec.c, spec.c + 1))
-        v = max(lo, min(hi, v))
-        walk_state[key] = v
-        return v
-    raise ValueError(f"unknown byte model {spec.kind!r}")
+
+def _ecu_frames(spec: EcuSpec, profile: TrafficProfile, idx: int) -> FrameTable:
+    """One ECU's frames in send order: frame k is due at k * period, for every
+    k * period < duration."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=profile.seed, spawn_key=(idx,)))
+    period = spec.period_ms / 1000.0
+    # duration / period is rounded, so allow two more k than its floor, then cut
+    k = np.arange(int(profile.duration / period) + 2 if profile.duration > 0 else 0)
+    k = k[: np.searchsorted(k * period, profile.duration)]
+    n = len(k)
+    payload = np.zeros((n, MAX_DLC), np.uint8)
+    walks = []
+    for b in range(spec.dlc):
+        bspec = spec.bytes[b] if b < len(spec.bytes) else ByteSpec("const", 0)
+        if bspec.kind == "const":
+            payload[:, b] = bspec.a
+        elif bspec.kind == "counter":
+            payload[:, b] = (bspec.a + k * (bspec.b & 0xFF)) & 0xFF
+        else:
+            walks.append((b, bspec))
+    jitter = profile.jitter
+    if not walks:
+        u = rng.uniform(-jitter, jitter, size=n) if jitter > 0 else None
+    else:
+        # a frame's jitter draw comes before its walk steps, so draw frame by frame
+        u = np.empty(n)
+        value = [(bspec.a + bspec.b) // 2 for _, bspec in walks]
+        for i in range(n):
+            if jitter > 0:
+                u[i] = rng.uniform(-jitter, jitter)
+            for w, (b, bspec) in enumerate(walks):
+                v = value[w] + int(rng.integers(-bspec.c, bspec.c + 1))
+                value[w] = payload[i, b] = max(bspec.a, min(bspec.b, v))
+    ts = k * period
+    if jitter > 0:
+        ts = np.maximum(ts + u * period, 0.0)
+    return FrameTable(ts, np.full(n, spec.arbitration_id, np.int64),
+                      np.full(n, spec.dlc, np.uint8), payload, np.zeros(n, np.int8))
 
 
-def generate_normal(profile: TrafficProfile) -> list:
+def _by_time(table: FrameTable) -> FrameTable:
+    """Rows in timestamp order; rows with equal timestamps keep their order."""
+    return table[np.argsort(table.timestamp, kind="stable")]
+
+
+def generate_normal(profile: TrafficProfile) -> FrameTable:
     """Emit periodic frames for every ECU, merged in timestamp order.
 
     Deterministic for a fixed seed; each ECU draws from its own seeded
     substream so adding an ECU never perturbs the others.
     """
     profile.validate()
-    all_frames = []
-    for idx, spec in enumerate(profile.ecu_specs):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=profile.seed, spawn_key=(idx,)))
-        period = spec.period_ms / 1000.0
-        walk_state: dict = {}
-        k = 0
-        t = 0.0
-        while t < profile.duration:
-            if profile.jitter > 0:
-                ts = t + float(rng.uniform(-profile.jitter, profile.jitter)) * period
-                ts = max(0.0, ts)
-            else:
-                ts = t
-            data = []
-            for b in range(spec.dlc):
-                bspec = spec.bytes[b] if b < len(spec.bytes) else ByteSpec("const", 0)
-                data.append(_byte_value(bspec, k, walk_state, b, rng))
-            all_frames.append(CanFrame(ts, spec.arbitration_id, spec.dlc, pad_payload(data), Label.NORMAL))
-            k += 1
-            t = k * period
-    all_frames.sort(key=lambda f: f.timestamp)
-    return all_frames
+    return _by_time(FrameTable.concat([_ecu_frames(spec, profile, idx)
+                                       for idx, spec in enumerate(profile.ecu_specs)]))
 
 
-def _check_interval(frames, start: float, end: float) -> None:
-    t0, t1 = frames[0].timestamp, frames[-1].timestamp
-    if start < t0 - 1e-9 or end > t1 + 1e-9:
-        raise ValueError(f"attack interval [{start}, {end}] outside log span [{t0}, {t1}]")
-
-
-def inject(frames: Sequence[CanFrame], spec: AttackSpec, seed: int = 0) -> list:
+def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
     """Insert attack frames into a timestamp-sorted log; originals are untouched.
 
     Output is re-sorted by timestamp with injected frames placed after
     originals on ties.
     """
-    if not frames:
+    if not len(table):
         raise ValueError("cannot inject into an empty log")
     rng = np.random.default_rng(seed)
     end = spec.start + spec.duration
-    _check_interval(frames, spec.start, end)
-    injected: list = []
+    t0, t1 = table.timestamp[[0, -1]].tolist()
+    if spec.start < t0 - 1e-9 or end > t1 + 1e-9:
+        raise ValueError(f"attack interval [{spec.start}, {end}] outside log span [{t0}, {t1}]")
+    count = int(round(spec.rate * spec.duration))
+    arb = np.full(count, spec.target_id, np.int64)
+    dlc = np.full(count, MAX_DLC, np.uint8)
+    payload = np.zeros((count, MAX_DLC), np.uint8)
+    ts = spec.start + np.arange(count) / spec.rate
 
-    if spec.kind is Label.FLOODING:
-        if spec.rate <= 0:
-            raise ValueError("flooding rate must be positive")
-        count = int(round(spec.rate * spec.duration))
+    if spec.kind is Label.FUZZING:
+        ts = np.sort(rng.uniform(spec.start, end, size=count))
         for i in range(count):
-            ts = spec.start + i / spec.rate
-            injected.append(CanFrame(ts, spec.target_id, 8, b"\x00" * 8, Label.FLOODING))
-    elif spec.kind is Label.FUZZING:
-        if spec.rate <= 0:
-            raise ValueError("fuzzing rate must be positive")
-        count = int(round(spec.rate * spec.duration))
-        times = np.sort(rng.uniform(spec.start, end, size=count))
-        for ts in times:
-            arb = int(rng.integers(0, STANDARD_ID_SPACE))
-            dlc = int(rng.integers(0, 9))
-            data = [int(v) for v in rng.integers(0, 256, size=dlc)]
-            injected.append(CanFrame(float(ts), arb, dlc, pad_payload(data), Label.FUZZING))
+            arb[i] = rng.integers(0, STANDARD_ID_SPACE)
+            dlc[i] = n = rng.integers(0, MAX_DLC + 1)
+            payload[i, :n] = rng.integers(0, 256, size=n)
     elif spec.kind is Label.REPLAY:
         lo, hi = spec.replay_span
-        source = [f for f in frames if lo <= f.timestamp < hi]
-        if not source:
+        source = table[(lo <= table.timestamp) & (table.timestamp < hi)]
+        if not len(source):
             raise ValueError(f"replay span [{lo}, {hi}) contains no frames")
-        base = source[0].timestamp
-        for f in source:
-            ts = spec.start + (f.timestamp - base)
-            injected.append(CanFrame(ts, f.arbitration_id, f.dlc, f.payload, Label.REPLAY))
+        ts = spec.start + (source.timestamp - source.timestamp[0])
+        arb, dlc, payload = source.arbitration_id, source.dlc, source.payload
     elif spec.kind is Label.SPOOFING:
-        if spec.rate <= 0:
-            raise ValueError("spoofing rate must be positive")
-        if not spec.mutation:
-            raise ValueError("spoofing needs at least one byte mutation")
-        count = int(round(spec.rate * spec.duration))
         # spoofed payloads start from the victim's last genuine payload
-        victim = sorted(
-            (f for f in frames if f.arbitration_id == spec.target_id),
-            key=lambda f: f.timestamp,
-        )
-        victim_times = [f.timestamp for f in victim]
-        for i in range(count):
-            ts = spec.start + i / spec.rate
-            pos = bisect.bisect_right(victim_times, ts)
-            if pos > 0:
-                base_dlc, base_payload = victim[pos - 1].dlc, victim[pos - 1].payload
-            else:
-                base_dlc, base_payload = 8, b"\x00" * 8
-            data = bytearray(base_payload)
-            dlc = base_dlc
-            for (bi, lo, hi) in spec.mutation:
-                if bi >= dlc:
-                    dlc = bi + 1
-                data[bi] = int(rng.integers(lo, hi + 1))
-            for j in range(dlc, 8):
-                data[j] = 0
-            injected.append(CanFrame(ts, spec.target_id, dlc, bytes(data), Label.SPOOFING))
-    else:
-        raise ValueError(f"not an attack kind: {spec.kind}")
+        victim = np.flatnonzero(table.arbitration_id == spec.target_id)
+        victim = victim[np.argsort(table.timestamp[victim], kind="stable")]
+        last = np.searchsorted(table.timestamp[victim], ts, side="right") - 1
+        seen = last >= 0
+        dlc[seen] = table.dlc[victim[last[seen]]]
+        payload[seen] = table.payload[victim[last[seen]]]
+        dlc = np.maximum(dlc, max(index for index, _, _ in spec.mutation) + 1)
+        for row in payload:
+            for index, lo, hi in spec.mutation:
+                row[index] = rng.integers(lo, hi + 1)
 
-    tagged = [(f.timestamp, 0, i, f) for i, f in enumerate(frames)]
-    tagged += [(f.timestamp, 1, i, f) for i, f in enumerate(injected)]
-    tagged.sort(key=lambda t: t[:3])
-    return [t[3] for t in tagged]
+    injected = FrameTable(ts, arb, dlc, payload,
+                          np.full(len(ts), LABELS.index(spec.kind), np.int8))
+    return _by_time(FrameTable.concat([table, injected]))

@@ -35,7 +35,7 @@ from canids.config import PipelineConfig
 from canids.detector import (DetectorConfig, DetectorModel, detect,
                              make_sequences, train_detector)
 from canids.encoder import EncoderConfig, EncoderModel, GraphEmbedding, train_encoder
-from canids.frames import CanFrame, FrameTable, pad_payload
+from canids.frames import FrameTable
 from canids.graph import WindowGraph, build_graph, normalized_adjacency
 from canids.ingest import make_windows
 from canids.nn.tensor import Parameter, Tensor
@@ -270,13 +270,12 @@ def test_criterion_1_gradients(capfd):
 
 # --- criterion 2: structural oracles ------------------------------------------
 
-def _frame(i):
-    return CanFrame(timestamp=i * 1e-3, arbitration_id=0x100 + (i % 7), dlc=8,
-                    payload=pad_payload([i % 256] * 8))
-
-
 def _table(n):
-    return FrameTable.from_frames([_frame(i) for i in range(n)])
+    i = np.arange(n)
+    return FrameTable(timestamp=i * 1e-3, arbitration_id=0x100 + i % 7,
+                      dlc=np.full(n, 8, np.uint8),
+                      payload=np.repeat((i % 256).astype(np.uint8)[:, None], 8, axis=1),
+                      label=np.zeros(n, np.int8))
 
 
 def test_criterion_2_structural_oracles(capfd):

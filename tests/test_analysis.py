@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from canids.analysis import (MetricBlock, auc_score, compute_metrics,
                              entropy_bits, entropy_sweep, window_entropy,
                              write_entropy_csv)
-from canids.frames import FrameTable
 
-from conftest import make_frame, normal_frames, windows_from
+from conftest import make_frame, normal_frames, table, windows_from
 
 
 def frames_with_ids(id_counts, dt=0.001):
@@ -78,7 +77,7 @@ class TestWindowEntropy:
 
 class TestEntropySweep:
     def norm(self, frames):
-        return FrameTable.from_frames(frames)
+        return table(frames)
 
     def test_single_size_no_growth_rate(self):
         stats = entropy_sweep(self.norm(normal_frames(100)), [10])

@@ -1,9 +1,13 @@
 import hashlib
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import canids
 from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 SYNTH_CFG = """
@@ -136,6 +140,21 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
     bad.write_text("no_such_key = 5\n")
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("spec", ["ecu2 = 0x200 ten 8 const",
+                                  "attack1 = spoofing 0.2 0.1 target=0x100 mutate=8:0:1"])
+def test_malformed_synth_spec_is_config_error(tmp_path, spec):
+    out = tmp_path / "traffic.csv"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"synth_output = {out}\necu1 = 0x100 10 8 const\n{spec}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(canids.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "canids.cli", "synth", "--config", str(cfg)],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == EXIT_CONFIG
+    assert "Traceback" not in result.stderr
+    assert f"config error: {cfg}:3: bad value for" in result.stderr
+    assert not out.exists()
 
 
 def test_data_error_exit_code(tmp_path):

@@ -92,9 +92,23 @@ attack3 = spoofing 5.0 1.0 rate=100 target=0x200 mutate=1:0x80:0xFF
     "attack1 = flooding 1.0",
     "attack1 = normal 1.0 0.5",
     "attack1 = flooding 1.0 0.5 power=9",
+    "ecu1 = 0x100 ten 8 const",
+    "ecu1 = 0x100 10 9 const",
+    "ecu1 = 0x100 10 -1 const",
+    "ecu1 = 0x20000000 10 8 const",
+    "ecu1 = 0x100 0 8 const",
+    "attack1 = flooding one 0.5",
+    "attack1 = flooding 1.0 0.5 target=0x20000000",
+    "attack1 = flooding 1.0 0.5 rate=0",
+    "attack1 = spoofing 0.2 0.1 target=0x100 mutate=1:2",
+    "attack1 = spoofing 0.2 0.1 target=0x100 mutate=8:0:1",
+    "attack1 = spoofing 0.2 0.1 target=0x100 mutate=-1:0:1",
+    "attack1 = spoofing 0.2 0.1 target=0x100 mutate=1:0:256",
+    "attack1 = spoofing 0.2 0.1 target=0x100 mutate=1:9:8",
+    "attack1 = spoofing 0.2 0.1 target=0x100",
 ])
 def test_spec_parse_errors(tmp_path, line):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"pipeline\.cfg:1: "):
         PipelineConfig.from_file(write_cfg(tmp_path, line + "\n"))
 
 

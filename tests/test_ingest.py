@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids import ingest
-from canids.config import PipelineConfig
-from canids.frames import LABELS, CanFrame, FrameTable, Label, pad_payload
+from canids.frames import LABELS, MAX_ARBITRATION_ID, FrameTable, Label
 from canids.graph import ByteMode, build_graph
 from canids.ingest import (DEFAULT_MAPPING, ColumnMapping, ParseError, make_windows, parse_log,
                            split_dataset, write_log, write_windows_csv)
-from canids.pipeline import prepare_splits
 
-from conftest import make_frame, normal_frames, windows_from
+from conftest import make_frame, normal_frames, rows_of, table, windows_from
 
 
 COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")
@@ -27,13 +25,6 @@ def write_csv(tmp_path, rows, header="timestamp,arbitration_id,dlc,payload,label
     path = tmp_path / "log.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return path
-
-
-def frames_of(table):
-    """The CanFrames of a parsed table, for write_log."""
-    return [CanFrame(float(t), int(a), int(d), bytes(p), LABELS[c])
-            for t, a, d, p, c in zip(table.timestamp, table.arbitration_id, table.dlc,
-                                     table.payload, table.label)]
 
 
 def assert_tables_equal(a, b):
@@ -126,32 +117,36 @@ class TestParseLog:
         assert any("non-monotone timestamp at line 4" in r.message for r in caplog.records)
 
     def test_round_trip_is_identical(self, tmp_path):
-        frames = normal_frames(50) + [make_frame(ts=0.06, label=Label.FUZZING, dlc=3, data=[9, 0, 1])]
+        # more rows than write_log formats at a time
+        frames = normal_frames(9000) + [make_frame(ts=9.0, label=Label.FUZZING, dlc=3, data=[9, 0, 1])]
         out = tmp_path / "out.csv"
-        write_log(frames, out)
-        assert_tables_equal(parse_log(out), FrameTable.from_frames(frames))
-        assert frames_of(parse_log(out)) == frames
+        write_log(table(frames), out)
+        assert_tables_equal(parse_log(out), table(frames))
+        assert rows_of(parse_log(out)) == frames
         # serialize again: byte-for-byte stable
         out2 = tmp_path / "out2.csv"
-        write_log(frames_of(parse_log(out)), out2)
+        write_log(parse_log(out), out2)
         assert out.read_bytes() == out2.read_bytes()
 
-    def test_parse_builds_no_frame_objects(self, tmp_path, monkeypatch):
-        """The parse path stays columnar: no CanFrame is built from a parsed row."""
-        rows = [f"{i * 0.001},{0x100 + i % 3:X},8,{' '.join(['0A'] * 8)},Normal"
-                for i in range(40)]
-        path = write_csv(tmp_path, rows)
+    def test_write_log_formats_rows(self, tmp_path):
+        out = tmp_path / "out.csv"
+        write_log(table([make_frame(ts=0.1, arb=0x7, dlc=0, data=[]),
+                         make_frame(ts=2.5, arb=0x1ABCDEF, dlc=3, data=[0, 0xA5, 0xFF],
+                                    label=Label.SPOOFING)]), out)
+        assert out.read_bytes() == (b"timestamp,arbitration_id,dlc,payload,label\r\n"
+                                    b"0.1,007,0,,Normal\r\n"
+                                    b"2.5,1ABCDEF,3,00 A5 FF,Spoofing\r\n")
 
-        def refuse(self):
-            raise AssertionError("CanFrame built on the parse path")
-
-        monkeypatch.setattr(CanFrame, "__post_init__", refuse)
-        assert len(parse_log(path)) == 40
-        cfg = PipelineConfig()
-        cfg.set("input_log", str(path))
-        cfg.set("window_size", "5")
-        splits = prepare_splits(cfg)
-        assert sum(len(splits[s]) for s in ("train", "val", "test")) == 8
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        t = table(normal_frames(5))
+        write_log(t, out)
+        before = out.read_bytes()
+        bad_id = np.array([0x100, 0x200, None, 0x100, 0x200], object)  # fails at the third row
+        with pytest.raises(TypeError):
+            write_log(FrameTable(t.timestamp, bad_id, t.dlc, t.payload, t.label), out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 # --- the per-row parser this module replaced, kept as the oracle -----------------
@@ -244,10 +239,9 @@ def oracle_parse_log(path, mapping, strict):
                         label = Label.from_string(text)
                     except ValueError as e:
                         raise ParseError(line_no, str(e)) from None
-            try:
-                frames.append(CanFrame(ts, arb, dlc, pad_payload(data), label))
-            except ValueError as e:
-                raise ParseError(line_no, str(e)) from None
+            if not 0 <= arb < MAX_ARBITRATION_ID:
+                raise ParseError(line_no, f"arbitration id {arb:#x} outside 29-bit range")
+            frames.append(make_frame(ts, arb, dlc, data, label))
     return frames
 
 
@@ -338,7 +332,7 @@ def assert_parses_like_row_parser(path, mapping=DEFAULT_MAPPING, strict=False):
     got, error = outcome(parse_log, path, mapping, strict)
     assert error == expected_error
     if expected is not None:
-        assert_tables_equal(got, FrameTable.from_frames(expected))
+        assert_tables_equal(got, table(expected))
 
 
 @pytest.fixture(scope="module")
@@ -409,7 +403,7 @@ class TestFrameTable:
     def test_columns_match_frames(self):
         frames = [make_frame(ts=0.5, arb=0x1A0, dlc=2, data=[7, 0]),
                   make_frame(ts=0.75, arb=0x7FF, dlc=8, label=Label.SPOOFING)]
-        t = FrameTable.from_frames(frames)
+        t = table(frames)
         assert len(t) == 2
         assert t.timestamp.tolist() == [0.5, 0.75]
         assert t.arbitration_id.tolist() == [0x1A0, 0x7FF]
@@ -420,7 +414,7 @@ class TestFrameTable:
                 t.label.dtype) == (np.float64, np.int64, np.uint8, np.uint8, np.int8)
 
     def test_slices_are_views(self):
-        t = FrameTable.from_frames(normal_frames(10))
+        t = table(normal_frames(10))
         part = t[2:6]
         assert len(part) == 4
         for name in ("timestamp", "arbitration_id", "dlc", "payload", "label"):
@@ -453,7 +447,7 @@ class TestMakeWindows:
         assert [w.label for w in windows] == [0, 1]
 
     def test_empty_input(self):
-        assert make_windows(FrameTable.from_frames([]), 10) == []
+        assert make_windows(table([]), 10) == []
 
     @given(st.integers(0, 400), st.integers(1, 50))
     @settings(max_examples=60)

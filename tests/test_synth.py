@@ -1,16 +1,30 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from canids.frames import Label
+from canids.frames import LABELS, FrameTable, Label
+from canids.ingest import write_log
 from canids.synth import (AttackSpec, ByteSpec, EcuSpec, TrafficProfile,
                           generate_normal, inject)
+
+from conftest import rows_of
+
+COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")
 
 
 def profile(ecus, duration=1.0, jitter=0.0, seed=7):
     return TrafficProfile(ecu_specs=tuple(ecus), duration=duration, jitter=jitter, seed=seed)
+
+
+def of_kind(table, kind):
+    return table[table.label == LABELS.index(kind)]
+
+
+def same_columns(a: FrameTable, b: FrameTable) -> bool:
+    return all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS)
 
 
 def simple_ecu(arb=0x100, period_ms=10.0, dlc=8):
@@ -21,26 +35,26 @@ class TestGenerateNormal:
     def test_single_ecu_deterministic_schedule(self):
         frames = generate_normal(profile([simple_ecu()]))
         assert len(frames) == 100
-        assert [f.timestamp for f in frames] == pytest.approx([i * 0.01 for i in range(100)])
-        assert all(f.label is Label.NORMAL for f in frames)
+        assert frames.timestamp.tolist() == pytest.approx([i * 0.01 for i in range(100)])
+        assert not frames.label.any()
 
     def test_two_ecus_merged_sorted(self):
         frames = generate_normal(profile([simple_ecu(0x100, 10), simple_ecu(0x200, 20)]))
         assert len(frames) == 150
-        ts = [f.timestamp for f in frames]
-        assert ts == sorted(ts)
+        assert np.all(np.diff(frames.timestamp) >= 0)
 
     def test_seed_determinism(self):
         p = profile([EcuSpec(0x1, 5, 8, (ByteSpec("walk", 0, 255, 5),))], jitter=0.2)
-        assert generate_normal(p) == generate_normal(p)
+        assert same_columns(generate_normal(p), generate_normal(p))
 
     def test_counter_and_walk_models(self):
         ecu = EcuSpec(0x1, 10, 3, (ByteSpec("counter", 0, 1), ByteSpec("const", 5),
                                    ByteSpec("walk", 10, 20, 2)))
         frames = generate_normal(profile([ecu]))
-        assert [f.payload[0] for f in frames[:5]] == [0, 1, 2, 3, 4]
-        assert all(f.payload[1] == 5 for f in frames)
-        assert all(10 <= f.payload[2] <= 20 for f in frames)
+        assert frames.payload[:5, 0].tolist() == [0, 1, 2, 3, 4]
+        assert np.all(frames.payload[:, 1] == 5)
+        assert np.all((10 <= frames.payload[:, 2]) & (frames.payload[:, 2] <= 20))
+        assert not frames.payload[:, 3:].any()
 
     def test_invalid_profiles(self):
         with pytest.raises(ValueError):
@@ -49,6 +63,8 @@ class TestGenerateNormal:
             generate_normal(profile([simple_ecu()], jitter=0.6))
         with pytest.raises(ValueError):
             generate_normal(profile([EcuSpec(0x1, 0.0, 8)]))
+        with pytest.raises(ValueError):
+            generate_normal(profile([simple_ecu()], duration=float("inf")))
 
 
 @pytest.fixture(scope="module")
@@ -60,57 +76,56 @@ class TestInject:
     def test_flooding_count_and_id(self, base_log):
         spec = AttackSpec(Label.FLOODING, start=0.5, duration=0.1, rate=1000, target_id=0x000)
         out = inject(base_log, spec)
-        flood = [f for f in out if f.label is Label.FLOODING]
+        flood = of_kind(out, Label.FLOODING)
         assert len(flood) == 100
-        assert all(f.arbitration_id == 0 and f.payload == b"\x00" * 8 for f in flood)
+        assert not flood.arbitration_id.any() and not flood.payload.any()
+        assert np.all(flood.dlc == 8)
 
     def test_replay_copies_payloads(self, base_log):
-        src = [f for f in base_log if 0.0 <= f.timestamp < 0.1]
+        src = base_log[(0.0 <= base_log.timestamp) & (base_log.timestamp < 0.1)]
         spec = AttackSpec(Label.REPLAY, start=1.0, duration=0.1, replay_span=(0.0, 0.1))
         out = inject(base_log, spec)
-        rep = [f for f in out if f.label is Label.REPLAY]
+        rep = of_kind(out, Label.REPLAY)
         assert len(rep) == len(src)
-        assert [f.payload for f in rep] == [f.payload for f in src]
+        assert np.array_equal(rep.payload, src.payload)
+        assert np.array_equal(rep.arbitration_id, src.arbitration_id)
         # inter-arrival gaps preserved
-        src_gaps = np.diff([f.timestamp for f in src])
-        rep_gaps = np.diff([f.timestamp for f in rep])
-        assert rep_gaps == pytest.approx(src_gaps)
+        assert np.diff(rep.timestamp) == pytest.approx(np.diff(src.timestamp))
 
     def test_fuzzing_deterministic_and_uniform_ids(self, base_log):
         spec = AttackSpec(Label.FUZZING, start=0.2, duration=1.0, rate=2000)
         out1 = inject(base_log, spec, seed=3)
         out2 = inject(base_log, spec, seed=3)
-        assert out1 == out2
-        ids = [f.arbitration_id for f in out1 if f.label is Label.FUZZING]
+        assert same_columns(out1, out2)
+        ids = of_kind(out1, Label.FUZZING).arbitration_id
         assert len(ids) == 2000
         # bin 11-bit IDs into 16 buckets; uniformity should not be rejected
-        hist = np.bincount(np.array(ids) >> 7, minlength=16)
+        hist = np.bincount(ids >> 7, minlength=16)
         assert stats.chisquare(hist).pvalue > 0.01
 
     def test_spoofing_mutates_target(self, base_log):
         spec = AttackSpec(Label.SPOOFING, start=0.5, duration=0.5, rate=100,
                           target_id=0x100, mutation=((2, 200, 255),))
         out = inject(base_log, spec, seed=1)
-        spoof = [f for f in out if f.label is Label.SPOOFING]
+        spoof = of_kind(out, Label.SPOOFING)
         assert len(spoof) == 50
-        assert all(f.arbitration_id == 0x100 for f in spoof)
-        assert all(200 <= f.payload[2] <= 255 for f in spoof)
+        assert np.all(spoof.arbitration_id == 0x100)
+        assert np.all(spoof.payload[:, 2] >= 200)
         # non-mutated bytes copy the victim's genuine payload
-        assert all(f.payload[0] == 10 for f in spoof)
+        assert np.all(spoof.payload[:, 0] == 10)
 
     def test_originals_preserved_and_sorted(self, base_log):
         spec = AttackSpec(Label.FUZZING, start=0.2, duration=0.5, rate=500)
         out = inject(base_log, spec, seed=9)
-        assert Counter(f for f in out if f.label is Label.NORMAL) == Counter(base_log)
-        ts = [f.timestamp for f in out]
-        assert ts == sorted(ts)
+        assert Counter(rows_of(of_kind(out, Label.NORMAL))) == Counter(rows_of(base_log))
+        assert np.all(np.diff(out.timestamp) >= 0)
 
     def test_flooding_raises_rate_inside_interval(self, base_log):
         spec = AttackSpec(Label.FLOODING, start=0.5, duration=0.5, rate=800)
         out = inject(base_log, spec)
-        inside = [f for f in out if 0.5 <= f.timestamp < 1.0]
-        base_inside = [f for f in base_log if 0.5 <= f.timestamp < 1.0]
-        assert len(inside) - len(base_inside) == 400
+        inside = np.count_nonzero((0.5 <= out.timestamp) & (out.timestamp < 1.0))
+        base_inside = np.count_nonzero((0.5 <= base_log.timestamp) & (base_log.timestamp < 1.0))
+        assert inside - base_inside == 400
 
     def test_errors(self, base_log):
         with pytest.raises(ValueError, match="no frames"):
@@ -119,4 +134,83 @@ class TestInject:
         with pytest.raises(ValueError, match="outside"):
             inject(base_log, AttackSpec(Label.FLOODING, start=5.0, duration=1.0, rate=100))
         with pytest.raises(ValueError):
-            inject([], AttackSpec(Label.FLOODING, start=0, duration=1, rate=10))
+            inject(base_log[:0], AttackSpec(Label.FLOODING, start=0, duration=1, rate=10))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EcuSpec(0x100, 10, 9),
+    lambda: EcuSpec(0x100, 10, -1),
+    lambda: EcuSpec(-1, 10, 8),
+    lambda: EcuSpec(1 << 29, 10, 8),
+    lambda: EcuSpec(0x100, float("nan"), 8),
+    lambda: ByteSpec("sine"),
+    lambda: ByteSpec("const", 300),
+    lambda: ByteSpec("counter", -1, 1),
+    lambda: ByteSpec("walk", 0, 256, 5),
+    lambda: ByteSpec("walk", 20, 10, 1),
+    lambda: ByteSpec("walk", 0, 255, -1),
+    lambda: AttackSpec(Label.NORMAL, 0.0, 1.0),
+    lambda: AttackSpec(Label.FLOODING, 0.0, -1.0),
+    lambda: AttackSpec(Label.FLOODING, float("nan"), 1.0),
+    lambda: AttackSpec(Label.FLOODING, 0.0, float("inf")),
+    lambda: AttackSpec(Label.FLOODING, 0.0, 1.0, rate=float("inf")),
+    lambda: AttackSpec(Label.FUZZING, 0.0, 1.0, rate=0),
+    lambda: AttackSpec(Label.FLOODING, 0.0, 1.0, target_id=1 << 29),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, target_id=-1, mutation=((0, 0, 1),)),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((8, 0, 1),)),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((-1, 0, 1),)),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, 0, 256),)),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, -1, 5),)),
+    lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, 9, 8),)),
+])
+def test_out_of_range_specs_rejected_before_generation(make):
+    """Each value would otherwise wrap silently in a uint8 column or index past a payload."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_spoofing_copies_last_victim_payload_and_extends_dlc():
+    ecu = EcuSpec(0x100, 10, 2, (ByteSpec("counter", 0, 1), ByteSpec("const", 9)))
+    log = generate_normal(profile([ecu]))
+    spec = AttackSpec(Label.SPOOFING, start=0.1, duration=0.1, rate=100, target_id=0x100,
+                      mutation=((5, 1, 1),))
+    spoof = of_kind(inject(log, spec), Label.SPOOFING)
+    assert spoof.timestamp[0] == log.timestamp[10]  # a victim frame at the same time counts
+    last = [max(k for k in range(len(log)) if log.timestamp[k] <= t) for t in spoof.timestamp]
+    assert spoof.payload[:, 0].tolist() == last
+    assert np.all(spoof.dlc == 6)
+    assert np.all(spoof.payload[:, 1:] == [9, 0, 0, 0, 1, 0, 0])
+
+
+# A profile with const, counter (wrapping), walk, mixed and zero-dlc ECUs under
+# jitter, and every attack kind. Flooding starts at 0.0, where the jitter clamps
+# several ECUs' first frames, so original and injected timestamps tie there.
+GOLDEN_ECUS = (
+    EcuSpec(0x100, 10, 8, tuple(ByteSpec("const", 10 + i) for i in range(8))),
+    EcuSpec(0x180, 7, 4, (ByteSpec("counter", 250, 3), ByteSpec("const", 1))),
+    EcuSpec(0x200, 13, 6, (ByteSpec("walk", 0, 255, 5), ByteSpec("walk", 100, 120, 2))),
+    EcuSpec(0x2A0, 5, 8, (ByteSpec("counter", 0, 1), ByteSpec("walk", 0, 255, 5))),
+    EcuSpec(0x050, 25, 0),
+)
+GOLDEN_ATTACKS = (
+    AttackSpec(Label.FLOODING, start=0.0, duration=0.05, rate=1000),
+    AttackSpec(Label.FUZZING, start=0.2, duration=0.1, rate=300),
+    AttackSpec(Label.REPLAY, start=0.5, duration=0.1, replay_span=(0.1, 0.2)),
+    AttackSpec(Label.SPOOFING, start=0.7, duration=0.2, rate=100, target_id=0x200,
+               mutation=((1, 0, 9), (7, 200, 255))),
+)
+GOLDEN_SHA256 = "3ba35ef09378661d0ca49b2c31a19ac53fa0b4d15b905b1d06d713148b6068d8"
+
+
+def test_golden_log(tmp_path):
+    """The generator's output, pinned: a change in RNG draw order, merge order or
+    formatting changes the digest."""
+    log = generate_normal(profile(GOLDEN_ECUS, jitter=0.2, seed=5))
+    for i, spec in enumerate(GOLDEN_ATTACKS):
+        log = inject(log, spec, seed=i + 1)
+    at_zero = log.label[log.timestamp == 0.0].tolist()
+    assert at_zero == [0, 0, 0, LABELS.index(Label.FLOODING)]  # originals first on a tie
+    path = tmp_path / "golden.csv"
+    write_log(log, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256
