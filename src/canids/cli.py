@@ -7,7 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import pipeline
+from . import ingest, pipeline
 from .analysis import compute_metrics
 from .config import KEY_SPECS, ConfigError, PipelineConfig
 from .detector import DetectionReport, summary_table
@@ -103,6 +103,13 @@ def dispatch(command: str, cfg: PipelineConfig) -> None:
     ws = pipeline.Workspace(cfg)
     splits = pipeline.stage_preprocess(ws)
     if command == "preprocess":
+        # the windowed dump has its own key, so a preprocess hit cannot vouch for it
+        digest = ws.stage_hash("windows", [], upstream=("preprocess",))
+        outputs = [f"windows_{s}.csv" for s in pipeline.SPLITS]
+        if not ws.fresh("windows", digest, outputs):
+            for s, name in zip(pipeline.SPLITS, outputs):
+                ingest.write_windows_csv(splits[s], ws.path(name))
+            ws.mark("windows", digest, outputs)
         print(f"wrote windowed splits to {ws.dir}")
         return
     enc = pipeline.stage_train_encoder(ws, splits)

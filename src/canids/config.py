@@ -189,6 +189,9 @@ def _parse_attack(raw: str) -> AttackSpec:
         if "=" not in extra:
             raise ConfigError(f"bad attack option {extra!r}")
         opt, val = extra.split("=", 1)
+        form = {"span": "FROM:TO", "mutate": "IDX:LO:HI"}.get(opt)
+        if form and any(f.count(":") != form.count(":") for f in val.split(",")):
+            raise ConfigError(f"{opt} needs {form}, got {val!r}")
         if opt == "rate":
             kwargs["rate"] = float(val)
         elif opt == "target":

@@ -127,16 +127,27 @@ def prepare_splits(config: PipelineConfig):
     return {"train": train, "val": val, "test": test}
 
 
+class LazySplits:
+    """`prepare_splits(config)`, made on first lookup: a fully cached run never parses."""
+
+    def __init__(self, config: PipelineConfig):
+        self.config, self._splits = config, None
+
+    def __getitem__(self, name: str):
+        if self._splits is None:
+            self._splits = prepare_splits(self.config)
+        return self._splits[name]
+
+
 def stage_preprocess(ws: Workspace):
+    """Record the preprocess digest and return lazy splits. The digest covers the
+    log's bytes and the window and split keys; it does not validate the log, which
+    is parsed (and rejected if missing or empty) only when a stage needs frames."""
     digest = ws.stage_hash("preprocess", ["input_log", "window_size",
                                           "train_ratio", "val_ratio", "test_ratio"])
-    outputs = [f"windows_{s}.csv" for s in SPLITS]
-    splits = prepare_splits(ws.config)
-    if not ws.fresh("preprocess", digest, outputs):
-        for s in SPLITS:
-            ingest.write_windows_csv(splits[s], ws.path(f"windows_{s}.csv"))
-        ws.mark("preprocess", digest, outputs)
-    return splits
+    if not ws.fresh("preprocess", digest):
+        ws.mark("preprocess", digest)
+    return LazySplits(ws.config)
 
 
 def _graphs_for(split_windows, config: PipelineConfig):

@@ -6,7 +6,7 @@ out of range would wrap silently in a uint8 column.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 import numpy as np
@@ -139,11 +139,6 @@ def _ecu_frames(spec: EcuSpec, profile: TrafficProfile, idx: int) -> FrameTable:
                       np.full(n, spec.dlc, np.uint8), payload, np.zeros(n, np.int8))
 
 
-def _by_time(table: FrameTable) -> FrameTable:
-    """Rows in timestamp order; rows with equal timestamps keep their order."""
-    return table[np.argsort(table.timestamp, kind="stable")]
-
-
 def generate_normal(profile: TrafficProfile) -> FrameTable:
     """Emit periodic frames for every ECU, merged in timestamp order.
 
@@ -151,18 +146,21 @@ def generate_normal(profile: TrafficProfile) -> FrameTable:
     substream so adding an ECU never perturbs the others.
     """
     profile.validate()
-    return _by_time(FrameTable.concat([_ecu_frames(spec, profile, idx)
-                                       for idx, spec in enumerate(profile.ecu_specs)]))
+    table = FrameTable.concat([_ecu_frames(spec, profile, idx)
+                               for idx, spec in enumerate(profile.ecu_specs)])
+    return table[np.argsort(table.timestamp, kind="stable")]
 
 
 def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
     """Insert attack frames into a timestamp-sorted log; originals are untouched.
 
-    Output is re-sorted by timestamp with injected frames placed after
+    The output stays sorted by timestamp, with injected frames placed after
     originals on ties.
     """
     if not len(table):
         raise ValueError("cannot inject into an empty log")
+    if np.any(table.timestamp[1:] < table.timestamp[:-1]):
+        raise ValueError("cannot inject into a log whose timestamps are not sorted")
     rng = np.random.default_rng(seed)
     end = spec.start + spec.duration
     t0, t1 = table.timestamp[[0, -1]].tolist()
@@ -190,7 +188,6 @@ def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
     elif spec.kind is Label.SPOOFING:
         # spoofed payloads start from the victim's last genuine payload
         victim = np.flatnonzero(table.arbitration_id == spec.target_id)
-        victim = victim[np.argsort(table.timestamp[victim], kind="stable")]
         last = np.searchsorted(table.timestamp[victim], ts, side="right") - 1
         seen = last >= 0
         dlc[seen] = table.dlc[victim[last[seen]]]
@@ -202,4 +199,11 @@ def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
 
     injected = FrameTable(ts, arb, dlc, payload,
                           np.full(len(ts), LABELS.index(spec.kind), np.int8))
-    return _by_time(FrameTable.concat([table, injected]))
+    # every kind yields time-ordered frames (replay copies sorted rows); each goes after the
+    # originals at or before its time, so only rows at[0]:at[-1] interleave with them
+    at = np.searchsorted(table.timestamp, ts, side="right")
+    lo, hi = (at[0], at[-1]) if len(at) else (0, 0)
+    middle = table[lo:hi]
+    merged = FrameTable(*(np.insert(getattr(middle, f.name), at - lo, getattr(injected, f.name),
+                                    axis=0) for f in fields(FrameTable)))
+    return FrameTable.concat([table[:lo], merged, table[hi:]])

@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from canids import nn
-from canids.analysis import auc_score, entropy_bits, entropy_sweep
+from canids.analysis import auc_score, entropy_sweep
 from canids.cli import EXIT_OK, main
 from canids.config import PipelineConfig
 from canids.detector import (DetectorConfig, DetectorModel, detect,
@@ -317,16 +317,26 @@ def test_criterion_2_structural_oracles(capfd):
 
 # --- criterion 3: entropy oracles ---------------------------------------------
 
+def _count_entropy(counts) -> float:
+    """entropy_sweep's entropy of one window holding counts[k] frames of ID k, in a
+    shuffled order."""
+    ids = np.random.default_rng(len(counts)).permutation(np.repeat(np.arange(len(counts)),
+                                                                   counts))
+    t = _table(len(ids))
+    (s,) = entropy_sweep(FrameTable(t.timestamp, ids, t.dlc, t.payload, t.label), [len(ids)])
+    return s.mean
+
+
 def test_criterion_3_entropy_oracles(capfd):
     with criterion(3, "entropy oracles (closed forms, random counts, sweep shape)", capfd):
-        assert entropy_bits([50]) == 0.0
-        assert entropy_bits([10, 10, 10, 10]) == pytest.approx(2.0, abs=1e-12)
+        assert _count_entropy([50]) == 0.0
+        assert _count_entropy([10, 10, 10, 10]) == pytest.approx(2.0, abs=1e-12)
         rng = np.random.default_rng(3)
         for _ in range(200):
             counts = rng.integers(1, 100, size=int(rng.integers(1, 12)))
             p = counts / counts.sum()
             expected = float(-(p * np.log2(p)).sum())
-            assert entropy_bits(counts.tolist()) == pytest.approx(expected, abs=1e-12)
+            assert _count_entropy(counts) == pytest.approx(expected, abs=1e-12)
 
         sizes = [10, 20, 40, 80]
         stats = entropy_sweep(_table(2000), sizes)

@@ -1,15 +1,15 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canids.analysis import (MetricBlock, auc_score, compute_metrics,
-                             entropy_bits, entropy_sweep, window_entropy,
-                             write_entropy_csv)
+from canids.analysis import (EntropyStats, MetricBlock, auc_score, compute_metrics,
+                             entropy_sweep, write_entropy_csv)
 
-from conftest import make_frame, normal_frames, table, windows_from
+from conftest import make_frame, normal_frames, table
 
 
 def frames_with_ids(id_counts, dt=0.001):
@@ -35,21 +35,59 @@ def pairwise_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def entropy_bits(counts) -> float:
+    """Shannon entropy -sum p log2 p of a count distribution, term by term in order."""
+    total = sum(counts)
+    h = 0.0
+    for c in counts:
+        p = c / total
+        h -= p * np.log2(p)
+    return float(h)
+
+
+def counter_sweep(t, sizes):
+    """Oracle: entropy_sweep as a per-window loop over a Counter of each window's
+    IDs, in first-occurrence order (the implementation the array sweep replaced)."""
+    out, prev_mean = [], None
+    ids = t.arbitration_id.tolist()
+    for size in sizes:
+        n_full = len(ids) // size
+        if n_full == 0:
+            continue
+        ent = np.array([entropy_bits(Counter(ids[i * size : (i + 1) * size]).values())
+                        for i in range(n_full)])
+        mean = float(ent.mean())
+        if prev_mean is None:
+            growth = None
+        elif prev_mean == 0.0:
+            growth = 0.0 if mean == 0.0 else float("inf")
+        else:
+            growth = (mean - prev_mean) / prev_mean
+        out.append(EntropyStats(size, mean, float(np.median(ent)), float(ent.min()),
+                                float(ent.max()), float(ent.std()), growth))
+        prev_mean = mean
+    return out
+
+
+def window_entropy(frames) -> float:
+    """The sweep's entropy of one window holding all of `frames`."""
+    (s,) = entropy_sweep(table(frames), [len(frames)])
+    assert s.min == s.mean == s.max
+    return s.mean
+
+
 class TestWindowEntropy:
     def test_single_id_zero_entropy(self):
-        (w,) = windows_from(frames_with_ids([(0x100, 50)]), 50)
-        assert window_entropy(w) == 0.0
+        assert window_entropy(frames_with_ids([(0x100, 50)])) == 0.0
 
     def test_uniform_four_ids(self):
         frames = frames_with_ids([(0x1, 10), (0x2, 10), (0x3, 10), (0x4, 10)])
-        (w,) = windows_from(frames, 40)
-        assert window_entropy(w) == pytest.approx(2.0)
+        assert window_entropy(frames) == pytest.approx(2.0)
 
     def test_skewed_counts(self):
         frames = frames_with_ids([(0x1, 30), (0x2, 15), (0x3, 5)])
-        (w,) = windows_from(frames, 50)
         expected = -(0.6 * math.log2(0.6) + 0.3 * math.log2(0.3) + 0.1 * math.log2(0.1))
-        assert window_entropy(w) == pytest.approx(expected, abs=1e-12)
+        assert window_entropy(frames) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(1.295, abs=1e-3)
 
     @pytest.mark.parametrize("trial", range(20))
@@ -58,21 +96,30 @@ class TestWindowEntropy:
         counts = rng.integers(1, 50, size=rng.integers(1, 10))
         p = counts / counts.sum()
         expected = float(-(p * np.log2(p)).sum())
-        assert entropy_bits(counts.tolist()) == pytest.approx(expected, abs=1e-12)
+        frames = frames_with_ids([(0x10 + i, int(c)) for i, c in enumerate(counts)])
+        assert window_entropy(frames) == pytest.approx(expected, abs=1e-12)
 
     def test_bounds_and_permutation_invariance(self):
         rng = np.random.default_rng(1)
         ids = rng.choice([0x10, 0x20, 0x30, 0x40, 0x50], size=60)
         frames = [make_frame(ts=i * 0.001, arb=int(a)) for i, a in enumerate(ids)]
-        (w,) = windows_from(frames, 60)
-        h = window_entropy(w)
+        h = window_entropy(frames)
         assert 0.0 <= h <= math.log2(min(60, len(set(ids))))
         shuffled = list(frames)
         rng.shuffle(shuffled)
         for i, f in enumerate(shuffled):
             shuffled[i] = make_frame(ts=i * 0.001, arb=f.arbitration_id)
-        (ws,) = windows_from(shuffled, 60)
-        assert window_entropy(ws) == pytest.approx(h, abs=1e-12)
+        assert window_entropy(shuffled) == pytest.approx(h, abs=1e-12)
+
+    @pytest.mark.parametrize("n_ids", [1, 3, 40, 2000])
+    def test_sweep_matches_counter_oracle_bit_for_bit(self, n_ids):
+        """Every statistic equals the Counter loop's exactly, so entropy_sweep.csv
+        keeps its bytes; 2000 IDs put many singletons in every window, as fuzzing does."""
+        rng = np.random.default_rng(n_ids)
+        t = table([make_frame(ts=i * 0.001, arb=int(a))
+                   for i, a in enumerate(rng.integers(0, n_ids, size=1500) * 7 + 0x40)])
+        sizes = list(range(1, 31)) + [64, 99, 100, 250, 1500, 1501]
+        assert entropy_sweep(t, sizes) == counter_sweep(t, sizes)
 
 
 class TestEntropySweep:

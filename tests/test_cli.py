@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import canids
+from canids import ingest
 from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 SYNTH_CFG = """
@@ -99,14 +100,68 @@ def test_full_run_and_stagewise_equivalence(synth_log, capsys):
     work = root / "work"
     for artifact in ("encoder.ckpt", "detector.ckpt", "summary.txt",
                      "detect_sequence.csv", "detect_mean.csv", "detect_max.csv",
-                     "windows_train.csv", "embeddings_test.csv", "manifest.json"):
+                     "embeddings_test.csv", "manifest.json"):
         assert (work / artifact).exists(), artifact
     summary_first = (work / "summary.txt").read_bytes()
 
-    # stage-by-stage rerun in the same work dir resumes and reproduces output
+    # stage-by-stage rerun in the same work dir resumes and reproduces output;
+    # only `canids preprocess` dumps the windowed splits
     for cmd in ("preprocess", "train-encoder", "embed", "train-detector", "detect"):
         assert main([cmd, "--config", str(cfg)]) == EXIT_OK
+        if cmd == "preprocess":
+            assert (work / "windows_train.csv").exists()
     assert (work / "summary.txt").read_bytes() == summary_first
+
+
+def test_only_preprocess_writes_window_csvs(synth_log, tmp_path):
+    _, log = synth_log
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["train-encoder", "--config", str(cfg)]) == EXIT_OK  # preprocess misses here
+    assert not list((tmp_path / "work").glob("windows_*.csv"))
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "work").glob("windows_*.csv")) == [
+        "windows_test.csv", "windows_train.csv", "windows_val.csv"]
+
+
+def test_window_csvs_follow_a_window_size_change(synth_log, tmp_path):
+    """A `run` that records a new preprocess digest leaves the old dump behind; the
+    next `canids preprocess` must rewrite it, not take it for fresh."""
+    _, log = synth_log
+    cfg = tmp_path / "s.cfg"
+    work = tmp_path / "work"
+
+    def dumped_window_size():
+        with (work / "windows_train.csv").open() as fh:
+            next(fh)
+            ordinals = [int(line.split(",")[1]) for line in fh]
+        return max(ordinals) + 1
+
+    for size, commands in ((50, ["preprocess"]), (40, ["run", "preprocess"])):
+        cfg.write_text(PIPELINE_KEYS.replace("window_size = 50", f"window_size = {size}")
+                       + f"input_log = {log}\nwork_dir = {work}\n")
+        for cmd in commands:
+            assert main([cmd, "--config", str(cfg)]) == EXIT_OK
+        assert dumped_window_size() == size
+
+
+def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, capsys):
+    _, log = synth_log
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    parse_log, parsed = ingest.parse_log, []
+    monkeypatch.setattr(ingest, "parse_log", lambda *a: parsed.append(a) or parse_log(*a))
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert len(parsed) == 1  # every stage that needs frames shares one parse
+    assert not list((tmp_path / "work").glob("windows_*.csv"))
+    first = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fully cached run parsed the log")
+
+    monkeypatch.setattr(ingest, "parse_log", refuse)
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 def test_evaluate_matches_summary(synth_log, capsys):
@@ -143,7 +198,8 @@ def test_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["ecu2 = 0x200 ten 8 const",
-                                  "attack1 = spoofing 0.2 0.1 target=0x100 mutate=8:0:1"])
+                                  "attack1 = spoofing 0.2 0.1 target=0x100 mutate=8:0:1",
+                                  "attack1 = replay 0.5 0.1 span=0:0.1:0.2"])
 def test_malformed_synth_spec_is_config_error(tmp_path, spec):
     out = tmp_path / "traffic.csv"
     cfg = tmp_path / "bad.cfg"

@@ -106,10 +106,25 @@ attack3 = spoofing 5.0 1.0 rate=100 target=0x200 mutate=1:0x80:0xFF
     "attack1 = spoofing 0.2 0.1 target=0x100 mutate=1:0:256",
     "attack1 = spoofing 0.2 0.1 target=0x100 mutate=1:9:8",
     "attack1 = spoofing 0.2 0.1 target=0x100",
+    "attack1 = spoofing 0.2 0.1 target=0x100 mutate=1:2:3:4",
+    "attack1 = replay 1.0 0.5 span=1",
+    "attack1 = replay 1.0 0.5 span=1:2:3",
 ])
 def test_spec_parse_errors(tmp_path, line):
     with pytest.raises(ConfigError, match=r"pipeline\.cfg:1: "):
         PipelineConfig.from_file(write_cfg(tmp_path, line + "\n"))
+
+
+@pytest.mark.parametrize("option, form", [("mutate=1:2", "mutate needs IDX:LO:HI"),
+                                          ("mutate=1:2:3:4", "mutate needs IDX:LO:HI"),
+                                          ("mutate=1:9:9,4:5", "mutate needs IDX:LO:HI"),
+                                          ("span=1", "span needs FROM:TO"),
+                                          ("span=1:2:3", "span needs FROM:TO")])
+def test_attack_option_field_count_error(tmp_path, option, form):
+    bad = option.split("=")[1]
+    with pytest.raises(ConfigError) as e:
+        PipelineConfig.from_file(write_cfg(tmp_path, f"attack1 = spoofing 0.2 0.1 {option}\n"))
+    assert str(e.value).endswith(f"pipeline.cfg:1: bad value for 'attack1': {form}, got '{bad}'")
 
 
 def test_set_overrides():

@@ -401,17 +401,18 @@ class TestNormalize:
 
 class TestFrameTable:
     def test_columns_match_frames(self):
-        frames = [make_frame(ts=0.5, arb=0x1A0, dlc=2, data=[7, 0]),
-                  make_frame(ts=0.75, arb=0x7FF, dlc=8, label=Label.SPOOFING)]
-        t = table(frames)
-        assert len(t) == 2
-        assert t.timestamp.tolist() == [0.5, 0.75]
-        assert t.arbitration_id.tolist() == [0x1A0, 0x7FF]
-        assert t.dlc.tolist() == [2, 8]
-        assert t.payload.tolist() == [list(f.payload) for f in frames]
-        assert [LABELS[c] for c in t.label] == [Label.NORMAL, Label.SPOOFING]
-        assert (t.timestamp.dtype, t.arbitration_id.dtype, t.dlc.dtype, t.payload.dtype,
-                t.label.dtype) == (np.float64, np.int64, np.uint8, np.uint8, np.int8)
+        """concat and row indexing keep each column's values and dtype."""
+        rows = [make_frame(ts=0.5, arb=0x1A0, dlc=2, data=[7, 0]),
+                make_frame(ts=0.75, arb=0x7FF, dlc=8, label=Label.SPOOFING),
+                make_frame(ts=1.0, arb=0x1FFFFFFF, dlc=0, label=Label.FUZZING)]
+        dtypes = (np.float64, np.int64, np.uint8, np.uint8, np.int8)
+        whole = FrameTable.concat([table(rows[:1]), table(rows[1:1]), table(rows[1:])])
+        for t, expected in ((whole, rows), (whole[whole.label > 0], rows[1:]),
+                            (whole[np.array([2, 0])], [rows[2], rows[0]]),
+                            (whole[[1]], rows[1:2]), (whole[1:], rows[1:])):
+            assert rows_of(t) == expected
+            assert tuple(getattr(t, c).dtype for c in COLUMNS) == dtypes
+            assert t.payload.shape == (len(expected), 8)
 
     def test_slices_are_views(self):
         t = table(normal_frames(10))
@@ -484,6 +485,19 @@ def test_windows_csv_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("window_index,frame_ordinal,dlc_norm,byte_bin1")
     assert len(lines) == 1 + 6
+
+
+def test_windows_csv_rows(tmp_path):
+    frames = normal_frames(3) + [make_frame(ts=0.003, arb=0x7, dlc=2, data=[0, 5],
+                                            label=Label.FUZZING), *normal_frames(2)]
+    path = tmp_path / "w.csv"
+    write_windows_csv(windows_from(frames, 3)[1:], path)
+    assert path.read_text().splitlines() == [
+        "window_index,frame_ordinal,dlc_norm,byte_bin1,byte_bin2,byte_bin3,byte_bin4,"
+        "byte_bin5,byte_bin6,byte_bin7,byte_bin8,arbitration_id,label",
+        "1,0,0.25,0,1,0,0,0,0,0,0,007,Fuzzing",
+        "1,1,1.0,0,1,1,1,1,1,1,1,100,Normal",
+        "1,2,1.0,1,1,1,1,1,1,1,1,200,Normal"]
 
 
 def test_failed_windows_csv_write_keeps_previous_file(tmp_path):

@@ -135,6 +135,24 @@ class TestInject:
             inject(base_log, AttackSpec(Label.FLOODING, start=5.0, duration=1.0, rate=100))
         with pytest.raises(ValueError):
             inject(base_log[:0], AttackSpec(Label.FLOODING, start=0, duration=1, rate=10))
+        with pytest.raises(ValueError, match="not sorted"):
+            inject(base_log[::-1], AttackSpec(Label.FLOODING, start=0.5, duration=0.1))
+
+    @pytest.mark.parametrize("spec", [
+        AttackSpec(Label.FLOODING, start=0.0, duration=0.5, rate=1000),  # ties at every 10 ms
+        AttackSpec(Label.FUZZING, start=0.2, duration=1.0, rate=2000),
+        AttackSpec(Label.REPLAY, start=1.0, duration=0.1, replay_span=(0.0, 0.4)),
+        AttackSpec(Label.SPOOFING, start=0.0, duration=1.9, rate=200, target_id=0x100,
+                   mutation=((2, 200, 255),)),
+        AttackSpec(Label.FLOODING, start=1.0, duration=0.0),  # injects nothing
+    ])
+    def test_merge_matches_stable_sort(self, base_log, spec):
+        """The merge equals one stable sort of (log, injected frames) by timestamp,
+        the order originals-before-injected on a tie."""
+        out = inject(base_log, spec, seed=4)
+        injected = of_kind(out, spec.kind)
+        joined = FrameTable.concat([base_log, injected])
+        assert same_columns(out, joined[np.argsort(joined.timestamp, kind="stable")])
 
 
 @pytest.mark.parametrize("make", [
