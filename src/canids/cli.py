@@ -2,15 +2,14 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
 
 from . import ingest, pipeline
-from .analysis import compute_metrics
+from .analysis import compute_metrics  # noqa: F401 -- perfbench's tracer patches it here
 from .config import KEY_SPECS, ConfigError, PipelineConfig
-from .detector import DetectionReport, summary_table
+from .detector import VIEWS, read_report_csvs, summary_table
 from .ingest import ParseError
 
 EXIT_OK = 0
@@ -18,7 +17,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-VIEWS = ("sequence", "mean", "max")
 STAGE_COMMANDS = ("synth", "preprocess", "entropy", "train-encoder", "embed",
                   "train-detector", "detect", "evaluate", "run", "sweep")
 
@@ -61,27 +59,17 @@ def cmd_evaluate(cfg: PipelineConfig) -> None:
     if not work.is_dir():
         raise FileNotFoundError(f"missing {work}; run detect first")
     ws = pipeline.Workspace(cfg)
-    rows = {}
     for view in VIEWS:
         path = ws.path(f"detect_{view}.csv")
         if not path.exists():
             raise FileNotFoundError(f"missing {path}; run detect first")
         if not ws.intact(path.name):
             raise ValueError(f"{path} does not match its sha256 in manifest.json; rerun detect")
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            rows[view] = [(int(r[0]), float(r[1]), int(r[2]), int(r[3])) for r in reader]
-    metrics = {view: compute_metrics([r[2] for r in rows[view]], [r[3] for r in rows[view]],
-                                     [r[1] for r in rows[view]])
-               for view in VIEWS}
-    report = DetectionReport(threshold=cfg.threshold, sequence_rows=rows["sequence"],
-                             mean_rows=rows["mean"], max_rows=rows["max"], metrics=metrics)
+    report = read_report_csvs(ws.dir, cfg.threshold)
     print(summary_table(report, cfg.window_size, cfg.sequence_length))
 
 
 def dispatch(command: str, cfg: PipelineConfig) -> None:
-    ws = None
     if command == "synth":
         path = pipeline.run_synth(cfg)
         print(f"wrote {path}")
@@ -95,9 +83,9 @@ def dispatch(command: str, cfg: PipelineConfig) -> None:
     if command == "sweep":
         print(f"wrote {pipeline.run_sweep(cfg)}")
         return
-    if command == "run":
-        report, ws = pipeline.run_pipeline(cfg)
-        print((ws.path("summary.txt")).read_text(), end="")
+    if command in ("run", "detect"):
+        _, ws = pipeline.run_pipeline(cfg)
+        print(ws.path("summary.txt").read_text(), end="")
         return
 
     ws = pipeline.Workspace(cfg)
@@ -120,12 +108,8 @@ def dispatch(command: str, cfg: PipelineConfig) -> None:
     if command == "embed":
         print(f"wrote embeddings to {ws.dir}")
         return
-    det = pipeline.stage_train_detector(ws, embeddings)
-    if command == "train-detector":
-        print(f"wrote {ws.path('detector.ckpt')}")
-        return
-    pipeline.stage_detect(ws, embeddings, det)
-    print(ws.path("summary.txt").read_text(), end="")
+    pipeline.stage_train_detector(ws, embeddings)
+    print(f"wrote {ws.path('detector.ckpt')}")
 
 
 def main(argv=None) -> int:

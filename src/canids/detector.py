@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 HIDDEN_DIM = 64
 HEAD_DIM = 32
 DROPOUT_P = 0.3
+VIEWS = ("sequence", "mean", "max")
 
 
 @dataclass
@@ -49,6 +50,13 @@ class DetectionReport:
     mean_rows: list        # (window_index, score, decision, label)
     max_rows: list
     metrics: dict          # view name -> MetricBlock
+
+    @classmethod
+    def from_rows(cls, threshold: float, sequence_rows, mean_rows, max_rows) -> DetectionReport:
+        """The report whose metrics are computed from its rows, view by view."""
+        metrics = {view: compute_metrics([r[2] for r in rs], [r[3] for r in rs], [r[1] for r in rs])
+                   for view, rs in zip(VIEWS, (sequence_rows, mean_rows, max_rows))}
+        return cls(threshold, sequence_rows, mean_rows, max_rows, metrics)
 
     def view_rows(self, view: str) -> list:
         return {"sequence": self.sequence_rows, "mean": self.mean_rows, "max": self.max_rows}[view]
@@ -192,18 +200,12 @@ def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5
         c = np.diagonal(probs[::-1], w - len(probs) + 1)
         for rows, score in ((mean_rows, float(np.mean(c))), (max_rows, float(np.max(c)))):
             rows.append((e.window_index, score, int(score >= threshold), e.label))
-
-    metrics = {}
-    for view, rows in (("sequence", sequence_rows), ("mean", mean_rows), ("max", max_rows)):
-        metrics[view] = compute_metrics([r[2] for r in rows], [r[3] for r in rows],
-                                        [r[1] for r in rows])
-    return DetectionReport(threshold=threshold, sequence_rows=sequence_rows,
-                           mean_rows=mean_rows, max_rows=max_rows, metrics=metrics)
+    return DetectionReport.from_rows(threshold, sequence_rows, mean_rows, max_rows)
 
 
 def write_report_csvs(report: DetectionReport, out_dir) -> None:
     out_dir = Path(out_dir)
-    for view in ("sequence", "mean", "max"):
+    for view in VIEWS:
         with nn.atomic_path(out_dir / f"detect_{view}.csv") as tmp, tmp.open("w", newline="") as fh:
             w = csv.writer(fh)
             unit = "start_index" if view == "sequence" else "window_index"
@@ -212,10 +214,21 @@ def write_report_csvs(report: DetectionReport, out_dir) -> None:
                 w.writerow([row[0], repr(row[1]), row[2], row[3]])
 
 
+def read_report_csvs(out_dir, threshold: float) -> DetectionReport:
+    """The report write_report_csvs wrote, rows bit for bit, metrics recomputed from them."""
+    rows = []
+    for view in VIEWS:
+        with (Path(out_dir) / f"detect_{view}.csv").open(newline="") as fh:
+            reader = csv.reader(fh)
+            next(reader)  # header
+            rows.append([(int(r[0]), float(r[1]), int(r[2]), int(r[3])) for r in reader])
+    return DetectionReport.from_rows(threshold, *rows)
+
+
 def summary_table(report: DetectionReport, window_size: int, sequence_length: int) -> str:
     """Plain-text block with one row per view: accuracy/precision/recall/F1/AUC."""
     lines = ["Win  Seq  Type      Accuracy  Precision  Recall   F1-score  AUC"]
-    for view in ("sequence", "mean", "max"):
+    for view in VIEWS:
         mb = report.metrics[view]
         auc = f"{mb.auc:.4f}" if mb.auc is not None else "n/a"
         lines.append(f"{window_size:<4} {sequence_length:<4} {view:<9} "

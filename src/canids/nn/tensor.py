@@ -74,8 +74,11 @@ class Tensor:
             node.parents, node.backward_fn, node.grad = (), None, None
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add g to the gradient. The first g is kept uncopied, so an op hands over an
+        array it no longer uses and never writes into a gradient it receives (the
+        same array may be another tensor's gradient too)."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad = self.grad + g
 

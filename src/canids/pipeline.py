@@ -17,8 +17,8 @@ import numpy as np
 
 from . import analysis, ingest, nn, synth
 from .config import PipelineConfig
-from .detector import (DetectorConfig, DetectorModel, detect, make_sequences,
-                       summary_table, train_detector, write_report_csvs)
+from .detector import (VIEWS, DetectorConfig, DetectorModel, detect, make_sequences,
+                       read_report_csvs, summary_table, train_detector, write_report_csvs)
 from .encoder import (EncoderConfig, EncoderModel, embed, read_embeddings_csv,
                       train_encoder, write_embeddings_csv)
 from .frames import LABELS, FrameTable
@@ -127,16 +127,18 @@ def prepare_splits(config: PipelineConfig):
     return {"train": train, "val": val, "test": test}
 
 
-class LazySplits:
-    """`prepare_splits(config)`, made on first lookup: a fully cached run never parses."""
+class Lazy:
+    """The dict `make()` returns, made on the first lookup and kept. Stages hand on
+    the splits and cached embeddings this way, so they are made or read only when a
+    later stage misses."""
 
-    def __init__(self, config: PipelineConfig):
-        self.config, self._splits = config, None
+    def __init__(self, make):
+        self._make, self._made = make, None
 
     def __getitem__(self, name: str):
-        if self._splits is None:
-            self._splits = prepare_splits(self.config)
-        return self._splits[name]
+        if self._made is None:
+            self._made = self._make()
+        return self._made[name]
 
 
 def stage_preprocess(ws: Workspace):
@@ -147,7 +149,7 @@ def stage_preprocess(ws: Workspace):
                                           "train_ratio", "val_ratio", "test_ratio"])
     if not ws.fresh("preprocess", digest):
         ws.mark("preprocess", digest)
-    return LazySplits(ws.config)
+    return Lazy(lambda: prepare_splits(ws.config))
 
 
 def _graphs_for(split_windows, config: PipelineConfig):
@@ -184,7 +186,7 @@ def stage_embed(ws: Workspace, splits, model: EncoderModel):
     digest = ws.stage_hash("embed", ["byte_mode"], upstream=("train-encoder",))
     outputs = [f"embeddings_{s}.csv" for s in SPLITS]
     if ws.fresh("embed", digest, outputs):
-        return {s: read_embeddings_csv(ws.path(f"embeddings_{s}.csv")) for s in SPLITS}
+        return Lazy(lambda: {s: read_embeddings_csv(ws.path(o)) for s, o in zip(SPLITS, outputs)})
     embeddings = {}
     for s in SPLITS:
         graphs = _graphs_for(splits[s], ws.config)
@@ -223,12 +225,14 @@ def stage_detect(ws: Workspace, embeddings, model: DetectorModel):
     cfg = ws.config
     digest = ws.stage_hash("detect", ["sequence_length", "threshold"],
                            upstream=("train-detector",))
+    outputs = [f"detect_{v}.csv" for v in VIEWS] + ["summary.txt"]
+    if ws.fresh("detect", digest, outputs):
+        return read_report_csvs(ws.dir, cfg.threshold)
     report = detect(model, embeddings["test"], cfg.sequence_length, cfg.threshold)
     write_report_csvs(report, ws.dir)
     text = summary_table(report, cfg.window_size, cfg.sequence_length)
     nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())
-    ws.mark("detect", digest, ["detect_sequence.csv", "detect_mean.csv", "detect_max.csv",
-                               "summary.txt"])
+    ws.mark("detect", digest, outputs)
     return report
 
 
@@ -271,7 +275,7 @@ def run_sweep(config: PipelineConfig) -> Path:
                 except (ValueError, FloatingPointError) as e:
                     log.warning("sweep cell (w=%d, l=%d) skipped: %s", w, l, e)
                     continue
-                for view in ("sequence", "mean", "max"):
+                for view in VIEWS:
                     mb = report.metrics[view]
                     auc = "" if mb.auc is None else repr(mb.auc)
                     fh.write(f"{w},{l},{view},{mb.accuracy!r},{mb.precision!r},"

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import canids
-from canids import ingest
+from canids import ingest, pipeline
 from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from canids.detector import VIEWS
 
 SYNTH_CFG = """
 synth_duration = 6
@@ -145,23 +146,87 @@ def test_window_csvs_follow_a_window_size_change(synth_log, tmp_path):
         assert dumped_window_size() == size
 
 
+def refuse(monkeypatch, *names):
+    """Make each named function of canids (`module.function`) raise if called."""
+    for name in names:
+        def call(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+        monkeypatch.setattr(f"canids.{name}", call)
+
+
 def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, capsys):
+    """A fully cached run hashes the log, loads the checkpoints and reads the report:
+    it parses no log, reads no embeddings and runs no detector."""
     _, log = synth_log
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
     parse_log, parsed = ingest.parse_log, []
     monkeypatch.setattr(ingest, "parse_log", lambda *a: parsed.append(a) or parse_log(*a))
+    run_pipeline, reports = pipeline.run_pipeline, []
+
+    def keep_report(config):
+        report, ws = run_pipeline(config)
+        reports.append(report)
+        return report, ws
+
+    monkeypatch.setattr(pipeline, "run_pipeline", keep_report)
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
     assert len(parsed) == 1  # every stage that needs frames shares one parse
     assert not list((tmp_path / "work").glob("windows_*.csv"))
     first = capsys.readouterr().out
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a fully cached run parsed the log")
-
-    monkeypatch.setattr(ingest, "parse_log", refuse)
+    refuse(monkeypatch, "ingest.parse_log", "pipeline.detect", "detector.detect",
+           "pipeline.read_embeddings_csv", "encoder.read_embeddings_csv")
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
     assert capsys.readouterr().out == first
+    fresh, cached = reports
+    assert cached.sequence_rows and cached.mean_rows
+    assert cached == fresh  # the same rows, bit for bit, and the same metrics
+
+
+def test_threshold_change_reruns_only_detect(synth_log, tmp_path, monkeypatch):
+    _, log = synth_log
+    cfg = tmp_path / "th.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    work = tmp_path / "work"
+
+    def report_rows(view):
+        with (work / f"detect_{view}.csv").open() as fh:
+            next(fh)
+            return [(float(r[1]), int(r[2])) for r in (line.split(",") for line in fh)]
+
+    upstream = ["encoder.ckpt", "detector.ckpt"] + [f"embeddings_{s}.csv" for s in pipeline.SPLITS]
+    mtimes = {n: (work / n).stat().st_mtime_ns for n in upstream}
+    before = report_rows("mean")
+    # a short training's probabilities bunch together, so a fixed threshold may move
+    # no decision; one at the mean view's median moves about half of them
+    threshold = repr(sorted(p for p, _ in before)[len(before) // 2])
+
+    refuse(monkeypatch, "ingest.parse_log")
+    assert main(["run", "--config", str(cfg), "--set", f"threshold={threshold}"]) == EXIT_OK
+    assert {n: (work / n).stat().st_mtime_ns for n in upstream} == mtimes
+    for view in VIEWS:
+        rows = report_rows(view)
+        assert rows and all(d == int(p >= float(threshold)) for p, d in rows), view
+    assert report_rows("mean") != before
+    outputs = {n: (work / n).read_bytes() for n in ("summary.txt", "manifest.json")}
+
+    refuse(monkeypatch, "pipeline.detect")  # the same command again is a hit
+    assert main(["run", "--config", str(cfg), "--set", f"threshold={threshold}"]) == EXIT_OK
+    assert {n: (work / n).read_bytes() for n in outputs} == outputs
+
+
+def test_truncated_report_is_rewritten(synth_log, tmp_path):
+    _, log = synth_log
+    cfg = tmp_path / "tr.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    report = tmp_path / "work" / "detect_mean.csv"
+    full = report.read_bytes()
+    report.write_bytes(full[: len(full) // 2])
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert report.read_bytes() == full
 
 
 def test_evaluate_matches_summary(synth_log, capsys):

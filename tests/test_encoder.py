@@ -146,12 +146,16 @@ class TestEmbed:
         assert (e.window_index, e.label) == (17, 1)
 
 
+@pytest.mark.filterwarnings("error")  # a header-only file (an empty split) must not warn
 def test_embeddings_csv_round_trip(tmp_path):
     model = EncoderModel(seed=0)
-    embs = [embed(model, random_graph(w=5, seed=i, index=i)) for i in range(4)]
     path = tmp_path / "emb.csv"
-    write_embeddings_csv(embs, path)
-    loaded = read_embeddings_csv(path)
-    for a, b in zip(embs, loaded):
-        assert (a.window_index, a.label) == (b.window_index, b.label)
-        assert np.array_equal(a.vector, b.vector)  # repr round-trips exactly
+    for rows in (0, 1, 4):
+        embs = [embed(model, random_graph(w=5, seed=i, index=i, label=i % 2)) for i in range(rows)]
+        write_embeddings_csv(embs, path)
+        loaded = read_embeddings_csv(path)
+        for a, b in zip(embs, loaded, strict=True):
+            assert (a.window_index, a.label) == (b.window_index, b.label)
+            assert type(b.window_index) is int and type(b.label) is int
+            assert b.vector.dtype == np.float64 and b.vector.shape == (32,)
+            assert np.array_equal(a.vector, b.vector)  # repr round-trips exactly

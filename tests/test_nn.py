@@ -250,6 +250,15 @@ class TestTape:
         assert all(p.grad is not None and p.grad.any() for p in model.parameters())
         assert scale.grad is not None and scale.grad.shape == (2, 1) and scale.grad.any()
 
+    def test_a_shared_first_gradient_is_never_written(self):
+        # `add` hands one array to both parents, uncopied; `a` then gets a second
+        # gradient before `b` has used the first, so summing in place corrupts b's
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        a, b = nn.mul(x, 2.0), nn.mul(x, 3.0)
+        nn.mse_loss(nn.add(nn.add(a, b), a), Tensor(np.zeros(2))).backward()
+        # d/dx mean((2x + 3x + 2x)^2) = 2 * 7x * 7 / 2
+        assert x.grad == pytest.approx(49.0 * x.data, rel=1e-12)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
