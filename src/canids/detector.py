@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -142,43 +141,23 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
     rng = np.random.default_rng(config.seed)
     y_train = train_labels[:, None].astype(np.float64)
 
-    history = []
-    best_f1 = -1.0
-    best_state = model.snapshot()
-    best_epoch = -1
     n = len(x_train)
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
+
+    def steps():
         order = rng.permutation(n)
-        epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             seq_probs = model.forward_batch(x_train[idx], training=True, rng=rng)[0]
-            loss = nn.bce_loss(seq_probs, nn.Tensor(y_train[idx]))
-            loss.backward()
-            if config.grad_clip > 0:
-                nn.clip_global_norm(model, config.grad_clip)
-            nn.adam_step(model, lr=config.lr)
-            epoch_loss += loss.item() * len(idx)
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            raise FloatingPointError(f"detector training diverged at epoch {epoch}")
-        with nn.no_grad():
-            val_probs = model.forward_batch(x_val)[0].data[:, 0]
-        val_dec = (val_probs >= 0.5).astype(np.int64)
-        val_metrics = compute_metrics(val_dec, y_val, val_probs)
-        history.append({"epoch": epoch, "train_loss": epoch_loss, "val_f1": val_metrics.f1})
-        log.info("detector epoch %d: train loss %.6g, val F1 %.4f, %.2f s",
-                 epoch, epoch_loss, val_metrics.f1, time.perf_counter() - started)
-        if val_metrics.f1 > best_f1:
-            best_f1 = val_metrics.f1
-            best_state = model.snapshot()
-            best_epoch = epoch
-        elif epoch - best_epoch > config.patience:
-            break
-    model.load_state(best_state)
-    return model, {"epochs_run": len(history), "best_epoch": best_epoch, "best_val_f1": best_f1,
-                   "history": history}
+            yield nn.bce_loss(seq_probs, nn.Tensor(y_train[idx])), len(idx)
+
+    def validate():
+        val_probs = model.forward_batch(x_val)[0].data[:, 0]
+        f1 = compute_metrics((val_probs >= 0.5).astype(np.int64), y_val, val_probs).f1
+        return f1, f1
+
+    record = nn.fit(model, config, steps, validate, log, "detector", ("val_f1", "val F1 %.4f"))
+    record["best_val_f1"] = max((row["val_f1"] for row in record["history"]), default=-1.0)
+    return model, record
 
 
 def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5) -> DetectionReport:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -90,8 +89,7 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     """Train on normal-only graphs; returns (model, log of per-epoch losses).
 
     Keeps the parameters from the epoch with the lowest validation
-    reconstruction loss; stops early after `patience` epochs without
-    improvement.
+    reconstruction loss; stops early by nn.fit's patience rule.
     """
     if not graphs:
         raise ValueError("no graphs to train on")
@@ -103,36 +101,16 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     val_graphs = graphs[len(graphs) - n_val :] if n_val else list(graphs)
 
     model = EncoderModel(seed=config.seed)
-    history = []
-    best_val = np.inf
-    best_state = model.snapshot()
-    best_epoch = -1
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        train_loss = 0.0
-        for g in train_graphs:
-            loss = _reconstruction_loss(model, g)
-            loss.backward()
-            if config.grad_clip > 0:
-                nn.clip_global_norm(model, config.grad_clip)
-            nn.adam_step(model, lr=config.lr)
-            train_loss += loss.item()
-        train_loss /= len(train_graphs)
-        if not np.isfinite(train_loss):
-            raise FloatingPointError(f"encoder training diverged at epoch {epoch}")
-        with nn.no_grad():
-            val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
-        history.append({"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss})
-        log.info("encoder epoch %d: train loss %.6g, val loss %.6g, %.2f s",
-                 epoch, train_loss, val_loss, time.perf_counter() - started)
-        if val_loss < best_val:
-            best_val = val_loss
-            best_state = model.snapshot()
-            best_epoch = epoch
-        elif epoch - best_epoch > config.patience:
-            break
-    model.load_state(best_state)
-    return model, {"epochs_run": len(history), "best_epoch": best_epoch, "history": history}
+
+    def steps():
+        return ((_reconstruction_loss(model, g), 1) for g in train_graphs)
+
+    def validate():
+        val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
+        return -val_loss, val_loss
+
+    return model, nn.fit(model, config, steps, validate, log, "encoder",
+                         ("val_loss", "val loss %.6g"))
 
 
 def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:

@@ -3,11 +3,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -25,23 +23,7 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class ColumnMapping:
-    """Column layout of a CAN log CSV.
-
-    With a header row, fields name columns; without one, they are 0-based
-    positional indices given as strings of integers.
-    """
-
-    timestamp: str = "timestamp"
-    arbitration_id: str = "arbitration_id"
-    dlc: str = "dlc"
-    payload: str = "payload"
-    label: Optional[str] = "label"  # None = no label column, all rows Normal
-    has_header: bool = True
-
-
-DEFAULT_MAPPING = ColumnMapping()
+COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")  # a log's header
 
 
 def _parse_hex(text: str, what: str) -> int:
@@ -84,10 +66,10 @@ def _parse_id(text: str) -> int:
 
 def _field(rows, width, index, default):
     """Column `index` of every row as text; `default` where a row is too short or the
-    column is absent. A negative positional index counts from the end, as in Python."""
+    column is absent (index None)."""
     if index is None:
         return [default] * len(rows)
-    present = (width > index) & (width >= -index)
+    present = width > index
     if present.all():
         return list(map(itemgetter(index), rows))
     return [row[index] if ok else default for row, ok in zip(rows, present.tolist())]
@@ -144,7 +126,7 @@ _CANONICAL_WIDTH = 3 * MAX_DLC - 1  # "HH HH HH HH HH HH HH HH"
 
 
 def _decode_payloads(texts):
-    """(payload uint8[N, 8], byte count int64[N], rejected bool[N]).
+    """(payload uint8[N, 8], rejected bool[N]).
 
     The form write_log emits (two hex digits per byte, single spaces, at most 8
     bytes, or empty) is decoded for all rows at once through a nibble table; any
@@ -169,40 +151,38 @@ def _decode_payloads(texts):
             rejected[i] = True
             continue
         payload[i, : len(data)] = data
-        count[i] = len(data)
-    return payload, count, rejected
+    return payload, rejected
 
 
 _BLOCK_ROWS = 4096  # rows converted at a time: bounds how many cell strings are alive at once
 
 
-def _parse_block(rows, lines, mapping: ColumnMapping, index, missing, strict: bool) -> FrameTable:
+def _parse_block(rows, lines, position: dict) -> FrameTable:
     """Convert and validate consecutive non-blank rows; `lines` holds their physical
-    line numbers. Raises ParseError for the first bad row."""
+    line numbers and `position` maps a header name to its column. Raises ParseError
+    for the first bad row."""
     n = len(rows)
     width = np.fromiter(map(len, rows), np.int64, n)
     ts_text, id_text, dlc_text, payload_text, label_text = (
-        _field(rows, width, None if key is None else index(key), default)
-        for key, default in ((mapping.timestamp, None), (mapping.arbitration_id, None),
-                             (mapping.dlc, None), (mapping.payload, ""), (mapping.label, "")))
+        _field(rows, width, position.get(name), default)
+        for name, default in zip(COLUMNS, (None, None, None, "", "")))
     timestamp, ts_bad = _convert(ts_text, float, np.float64)
     # int(text, 16) also reads "0x_1", which _parse_id rejects
     fast_id = None if "_" in "".join(filter(None, id_text)) else map(int, id_text, repeat(16))
     arb, id_bad = _convert(id_text, _parse_id, np.int64, fast_id)
     dlc, dlc_bad = _convert(dlc_text, int, np.int64)
-    payload, count, payload_bad = _decode_payloads(payload_text)
+    payload, payload_bad = _decode_payloads(payload_text)
     payload[np.arange(MAX_DLC) >= dlc[:, None]] = 0  # the declared DLC wins
     codes = {text: _label_code(text) for text in set(label_text)}
     label = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
 
     # in the order a row is checked, so a row's message is its first failure
     checks = [
-        (ts_bad, lambda i: _reason(float, ts_text[i], missing(mapping.timestamp))),
-        (id_bad, lambda i: _reason(_parse_id, id_text[i], missing(mapping.arbitration_id))),
-        (dlc_bad, lambda i: _reason(int, dlc_text[i], missing(mapping.dlc))),
+        (ts_bad, lambda i: _reason(float, ts_text[i], "missing column 'timestamp'")),
+        (id_bad, lambda i: _reason(_parse_id, id_text[i], "missing column 'arbitration_id'")),
+        (dlc_bad, lambda i: _reason(int, dlc_text[i], "missing column 'dlc'")),
         ((dlc < 0) | (dlc > MAX_DLC), lambda i: f"dlc {int(dlc_text[i])} outside [0, {MAX_DLC}]"),
         (payload_bad, lambda i: _reason(_parse_payload, payload_text[i])),
-        ((count > dlc) & strict, lambda i: f"payload has {count[i]} bytes but dlc is {dlc[i]}"),
         (label < 0, lambda i: _reason(Label.from_string, label_text[i])),
         ((arb < 0) | (arb >= MAX_ARBITRATION_ID),
          lambda i: f"arbitration id {_parse_id(id_text[i]):#x} outside 29-bit range"),
@@ -214,40 +194,34 @@ def _parse_block(rows, lines, mapping: ColumnMapping, index, missing, strict: bo
     return FrameTable(timestamp, arb, dlc.astype(np.uint8), payload, label)
 
 
-def parse_log(path, mapping: ColumnMapping = DEFAULT_MAPPING, strict: bool = False) -> FrameTable:
+def parse_log(path) -> FrameTable:
     """Parse a CSV CAN log into one FrameTable, rows in file order.
 
-    Blank lines are skipped. A malformed row raises ParseError naming its physical
-    line (1-based, header included); when several rows are bad, the first in file
-    order is named, with the first failing check of that row. Rows are converted
+    The header row names the columns, in any order, with the names in COLUMNS; a log
+    with no label column is all Normal. Blank lines are skipped. A malformed row
+    raises ParseError naming its physical line (1-based, header included); when
+    several rows are bad, the first in file order is named, with the first failing
+    check of that row. Rows are converted
     column by column, a block of rows at a time: payloads in the form write_log
     emits ("HH HH ...") are decoded for the whole block at once; comma-separated,
     contiguous ("A1B2C3") and single-digit forms are parsed row by row. Payloads
-    shorter than 8 bytes are zero-padded. In strict mode a payload longer than the
-    declared DLC is a parse error; otherwise it is truncated to the DLC, so the
-    bytes beyond the DLC are dropped. Non-monotone timestamps produce a warning,
-    not an error.
+    shorter than 8 bytes are zero-padded; a payload longer than the declared DLC is
+    truncated to it. Non-monotone timestamps produce a warning, not an error.
     """
     path = Path(path)
     blocks, rows, lines = [], [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        if mapping.has_header:
-            # a repeated name maps to its last column, as in csv.DictReader
-            position = {name: i for i, name in enumerate(next(reader, None) or [])}
-            index, missing = position.get, "missing column {!r}".format
-        else:
-            index, missing = int, lambda key: "missing column list index out of range"
+        # a repeated name maps to its last column, as in csv.DictReader
+        position = {name: i for i, name in enumerate(next(reader, None) or [])}
         for row in reader:
             if row:
                 rows.append(row)
                 lines.append(reader.line_num)
                 if len(rows) == _BLOCK_ROWS:
-                    blocks.append(_parse_block(rows, lines[-len(rows):], mapping, index,
-                                               missing, strict))
+                    blocks.append(_parse_block(rows, lines[-len(rows):], position))
                     rows = []
-        blocks.append(_parse_block(rows, lines[len(lines) - len(rows):], mapping, index,
-                                   missing, strict))
+        blocks.append(_parse_block(rows, lines[len(lines) - len(rows):], position))
     table = FrameTable.concat(blocks)
     back = np.flatnonzero(table.timestamp[1:] < table.timestamp[:-1])
     if back.size:
@@ -266,7 +240,7 @@ def write_log(table: FrameTable, path) -> None:
     label_text = np.array([member.value for member in LABELS])
     with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["timestamp", "arbitration_id", "dlc", "payload", "label"])
+        w.writerow(COLUMNS)
         for start in range(0, len(table), _BLOCK_ROWS):
             t = table[start : start + _BLOCK_ROWS]
             text = np.full((len(t), _CANONICAL_WIDTH + 1), ord(" "), np.uint8)

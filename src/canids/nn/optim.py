@@ -1,7 +1,13 @@
-"""Adam with optional global-norm gradient clipping, over a Module's flat vectors."""
+"""Adam, global-norm gradient clipping and the epoch loop both models train through."""
 from __future__ import annotations
 
+import time
+
 import numpy as np
+
+from .. import nn  # fit steps through the package, where perfbench traces adam_step and clipping
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def clip_global_norm(model, max_norm: float) -> float:
@@ -19,8 +25,7 @@ def clip_global_norm(model, max_norm: float) -> float:
     return norm
 
 
-def adam_step(model, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(model, lr: float = 1e-3) -> None:
     """Bias-corrected Adam update; increments the step counter and clears gradients."""
     for p in model.parameters():
         if p.grad is None:
@@ -28,8 +33,49 @@ def adam_step(model, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
         p.grad = None  # the values stay in model.grad
     model.adam_t += 1
     g = model.grad
-    model.adam_m = beta1 * model.adam_m + (1.0 - beta1) * g
-    model.adam_v = beta2 * model.adam_v + (1.0 - beta2) * (g * g)
-    m_hat = model.adam_m / (1.0 - beta1 ** model.adam_t)
-    v_hat = model.adam_v / (1.0 - beta2 ** model.adam_t)
-    model.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    model.adam_m = BETA1 * model.adam_m + (1.0 - BETA1) * g
+    model.adam_v = BETA2 * model.adam_v + (1.0 - BETA2) * (g * g)
+    m_hat = model.adam_m / (1.0 - BETA1 ** model.adam_t)
+    v_hat = model.adam_v / (1.0 - BETA2 ** model.adam_t)
+    model.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
+    """Train `model` for up to `config.epochs` epochs and return its training record.
+
+    Each epoch takes one Adam step at `config.lr` per (loss, weight) pair `steps()`
+    yields, clipping the gradients' global norm to `config.grad_clip` when it is > 0.
+    A non-finite train loss, the weighted mean of the losses, raises FloatingPointError.
+    `validate()` runs on no tape and returns (score, value); `value` goes to the
+    history under `metric[0]` and to the INFO line as `metric[1] % value`. The best
+    epoch is the first with the highest score. Training stops after the first epoch
+    more than `config.patience` epochs past it, so up to patience + 1 epochs without
+    improvement can run; the parameters saved after it are then restored.
+    """
+    column, shown = metric
+    history = []
+    best_score, best_epoch, best_state = -np.inf, -1, model.snapshot()
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        total, weights = 0.0, 0
+        for loss, weight in steps():
+            loss.backward()
+            if config.grad_clip > 0:
+                nn.clip_global_norm(model, config.grad_clip)
+            nn.adam_step(model, lr=config.lr)
+            total += loss.item() * weight
+            weights += weight
+        train_loss = total / weights
+        if not np.isfinite(train_loss):
+            raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
+        with nn.no_grad():
+            score, value = validate()
+        history.append({"epoch": epoch, "train_loss": train_loss, column: value})
+        log.info(f"%s epoch %d: train loss %.6g, {shown}, %.2f s",
+                 name, epoch, train_loss, value, time.perf_counter() - started)
+        if score > best_score:
+            best_score, best_epoch, best_state = score, epoch, model.snapshot()
+        elif epoch - best_epoch > config.patience:
+            break
+    model.load_state(best_state)
+    return {"epochs_run": len(history), "best_epoch": best_epoch, "history": history}

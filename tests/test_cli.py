@@ -1,4 +1,5 @@
 import hashlib
+import json
 import logging
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import canids
 from canids import ingest, pipeline
-from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
 from canids.detector import VIEWS
 
 SYNTH_CFG = """
@@ -314,6 +315,21 @@ def test_corrupt_checkpoint_exit_code(synth_log, tmp_path, capsys):
     ckpt.write_bytes(bytes(data))
     assert main(["embed", "--config", str(cfg)]) == EXIT_DATA
     assert "encoder.ckpt" in capsys.readouterr().err
+
+
+def test_diverged_training_exit_code(synth_log, tmp_path, capsys):
+    root, log = synth_log
+    work = tmp_path / "work"
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {work}\n")
+    capsys.readouterr()
+    assert main(["train-encoder", "--config", str(cfg),
+                 "--set", "encoder_lr=1e300"]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "training diverged: encoder training diverged at epoch 0" in err
+    assert "Traceback" not in err
+    assert not (work / "encoder.ckpt").exists()
+    assert "train-encoder" not in json.loads((work / "manifest.json").read_text())
 
 
 def test_run_rebuilds_after_truncated_manifest(synth_log, tmp_path, caplog):

@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 from canids import ingest
 from canids.frames import LABELS, MAX_ARBITRATION_ID, FrameTable, Label
 from canids.graph import ByteMode, build_graph
-from canids.ingest import (DEFAULT_MAPPING, ColumnMapping, ParseError, make_windows, parse_log,
-                           split_dataset, write_log, write_windows_csv)
+from canids.ingest import (ParseError, make_windows, parse_log, split_dataset, write_log,
+                           write_windows_csv)
 
 from conftest import make_frame, normal_frames, rows_of, table, windows_from
 
 
 COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")
-HEADERLESS = ColumnMapping(timestamp="0", arbitration_id="1", dlc="2", payload="3",
-                           label="4", has_header=False)
 
 
 def write_csv(tmp_path, rows, header="timestamp,arbitration_id,dlc,payload,label"):
@@ -62,12 +60,10 @@ class TestParseLog:
         t = parse_log(path)
         assert t.payload[0, :3].tolist() == [0xA1, 0xB2, 0xC3]
 
-    def test_comma_payload_and_headerless_mapping(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text('0.5,7FF,2,"01,02"\n')
-        mapping = ColumnMapping(timestamp="0", arbitration_id="1", dlc="2",
-                                payload="3", label=None, has_header=False)
-        t = parse_log(path, mapping)
+    def test_comma_payload_without_label_column(self, tmp_path):
+        path = write_csv(tmp_path, ['0.5,7FF,2,"01,02"'],
+                         header="timestamp,arbitration_id,dlc,payload")
+        t = parse_log(path)
         assert len(t) == 1
         assert t.payload[0, :2].tolist() == [1, 2]
         assert LABELS[t.label[0]] is Label.NORMAL
@@ -83,12 +79,6 @@ class TestParseLog:
             parse_log(path)
         assert e.value.line_no == 5
 
-    def test_line_numbers_count_blank_lines_headerless(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text("1.0,100,0,,Normal\n\n\n1.1,100,0,,Normal\n1.2,XYZ,8,00,Normal\n")
-        with pytest.raises(ParseError, match=r"^line 5: malformed hex arbitration id 'XYZ'$"):
-            parse_log(path, HEADERLESS)
-
     def test_first_bad_line_and_first_failing_check(self, tmp_path):
         # line 3 fails its label and its id range; line 4 fails earlier checks
         path = write_csv(tmp_path, ["1.0,100,0,,Normal", "1.1,20000000,0,,Bogus",
@@ -101,11 +91,9 @@ class TestParseLog:
         with pytest.raises(ParseError, match="dlc"):
             parse_log(path)
 
-    def test_strict_mode_rejects_overlong_payload(self, tmp_path):
+    def test_overlong_payload_is_truncated_to_dlc(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,100,2,01 02 03,Normal"])
-        with pytest.raises(ParseError):
-            parse_log(path, strict=True)
-        t = parse_log(path, strict=False)  # tolerated otherwise, truncated to the dlc
+        t = parse_log(path)
         assert t.payload[0].tolist() == [1, 2, 0, 0, 0, 0, 0, 0]
 
     def test_non_monotone_timestamps_warn_not_error(self, tmp_path, caplog):
@@ -186,32 +174,25 @@ def _oracle_payload(text, line_no):
     return out
 
 
-def oracle_parse_log(path, mapping, strict):
+def oracle_parse_log(path):
     frames = []
     with open(path, newline="") as fh:
-        if mapping.has_header:
-            reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh)
 
-            def get(row, key):
-                if key not in row or row[key] is None:
-                    raise KeyError(key)
-                return row[key]
-
-        else:
-            reader = csv.reader(fh)
-
-            def get(row, key):
-                return row[int(key)]
+        def get(row, key):
+            if key not in row or row[key] is None:
+                raise KeyError(key)
+            return row[key]
 
         for row in reader:
             line_no = reader.line_num
             if not row:
                 continue
             try:
-                ts = float(get(row, mapping.timestamp))
-                arb = _oracle_hex(get(row, mapping.arbitration_id), "arbitration id", line_no)
-                dlc = int(get(row, mapping.dlc))
-            except (KeyError, IndexError) as e:
+                ts = float(get(row, "timestamp"))
+                arb = _oracle_hex(get(row, "arbitration_id"), "arbitration id", line_no)
+                dlc = int(get(row, "dlc"))
+            except KeyError as e:
                 raise ParseError(line_no, f"missing column {e}") from None
             except ParseError:
                 raise
@@ -220,25 +201,20 @@ def oracle_parse_log(path, mapping, strict):
             if not 0 <= dlc <= 8:
                 raise ParseError(line_no, f"dlc {dlc} outside [0, 8]")
             try:
-                raw = get(row, mapping.payload)
-            except (KeyError, IndexError):
+                raw = get(row, "payload")
+            except KeyError:
                 raw = ""
-            data = _oracle_payload(raw or "", line_no)
-            if len(data) > dlc:
-                if strict:
-                    raise ParseError(line_no, f"payload has {len(data)} bytes but dlc is {dlc}")
-                data = data[:dlc]
+            data = _oracle_payload(raw or "", line_no)[:dlc]
             label = Label.NORMAL
-            if mapping.label is not None:
+            try:
+                text = get(row, "label")
+            except KeyError:
+                text = None
+            if text:
                 try:
-                    text = get(row, mapping.label)
-                except (KeyError, IndexError):
-                    text = None
-                if text:
-                    try:
-                        label = Label.from_string(text)
-                    except ValueError as e:
-                        raise ParseError(line_no, str(e)) from None
+                    label = Label.from_string(text)
+                except ValueError as e:
+                    raise ParseError(line_no, str(e)) from None
             if not 0 <= arb < MAX_ARBITRATION_ID:
                 raise ParseError(line_no, f"arbitration id {arb:#x} outside 29-bit range")
             frames.append(make_frame(ts, arb, dlc, data, label))
@@ -292,44 +268,37 @@ def log_rows(draw, rate):
 
 @st.composite
 def logs(draw):
-    """(file text, mapping) for a log mixing valid and malformed rows and blank lines."""
+    """The text of a log mixing valid and malformed rows and blank lines."""
     rate = draw(st.sampled_from([0, 0, 0, 1, 5, 20]))
     rows = draw(st.lists(log_rows(rate), max_size=12))
-    layout = draw(st.sampled_from(["header", "header", "no-label", "permuted",
-                                   "headerless", "headerless-no-label"]))
+    layout = draw(st.sampled_from(["header", "header", "no-label", "permuted"]))
     names = ["timestamp", "arbitration_id", "dlc", "payload", "label"]
     order = list(range(5))
     if layout == "permuted":
         order = draw(st.permutations(order))
-    if layout in ("no-label", "headerless-no-label"):
+    if layout == "no-label":
         order = order[:4]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    if layout.startswith("headerless"):
-        mapping = ColumnMapping(timestamp="0", arbitration_id="1", dlc="2", payload="3",
-                                label=None if layout == "headerless-no-label" else "4",
-                                has_header=False)
-    else:
-        mapping = DEFAULT_MAPPING
-        writer.writerow([names[i] for i in order])
+    writer.writerow([names[i] for i in order])
     for row in rows:
         for _ in range(draw(st.integers(0, 1)) * draw(st.integers(0, 2))):
             out.write("\n")
         cells = [row[i] for i in order if i < len(row)] + row[5:]
         writer.writerow(cells)
-    return out.getvalue(), mapping
+    return out.getvalue()
 
 
-def outcome(parse, path, mapping, strict):
+def outcome(parse, path):
     try:
-        return parse(path, mapping, strict), None
+        return parse(path), None
     except ParseError as e:
         return None, (e.line_no, str(e))
 
 
-def assert_parses_like_row_parser(path, mapping=DEFAULT_MAPPING, strict=False):
-    expected, expected_error = outcome(oracle_parse_log, path, mapping, strict)
-    got, error = outcome(parse_log, path, mapping, strict)
+def assert_parses_like_row_parser(path):
+    expected, expected_error = outcome(oracle_parse_log, path)
+    got, error = outcome(parse_log, path)
     assert error == expected_error
     if expected is not None:
         assert_tables_equal(got, table(expected))
@@ -340,14 +309,13 @@ def log_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("logs")
 
 
-@given(logs(), st.booleans(), st.sampled_from([2, 3, ingest._BLOCK_ROWS]))
+@given(logs(), st.sampled_from([2, 3, ingest._BLOCK_ROWS]))
 @settings(max_examples=400, deadline=None)
-def test_columnar_parse_matches_row_parser(log_dir, log, strict, block_rows):
-    text, mapping = log
+def test_columnar_parse_matches_row_parser(log_dir, text, block_rows):
     path = log_dir / "log.csv"
     path.write_text(text, encoding="utf-8")
     with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        assert_parses_like_row_parser(path, mapping, strict)
+        assert_parses_like_row_parser(path)
 
 
 @pytest.mark.parametrize("text", ["0x_1F", "1_0", "0x0x10", "0X1a", " 7ff ", "-0x1", "0x",

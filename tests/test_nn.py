@@ -1,3 +1,6 @@
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -301,6 +304,63 @@ class TestAdam:
         norm = nn.clip_global_norm(m, 5.0)
         assert norm == pytest.approx(10 * np.sqrt(7))
         assert np.sqrt(sum((p.grad ** 2).sum() for p in (p1, p2))) == pytest.approx(5.0)
+
+
+FIT_LOG = logging.getLogger("fit-test")
+
+
+def fit_toy(model, steps, validate, epochs=20, patience=2, grad_clip=0.0):
+    """nn.fit on a toy model; its history column is `score`, logged as "score %.1f"."""
+    config = SimpleNamespace(epochs=epochs, lr=0.1, patience=patience, grad_clip=grad_clip)
+    return nn.fit(model, config, steps, validate, FIT_LOG, "toy", ("score", "score %.1f"))
+
+
+def constant_loss(model, value):
+    """A loss of `value` that gives every parameter a zero gradient."""
+    return nn.add(nn.mul(model.params["w"], 0.0), Tensor(value))
+
+
+class TestFit:
+    def test_patience_counts_epochs_past_the_best_and_restores_it(self, caplog):
+        model = module(w=0.0)
+        w = model.params["w"]
+        scores = iter([1.0, 3.0] + [2.0] * 20)
+        seen = []
+
+        def validate():
+            seen.append(model.snapshot())
+            score = next(scores)
+            return score, score
+
+        with caplog.at_level(logging.INFO, logger=FIT_LOG.name):
+            record = fit_toy(model, lambda: [(nn.mse_loss(w, Tensor(1.0)), 1)], validate)
+        # the best epoch is 1; epoch 4 is the first more than patience = 2 epochs past it
+        assert record["epochs_run"] == len(seen) == 5
+        assert record["best_epoch"] == 1
+        assert [row["score"] for row in record["history"]] == [1.0, 3.0, 2.0, 2.0, 2.0]
+        assert len({float(state[0]) for state in seen}) == 5  # every epoch moved w
+        assert np.array_equal(model.data, seen[1])
+        lines = [r.getMessage() for r in caplog.records if r.name == FIT_LOG.name]
+        assert len(lines) == 5
+        for epoch, (line, score) in enumerate(zip(lines, [1.0, 3.0, 2.0, 2.0, 2.0])):
+            assert line.startswith(f"toy epoch {epoch}: train loss ")
+            assert f", score {score:.1f}, " in line
+
+    def test_train_loss_is_the_weighted_mean(self):
+        model = module(w=0.0)
+
+        def steps():
+            yield constant_loss(model, 2.0), 1
+            yield constant_loss(model, 6.0), 3
+
+        record = fit_toy(model, steps, lambda: (0.0, 0.0), epochs=2, grad_clip=1.0)
+        assert [row["train_loss"] for row in record["history"]] == [5.0, 5.0]  # (2 + 18) / 4
+
+    def test_non_finite_loss_names_model_and_epoch(self):
+        model = module(w=0.0)
+        values = iter([1.0, np.nan])
+        with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 1$"):
+            fit_toy(model, lambda: [(constant_loss(model, next(values)), 1)], lambda: (0.0, 0.0))
 
 
 class TestModule:
