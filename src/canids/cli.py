@@ -16,6 +16,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 STAGE_COMMANDS = ("synth", "preprocess", "entropy", "train-encoder", "embed",
                   "train-detector", "detect", "evaluate", "run", "sweep")
@@ -132,6 +133,9 @@ def main(argv=None) -> int:
     except (ParseError, FileNotFoundError, ValueError, OSError) as e:
         print(f"{args.command} failed: {e}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt:
+        print(f"{args.command} interrupted; finished stages stay cached", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_OK
 
 

@@ -41,48 +41,41 @@ class GraphEmbedding:
     label: int
 
 
+# (name, d_in, d_out, graph convolution first, ReLU after); the first five encode
+LAYERS = (("enc1", IN_DIM, LATENT_DIM, False, True), ("enc2", LATENT_DIM, LATENT_DIM, False, True),
+          ("gcn1", LATENT_DIM, EMBED_DIM, True, True), ("gcn2", EMBED_DIM, EMBED_DIM, True, True),
+          ("gcn3", EMBED_DIM, EMBED_DIM, True, True), ("dec1", EMBED_DIM, LATENT_DIM, False, True),
+          ("dec2", LATENT_DIM, IN_DIM, False, False))
+ENCODE_LAYERS = 5
+
+
 class EncoderModel(nn.Module):
     """AE encoder 9->16->16, three 32-wide graph convolutions, decoder 32->16->9."""
 
     def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
-        widths = [
-            ("enc1", IN_DIM, LATENT_DIM),
-            ("enc2", LATENT_DIM, LATENT_DIM),
-            ("gcn1", LATENT_DIM, EMBED_DIM),
-            ("gcn2", EMBED_DIM, EMBED_DIM),
-            ("gcn3", EMBED_DIM, EMBED_DIM),
-            ("dec1", EMBED_DIM, LATENT_DIM),
-            ("dec2", LATENT_DIM, IN_DIM),
-        ]
         super().__init__([(f"{name}_{kind}", nn.seeded_init(shape, d_in, rng))
-                          for name, d_in, d_out in widths
+                          for name, d_in, d_out, _, _ in LAYERS
                           for kind, shape in (("w", (d_in, d_out)), ("b", (d_out,)))])
+        self.layers = [(self.params[f"{name}_w"], self.params[f"{name}_b"], conv, relu)
+                       for name, _, _, conv, relu in LAYERS]
+
+    def _run(self, graph: WindowGraph, layers) -> nn.Tensor:
+        if graph.node_features.shape[1] != IN_DIM:
+            raise ValueError(f"expected {IN_DIM}-wide node features, got {graph.node_features.shape[1]}")
+        return nn.dense_stack(graph.node_features, normalized_adjacency(graph.num_nodes), layers)
 
     def encode(self, graph: WindowGraph) -> nn.Tensor:
         """Node embeddings (W,32): the AE encoder, then the three graph convolutions."""
-        if graph.node_features.shape[1] != IN_DIM:
-            raise ValueError(f"expected {IN_DIM}-wide node features, got {graph.node_features.shape[1]}")
-        norm_adj = normalized_adjacency(graph.num_nodes)
-        p = self.params
-        h = nn.relu(nn.linear(nn.Tensor(graph.node_features), p["enc1_w"], p["enc1_b"]))
-        h = nn.relu(nn.linear(h, p["enc2_w"], p["enc2_b"]))
-        h = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn1_w"], p["gcn1_b"]))
-        h = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn2_w"], p["gcn2_b"]))
-        return nn.relu(nn.gcn_conv(h, norm_adj, p["gcn3_w"], p["gcn3_b"]))
+        return self._run(graph, self.layers[:ENCODE_LAYERS])
 
-    def forward(self, graph: WindowGraph):
-        """Return (node_embeddings (W,32), reconstruction (W,9)), both differentiable."""
-        node_emb = self.encode(graph)
-        p = self.params
-        d = nn.relu(nn.linear(node_emb, p["dec1_w"], p["dec1_b"]))
-        recon = nn.linear(d, p["dec2_w"], p["dec2_b"])
-        return node_emb, recon
+    def forward(self, graph: WindowGraph) -> nn.Tensor:
+        """Reconstruction (W,9): encode, then the decoder, as one op."""
+        return self._run(graph, self.layers)
 
 
 def _reconstruction_loss(model: EncoderModel, graph: WindowGraph) -> nn.Tensor:
-    _, recon = model.forward(graph)
-    return nn.mse_loss(recon, nn.Tensor(graph.node_features))
+    return nn.mse_loss(model.forward(graph), nn.Tensor(graph.node_features))
 
 
 def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):

@@ -1,10 +1,12 @@
 """Differentiable operations: linear, activations, dropout, graph conv, the GRU,
 pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
 
-The GRU comes twice. `gru_layer` runs one layer over a whole time-major sequence
-as a single op: a plain-numpy time loop forward and a hand-written BPTT backward.
-The detector uses it. `gru_cell` is one step built from the elementwise ops; it
-is the oracle that `gru_layer` is tested against, value for value.
+The encoder's layers run as one `dense_stack` op, tested value for value against
+the `linear`/`gcn_conv`/`relu` composition. The GRU comes twice. `gru_layer` runs
+one layer over a whole time-major sequence as a single op: a plain-numpy time loop
+forward and a hand-written BPTT backward. The detector uses it. `gru_cell` is one
+step built from the elementwise ops; it is the oracle that `gru_layer` is tested
+against, value for value.
 """
 from __future__ import annotations
 
@@ -142,10 +144,39 @@ def linear(x, weight, bias) -> Tensor:
 
 def gcn_conv(node_feats, norm_adj: np.ndarray, weight, bias) -> Tensor:
     """Graph convolution y = A_hat @ X @ W + b with a constant normalized adjacency."""
-    x = _wrap(node_feats)
-    if norm_adj.shape[1] != x.data.shape[0]:
-        raise ValueError(f"gcn_conv shape mismatch: adjacency {norm_adj.shape} vs features {x.data.shape}")
-    return linear(matmul(Tensor(norm_adj), x), weight, bias)
+    return linear(matmul(Tensor(norm_adj), node_feats), weight, bias)
+
+
+def dense_stack(x: np.ndarray, norm_adj: np.ndarray, layers) -> Tensor:
+    """Dense layers h -> h @ W + b over the input array x as one op, from (weight, bias,
+    conv, relu) tuples of Tensors: a conv layer first takes h to norm_adj @ h, as
+    gcn_conv does, and a relu layer ends in a ReLU. Forward and backward keep the
+    linear/gcn_conv/relu tape's expressions and order, so they equal it bit for bit;
+    x gets no gradient. Under no_grad nothing is kept."""
+    saved, h = [], x  # saved: each layer's GEMM input and ReLU mask (or None)
+    for w, b, conv, relu in layers:
+        inp = norm_adj @ h if conv else h
+        h, mask = inp @ w.data + b.data, None
+        if relu:
+            mask = h > 0  # subgradient at 0 is 0
+            h = np.where(mask, h, 0.0)
+        saved.append((inp, mask))
+    if not recording():
+        return Tensor(h)
+
+    def bwd(g):
+        for i in reversed(range(len(layers))):
+            (w, b, conv, _), (inp, mask) = layers[i], saved[i]
+            if mask is not None:
+                g = g * mask
+            b.accumulate(g.sum(axis=0))
+            w.accumulate(inp.T @ g)
+            if i:
+                g = g @ w.data.T
+                if conv:
+                    g = norm_adj.T @ g
+
+    return Tensor(h, parents=tuple(t for w, b, _, _ in layers for t in (w, b)), backward_fn=bwd)
 
 
 def global_mean_pool(node_feats) -> Tensor:

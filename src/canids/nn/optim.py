@@ -15,10 +15,11 @@ def clip_global_norm(model, max_norm: float) -> float:
 
     The norm adds one partial sum per parameter, in parameter order.
     """
-    total = 0.0
+    sq, total, start = model.grad * model.grad, 0.0, 0
     for p in model.parameters():
         if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+            total += float(np.add.reduce(sq[start:start + p.data.size]))
+        start += p.data.size
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         model.grad *= max_norm / norm
@@ -26,18 +27,23 @@ def clip_global_norm(model, max_norm: float) -> float:
 
 
 def adam_step(model, lr: float = 1e-3) -> None:
-    """Bias-corrected Adam update; increments the step counter and clears gradients."""
+    """Bias-corrected Adam update, moments in place; counts the step and clears gradients."""
     for p in model.parameters():
         if p.grad is None:
             raise ValueError(f"parameter {p.name!r} has no gradient; run backward first")
         p.grad = None  # the values stay in model.grad
     model.adam_t += 1
-    g = model.grad
-    model.adam_m = BETA1 * model.adam_m + (1.0 - BETA1) * g
-    model.adam_v = BETA2 * model.adam_v + (1.0 - BETA2) * (g * g)
-    m_hat = model.adam_m / (1.0 - BETA1 ** model.adam_t)
-    v_hat = model.adam_v / (1.0 - BETA2 ** model.adam_t)
-    model.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+    g, m, v = model.grad, model.adam_m, model.adam_v
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    sq = g * g
+    sq *= 1.0 - BETA2
+    v *= BETA2
+    v += sq
+    m_hat = m / (1.0 - BETA1 ** model.adam_t)
+    m_hat *= lr
+    m_hat /= np.sqrt(v / (1.0 - BETA2 ** model.adam_t)) + EPS
+    model.data -= m_hat
 
 
 def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:

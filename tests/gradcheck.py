@@ -1,8 +1,10 @@
-"""Oracles for the autodiff engine: central finite differences, and the
-detector's forward as a stack of unfused GRU cells."""
+"""Oracles for the autodiff engine: central finite differences, the encoder's
+forward as unfused linear/gcn_conv/relu ops, and the detector's forward as a
+stack of unfused GRU cells."""
 import numpy as np
 
 from canids import nn
+from canids.graph import normalized_adjacency
 
 
 def finite_diff(build_loss, param, index, h=1e-5):
@@ -36,6 +38,21 @@ def assert_gradients_match(build_loss, params, h=1e-5, rtol=1e-4, max_coords=Non
             scale = max(abs(num), abs(ana), 1e-6)
             assert abs(num - ana) <= rtol * scale, (
                 f"{getattr(p, 'name', 'tensor')}[{i}]: analytic {ana} vs numeric {num}")
+
+
+def unfused_encoder_forward(model, graph):
+    """EncoderModel's node embeddings and reconstruction built from one nn.linear or
+    nn.gcn_conv and nn.relu per layer: the oracle that the fused nn.dense_stack
+    path must reproduce."""
+    norm_adj = normalized_adjacency(graph.num_nodes)
+    p = model.params
+    h = nn.relu(nn.linear(nn.Tensor(graph.node_features), p["enc1_w"], p["enc1_b"]))
+    h = nn.relu(nn.linear(h, p["enc2_w"], p["enc2_b"]))
+    h = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn1_w"], p["gcn1_b"]))
+    h = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn2_w"], p["gcn2_b"]))
+    node_emb = nn.relu(nn.gcn_conv(h, norm_adj, p["gcn3_w"], p["gcn3_b"]))
+    d = nn.relu(nn.linear(node_emb, p["dec1_w"], p["dec1_b"]))
+    return node_emb, nn.linear(d, p["dec2_w"], p["dec2_b"])
 
 
 def unfused_forward_batch(model, x, training=False, rng=None):

@@ -4,7 +4,8 @@ Criteria:
  1. analytic gradients match central finite differences for every operation
     and for the composed encoder/detector losses (>= 10 seeds, rel err 1e-4);
     the fused GRU layer equals the unfused GRU cell stack (values exactly,
-    gradients to 1e-12 relative)
+    gradients to 1e-12 relative); the fused encoder stack equals the unfused
+    linear/gcn_conv/relu tape (loss and gradients exactly)
  2. structural oracles: window partition, graph node/edge counts, sequence
     count and any-attack labeling vs brute force
  3. entropy oracles: closed-form cases, 200 random count vectors, sweep shape
@@ -36,13 +37,13 @@ from canids.detector import (DetectorConfig, DetectorModel, detect,
                              make_sequences, train_detector)
 from canids.encoder import EncoderConfig, EncoderModel, GraphEmbedding, train_encoder
 from canids.frames import FrameTable
-from canids.graph import WindowGraph, build_graph, normalized_adjacency
+from canids.graph import ByteMode, WindowGraph, build_graph, normalized_adjacency
 from canids.ingest import make_windows
 from canids.nn.tensor import Parameter, Tensor
 from canids.pipeline import prepare_splits, run_pipeline, run_synth
 
 from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
-                       unfused_forward_batch)
+                       unfused_encoder_forward, unfused_forward_batch)
 
 
 @contextmanager
@@ -212,7 +213,7 @@ def test_criterion_1_gradients(capfd):
             enc = EncoderModel(seed=seed)
             g = random_path_graph(w=4, seed=seed)
             assert_gradients_match(
-                lambda: nn.mse_loss(enc.forward(g)[1], Tensor(g.node_features)),
+                lambda: nn.mse_loss(enc.forward(g), Tensor(g.node_features)),
                 enc.parameters(), max_coords=3, rng=check_rng)
 
             # composed detector sequence loss (dropout off for determinism)
@@ -265,6 +266,30 @@ def test_criterion_1_gradients(capfd):
             assert_close_gradients(
                 gradients(lambda: nn.bce_loss(det.forward_batch(xb)[0], yd), det.params),
                 gradients(lambda: nn.bce_loss(unfused_forward_batch(det, xb)[0], yd), det.params))
+
+        # the fused encoder stack: all 14 gradients against finite differences at
+        # W = 2, 4 and 50, then the loss and gradients equal to the unfused
+        # linear/gcn_conv/relu tape's on 200 random windows in both byte modes
+        r = np.random.default_rng(3000)
+        for w in (2, 4, 50):
+            enc, g = EncoderModel(seed=w), random_path_graph(w=w, seed=w)
+            assert_gradients_match(
+                lambda: nn.mse_loss(enc.forward(g), Tensor(g.node_features)),
+                enc.parameters(), max_coords=8, rng=r)
+        for i in range(200):
+            w = int(r.integers(2, 80))
+            frames = FrameTable(timestamp=np.arange(w) * 1e-3, arbitration_id=np.full(w, 0x100),
+                                dlc=r.integers(0, 9, size=w).astype(np.uint8),
+                                payload=r.integers(0, 256, size=(w, 8)).astype(np.uint8),
+                                label=np.zeros(w, np.int8))
+            g = build_graph(make_windows(frames, w)[0], (ByteMode.BINARIZED, ByteMode.NORMALIZED)[i % 2])
+            enc = EncoderModel(seed=i)
+            fused, tape = (lambda: nn.mse_loss(enc.forward(g), Tensor(g.node_features)),
+                           lambda: nn.mse_loss(unfused_encoder_forward(enc, g)[1],
+                                               Tensor(g.node_features)))
+            assert fused().item() == tape().item()
+            got, want = gradients(fused, enc.params), gradients(tape, enc.params)
+            assert len(want) == 14 and all(np.array_equal(got[k], want[k]) for k in want)
         assert time.monotonic() - t0 < 30.0
 
 

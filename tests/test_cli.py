@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 import canids
 from canids import ingest, pipeline
-from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_OK, main
+from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, main
 from canids.detector import VIEWS
 
 SYNTH_CFG = """
@@ -330,6 +331,32 @@ def test_diverged_training_exit_code(synth_log, tmp_path, capsys):
     assert "Traceback" not in err
     assert not (work / "encoder.ckpt").exists()
     assert "train-encoder" not in json.loads((work / "manifest.json").read_text())
+
+
+def test_ctrl_c_is_a_typed_exit_and_finished_stages_stay_cached(synth_log, tmp_path):
+    root, log = synth_log
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(canids.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "canids.cli", "run", "--config", str(cfg),
+         "--set", "detector_epochs=100000", "--set", "detector_patience=100000"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env)
+    seen = []
+    for line in proc.stderr:  # the detector trains only after encode and embed are cached
+        seen.append(line)
+        if line.startswith("INFO canids.detector: detector epoch"):
+            break
+    proc.send_signal(signal.SIGINT)
+    err = "".join(seen) + proc.communicate(timeout=120)[1]
+    assert proc.returncode == EXIT_INTERRUPTED, err
+    assert "Traceback" not in err
+    assert err.rstrip().splitlines()[-1] == "run interrupted; finished stages stay cached"
+    work = tmp_path / "work"
+    kept = ["encoder.ckpt"] + [f"embeddings_{s}.csv" for s in pipeline.SPLITS]
+    mtimes = [(work / name).stat().st_mtime_ns for name in kept]
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert [(work / name).stat().st_mtime_ns for name in kept] == mtimes
 
 
 def test_run_rebuilds_after_truncated_manifest(synth_log, tmp_path, caplog):

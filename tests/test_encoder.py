@@ -3,13 +3,14 @@ import logging
 import numpy as np
 import pytest
 
+from canids import nn
 from canids.encoder import (EncoderConfig, EncoderModel, GraphEmbedding, embed,
                             read_embeddings_csv, train_encoder, write_embeddings_csv)
 from canids.frames import Label
 from canids.graph import ByteMode, WindowGraph, build_graph
 
 from conftest import make_frame, normal_frames, windows_from
-from gradcheck import assert_gradients_match
+from gradcheck import assert_gradients_match, unfused_encoder_forward
 
 
 def random_graph(w=6, seed=0, label=0, index=0):
@@ -23,7 +24,8 @@ class TestForward:
     def test_shapes(self):
         (window,) = windows_from(normal_frames(50), 50)
         g = build_graph(window)
-        node_emb, recon = EncoderModel(seed=0).forward(g)
+        model = EncoderModel(seed=0)
+        node_emb, recon = model.encode(g), model.forward(g)
         assert node_emb.shape == (50, 32)
         assert recon.shape == (50, 9)
 
@@ -34,7 +36,7 @@ class TestForward:
                 p.data[...] = 0.0
         g = random_graph()
         g.node_features[...] = 0.0
-        node_emb, recon = model.forward(g)
+        node_emb, recon = model.encode(g), model.forward(g)
         assert np.all(node_emb.data == 0.0)
         assert np.all(recon.data == 0.0)
 
@@ -57,7 +59,7 @@ class TestForward:
         g = random_graph(w=4, seed=seed)
         rng = np.random.default_rng(seed)
         assert_gradients_match(
-            lambda: nn.mse_loss(model.forward(g)[1], nn.Tensor(g.node_features)),
+            lambda: nn.mse_loss(model.forward(g), nn.Tensor(g.node_features)),
             model.parameters(), rtol=1e-4, max_coords=6, rng=rng)
 
 
@@ -100,12 +102,58 @@ class TestTraining:
             train_encoder(graphs)
 
 
+def recorded_ops(root) -> int:
+    """How many tape nodes the graph behind `root` holds."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += t.backward_fn is not None
+            stack.extend(t.parents)
+    return count
+
+
+class TestFusedPath:
+    def test_a_step_records_two_ops_and_inference_none(self):
+        model, g = EncoderModel(seed=0), random_graph(w=6)
+        assert recorded_ops(nn.mse_loss(model.forward(g), nn.Tensor(g.node_features))) == 2
+        with nn.no_grad():
+            assert recorded_ops(model.forward(g)) == recorded_ops(model.encode(g)) == 0
+
+    def test_unfused_ops_are_not_on_the_encoder_path(self, monkeypatch, tmp_path):
+        """Training, validation and embed run the fused stack; linear, gcn_conv and
+        relu are only the oracle, whose checkpoint and embeddings it reproduces."""
+        graphs = [random_graph(w=5 + i % 3, seed=i, index=i) for i in range(10)]
+        config = EncoderConfig(epochs=1, seed=2)
+        with monkeypatch.context() as m:
+            m.setattr(EncoderModel, "forward", lambda self, g: unfused_encoder_forward(self, g)[1])
+            oracle, oracle_log = train_encoder(graphs, config)
+        with nn.no_grad():
+            want = [nn.global_mean_pool(unfused_encoder_forward(oracle, g)[0]).data.reshape(-1)
+                    for g in graphs]
+
+        def refuse(*args):
+            raise AssertionError("an unfused op ran on the encoder path")
+
+        for name in ("linear", "gcn_conv", "relu"):
+            monkeypatch.setattr(nn, name, refuse)
+            monkeypatch.setattr(nn.ops, name, refuse)
+        model, log = train_encoder(graphs, config)
+        assert log == oracle_log
+        oracle.save(tmp_path / "oracle.ckpt")
+        model.save(tmp_path / "fused.ckpt")
+        assert (tmp_path / "fused.ckpt").read_bytes() == (tmp_path / "oracle.ckpt").read_bytes()
+        for g, vector in zip(graphs, want, strict=True):
+            assert np.array_equal(embed(model, g).vector, vector)
+
+
 class TestEmbed:
     def test_uniform_node_embeddings_pool_to_themselves(self):
         model = EncoderModel(seed=0)
         g = random_graph(w=2)
         g.node_features[1] = g.node_features[0]  # identical rows on a 2-path
-        node_emb, _ = model.forward(g)
+        node_emb = model.encode(g)
         e = embed(model, g)
         assert np.allclose(node_emb.data[0], node_emb.data[1])
         assert e.vector == pytest.approx(node_emb.data[0])
@@ -114,7 +162,7 @@ class TestEmbed:
         """forward is encode plus the decoder; embed needs encode alone."""
         model = EncoderModel(seed=0)
         g = random_graph(w=7, seed=3)
-        node_emb, _ = model.forward(g)
+        node_emb = model.encode(g)
 
         def refuse(self, graph):
             raise AssertionError("embed ran the decoder")

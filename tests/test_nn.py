@@ -8,9 +8,10 @@ from canids import nn
 from canids.detector import DetectorModel
 from canids.encoder import EncoderModel
 from canids.graph import WindowGraph
+from canids.nn.optim import BETA1, BETA2, EPS
 from canids.nn.tensor import Parameter, Tensor, seeded_init
 
-from gradcheck import assert_gradients_match
+from gradcheck import assert_gradients_match, gradients
 
 
 def param(data, name="p"):
@@ -151,6 +152,31 @@ class TestGradients:
         b = param(r.normal(size=4), "b")
         assert_gradients_match(
             lambda: nn.mse_loss(nn.gcn_conv(x, a, w, b), Tensor(np.zeros((3, 4)))), [x, w, b])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_dense_stack(self, seed):
+        """A graph convolution first, then a dense layer, then one without ReLU."""
+        r = np.random.default_rng(seed)
+        a = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=float)
+        a /= np.sqrt(np.outer(a.sum(1), a.sum(1)))
+        x = r.normal(size=(3, 5))
+        ps = [param(r.normal(size=shape), name) for name, shape in
+              (("w1", (5, 4)), ("b1", 4), ("w2", (4, 4)), ("b2", 4), ("w3", (4, 2)), ("b3", 2))]
+        layers = [(ps[0], ps[1], True, True), (ps[2], ps[3], False, True), (ps[4], ps[5], True, False)]
+        assert_gradients_match(
+            lambda: nn.mse_loss(nn.dense_stack(x, a, layers), Tensor(np.zeros((3, 2)))), ps)
+
+        def unfused():
+            h = nn.relu(nn.gcn_conv(Tensor(x), a, ps[0], ps[1]))
+            return nn.gcn_conv(nn.relu(nn.linear(h, ps[2], ps[3])), a, ps[4], ps[5])
+
+        target = Tensor(r.normal(size=(3, 2)))
+        tensors = {p.name: p for p in ps}
+        assert (nn.mse_loss(nn.dense_stack(x, a, layers), target).item()
+                == nn.mse_loss(unfused(), target).item())
+        got = gradients(lambda: nn.mse_loss(nn.dense_stack(x, a, layers), target), tensors)
+        want = gradients(lambda: nn.mse_loss(unfused(), target), tensors)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_gru_cell(self, seed):
@@ -427,7 +453,7 @@ def _detector_loss(model, rng):
 
 def _encoder_loss(model, rng):
     feats = rng.integers(0, 2, size=(6, 9)).astype(float)
-    _, recon = model.forward(WindowGraph(node_features=feats, label=0, window_index=0))
+    recon = model.forward(WindowGraph(node_features=feats, label=0, window_index=0))
     return nn.mse_loss(recon, Tensor(feats))
 
 
@@ -455,6 +481,53 @@ def test_flat_step_equals_per_parameter_loops(which):
         assert np.array_equal(model.adam_m, np.concatenate([m.ravel() for m, _ in moments]))
         assert np.array_equal(model.adam_v, np.concatenate([v.ravel() for _, v in moments]))
     assert any(fired) and not all(fired)
+
+
+def _old_clip_global_norm(model, max_norm):
+    """clip_global_norm's old expressions: one product per parameter."""
+    total = 0.0
+    for p in model.parameters():
+        if p.grad is not None:
+            total += float(np.sum(p.grad * p.grad))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        model.grad *= max_norm / norm
+    return norm
+
+
+def _old_adam_step(model, lr):
+    """adam_step's old expressions: new moment vectors and temporaries each step."""
+    for p in model.parameters():
+        p.grad = None
+    model.adam_t += 1
+    g = model.grad
+    model.adam_m = BETA1 * model.adam_m + (1.0 - BETA1) * g
+    model.adam_v = BETA2 * model.adam_v + (1.0 - BETA2) * (g * g)
+    m_hat = model.adam_m / (1.0 - BETA1 ** model.adam_t)
+    v_hat = model.adam_v / (1.0 - BETA2 ** model.adam_t)
+    model.data -= lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+@pytest.mark.parametrize("model_class", [EncoderModel, DetectorModel])
+def test_in_place_adam_and_clip_equal_the_old_expressions(model_class):
+    new, old = model_class(seed=4), model_class(seed=4)
+    rng = np.random.default_rng(11)
+    clipped = 0
+    for _ in range(300):
+        scale = 10.0 ** rng.uniform(-3.0, 0.5)
+        grad, lr = rng.normal(size=new.grad.size) * scale, 10.0 ** rng.uniform(-4.0, -1.0)
+        for model in (new, old):
+            model.grad[...] = grad
+            for p in model.parameters():
+                p.grad = p.grad_buffer
+        norm = nn.clip_global_norm(new, 5.0)
+        assert norm == _old_clip_global_norm(old, 5.0)
+        clipped += norm > 5.0
+        nn.adam_step(new, lr)
+        _old_adam_step(old, lr)
+        for got, want in ((new.data, old.data), (new.adam_m, old.adam_m), (new.adam_v, old.adam_v)):
+            assert np.array_equal(got, want)
+    assert 0 < clipped < 300
 
 
 class TestSeededInit:
