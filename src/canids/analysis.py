@@ -110,15 +110,12 @@ def auc_score(scores, labels) -> Optional[float]:
     if n_pos == 0 or n_neg == 0:
         return None
     order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0  # average rank, 1-based
-        i = j + 1
+    s = scores[order]
+    # runs of equal scores, as [i, j] in sorted order; a NaN equals nothing, so is its own run
+    i = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    j = np.r_[i[1:], len(s)] - 1
+    ranks = np.empty(len(s), dtype=np.float64)
+    ranks[order] = np.repeat((i + j) / 2.0 + 1.0, j - i + 1)  # average rank, 1-based
     rank_sum_pos = float(ranks[labels == 1].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

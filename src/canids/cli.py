@@ -4,13 +4,11 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
-from . import ingest, pipeline
+from . import pipeline
 from .analysis import compute_metrics  # noqa: F401 -- perfbench's tracer patches it here
 from .config import KEY_SPECS, ConfigError, PipelineConfig
-from .detector import VIEWS, read_report_csvs, summary_table
-from .ingest import ParseError
+from .detector import summary_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,62 +53,27 @@ def load_config(args) -> PipelineConfig:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    """Recompute the metric summary from detection CSVs that match their manifest sha256."""
-    work = Path(cfg.work_dir)
-    if not work.is_dir():
-        raise FileNotFoundError(f"missing {work}; run detect first")
-    ws = pipeline.Workspace(cfg)
-    for view in VIEWS:
-        path = ws.path(f"detect_{view}.csv")
-        if not path.exists():
-            raise FileNotFoundError(f"missing {path}; run detect first")
-        if not ws.intact(path.name):
-            raise ValueError(f"{path} does not match its sha256 in manifest.json; rerun detect")
-    report = read_report_csvs(ws.dir, cfg.threshold)
+    """Print the summary table recomputed from a report that is current for the config."""
+    report = pipeline.current_report(cfg)
     print(summary_table(report, cfg.window_size, cfg.sequence_length))
 
 
 def dispatch(command: str, cfg: PipelineConfig) -> None:
-    if command == "synth":
-        path = pipeline.run_synth(cfg)
-        print(f"wrote {path}")
-        return
-    if command == "entropy":
-        print(f"wrote {pipeline.run_entropy(cfg)}")
-        return
     if command == "evaluate":
         cmd_evaluate(cfg)
-        return
-    if command == "sweep":
-        print(f"wrote {pipeline.run_sweep(cfg)}")
-        return
-    if command in ("run", "detect"):
+    elif command in ("synth", "entropy", "sweep"):
+        print(f"wrote {getattr(pipeline, f'run_{command}')(cfg)}")
+    elif command in ("run", "detect"):
         _, ws = pipeline.run_pipeline(cfg)
         print(ws.path("summary.txt").read_text(), end="")
-        return
-
-    ws = pipeline.Workspace(cfg)
-    splits = pipeline.stage_preprocess(ws)
-    if command == "preprocess":
-        # the windowed dump has its own key, so a preprocess hit cannot vouch for it
-        digest = ws.stage_hash("windows", [], upstream=("preprocess",))
-        outputs = [f"windows_{s}.csv" for s in pipeline.SPLITS]
-        if not ws.fresh("windows", digest, outputs):
-            for s, name in zip(pipeline.SPLITS, outputs):
-                ingest.write_windows_csv(splits[s], ws.path(name))
-            ws.mark("windows", digest, outputs)
-        print(f"wrote windowed splits to {ws.dir}")
-        return
-    enc = pipeline.stage_train_encoder(ws, splits)
-    if command == "train-encoder":
-        print(f"wrote {ws.path('encoder.ckpt')}")
-        return
-    embeddings = pipeline.stage_embed(ws, splits, enc)
-    if command == "embed":
-        print(f"wrote embeddings to {ws.dir}")
-        return
-    pipeline.stage_train_detector(ws, embeddings)
-    print(f"wrote {ws.path('detector.ckpt')}")
+    else:
+        _, ws = pipeline.run_pipeline(cfg, through=command)
+        if command == "preprocess":
+            print(f"wrote windowed splits to {ws.dir}")
+        elif command == "embed":
+            print(f"wrote embeddings to {ws.dir}")
+        else:
+            print(f"wrote {ws.path(pipeline.STAGES[command].checkpoints[0])}")
 
 
 def main(argv=None) -> int:
@@ -118,19 +81,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_config(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        dispatch(args.command, cfg)
+        dispatch(args.command, load_config(args))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except FloatingPointError as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ParseError, FileNotFoundError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"{args.command} failed: {e}", file=sys.stderr)
         return EXIT_DATA
     except KeyboardInterrupt:

@@ -85,7 +85,7 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     reconstruction loss; stops early by nn.fit's patience rule.
     """
     if not graphs:
-        raise ValueError("no graphs to train on")
+        raise ValueError("no normal window graphs to train the encoder on")
     bad = [g.window_index for g in graphs if g.label != 0]
     if bad:
         raise ValueError(f"encoder training requires normal-only graphs; got attack windows {bad[:5]}")

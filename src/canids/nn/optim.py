@@ -51,7 +51,7 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
 
     Each epoch takes one Adam step at `config.lr` per (loss, weight) pair `steps()`
     yields, clipping the gradients' global norm to `config.grad_clip` when it is > 0.
-    A non-finite train loss, the weighted mean of the losses, raises FloatingPointError.
+    A non-finite step loss, or train loss (the weighted mean), raises FloatingPointError.
     `validate()` runs on no tape and returns (score, value); `value` goes to the
     history under `metric[0]` and to the INFO line as `metric[1] % value`. The best
     epoch is the first with the highest score. Training stops after the first epoch
@@ -65,14 +65,17 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
         started = time.perf_counter()
         total, weights = 0.0, 0
         for loss, weight in steps():
+            step_loss = loss.item()
+            if not np.isfinite(step_loss):  # stop before an Adam step on it
+                raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
             loss.backward()
             if config.grad_clip > 0:
                 nn.clip_global_norm(model, config.grad_clip)
             nn.adam_step(model, lr=config.lr)
-            total += loss.item() * weight
+            total += step_loss * weight
             weights += weight
         train_loss = total / weights
-        if not np.isfinite(train_loss):
+        if not np.isfinite(train_loss):  # a sum of finite losses can still overflow
             raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
         with nn.no_grad():
             score, value = validate()

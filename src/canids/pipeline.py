@@ -1,16 +1,18 @@
 """Stage orchestration: wiring ingest -> graph -> encoder -> detector -> analysis.
 
-Every stage writes its artifacts into the work dir (each through a temp file and a
-rename) and records its input hash, and the sha256 of each CSV or text output, in
-manifest.json. A stage is skipped on rerun only when its input hash matches and
-those outputs still have their recorded digests, so stale or truncated
+Every stage in `STAGES` writes its artifacts into the work dir (each through a temp
+file and a rename) and records its input hash, and the sha256 of each CSV or text
+output, in manifest.json. A stage is skipped on rerun only when its input hash
+matches and those outputs still have their recorded digests, so stale or truncated
 intermediates are rebuilt.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,28 @@ from .graph import ByteMode, build_graph
 log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
+
+# A stage's digest covers its config `keys`, its `upstream` stages' digests and, for
+# `preprocess`, the log's bytes. The manifest records the sha256 of its `outputs`;
+# its `checkpoints` need only exist, as loading one rejects a corrupt file.
+Stage = namedtuple("Stage", "keys upstream outputs checkpoints", defaults=((), ()))
+
+# Every stage in run order; `windows` is the dump only `canids preprocess` writes.
+STAGES = {
+    "preprocess": Stage(("input_log", "window_size", "train_ratio", "val_ratio",
+                         "test_ratio"), ()),
+    "windows": Stage((), ("preprocess",), tuple(f"windows_{s}.csv" for s in SPLITS)),
+    "train-encoder": Stage(("byte_mode", "encoder_epochs", "encoder_lr", "encoder_patience",
+                            "encoder_seed", "grad_clip"), ("preprocess",),
+                           checkpoints=("encoder.ckpt",)),
+    "embed": Stage(("byte_mode",), ("train-encoder",),
+                   tuple(f"embeddings_{s}.csv" for s in SPLITS)),
+    "train-detector": Stage(("sequence_length", "detector_epochs", "detector_lr",
+                             "detector_batch", "detector_patience", "detector_seed",
+                             "grad_clip"), ("embed",), checkpoints=("detector.ckpt",)),
+    "detect": Stage(("sequence_length", "threshold"), ("train-detector",),
+                    tuple(f"detect_{v}.csv" for v in VIEWS) + ("summary.txt",)),
+}
 
 
 class Workspace:
@@ -57,16 +81,13 @@ class Workspace:
     def path(self, name: str) -> Path:
         return self.dir / name
 
-    def _save_manifest(self) -> None:
-        text = json.dumps(self.manifest, indent=1, sort_keys=True)
-        nn.write_atomic(self.manifest_path, text.encode())
-
-    def stage_hash(self, stage: str, keys, upstream=()) -> str:
-        blob = {k: self.config.values[k] for k in keys}
-        blob["_upstream"] = [self.manifest.get(u, "") for u in upstream]
+    def stage_hash(self, stage: str) -> str:
+        spec = STAGES[stage]
+        blob = {k: self.config.values[k] for k in spec.keys}
+        blob["_upstream"] = [self.manifest.get(u, "") for u in spec.upstream]
         if stage == "preprocess":
             p = Path(self.config.input_log)
-            blob["_input"] = hashlib.sha256(p.read_bytes()).hexdigest() if p.exists() else ""
+            blob["_input"] = hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else ""
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
 
     def _sha256(self, name: str) -> str:
@@ -88,7 +109,14 @@ class Workspace:
         """Record the stage's input hash and each output file's sha256."""
         self.manifest[stage] = digest
         self.manifest.update({o: self._sha256(o) for o in outputs})
-        self._save_manifest()
+        text = json.dumps(self.manifest, indent=1, sort_keys=True)
+        nn.write_atomic(self.manifest_path, text.encode())
+
+    def check(self, stage: str):
+        """(digest, hit): the stage's digest for this config, and whether it is fresh."""
+        spec = STAGES[stage]
+        digest = self.stage_hash(stage)
+        return digest, self.fresh(stage, digest, spec.outputs, spec.checkpoints)
 
 
 def run_synth(config: PipelineConfig) -> Path:
@@ -112,7 +140,7 @@ def run_synth(config: PipelineConfig) -> Path:
 
 def load_frames(config: PipelineConfig) -> FrameTable:
     """Parse the input log into one frame table."""
-    if not config.input_log or not Path(config.input_log).exists():
+    if not Path(config.input_log).is_file():
         raise FileNotFoundError(f"input log not found: {config.input_log!r}")
     table = ingest.parse_log(config.input_log)
     if not len(table):
@@ -127,29 +155,15 @@ def prepare_splits(config: PipelineConfig):
     return {"train": train, "val": val, "test": test}
 
 
-class Lazy:
-    """The dict `make()` returns, made on the first lookup and kept. Stages hand on
-    the splits and cached embeddings this way, so they are made or read only when a
-    later stage misses."""
-
-    def __init__(self, make):
-        self._make, self._made = make, None
-
-    def __getitem__(self, name: str):
-        if self._made is None:
-            self._made = self._make()
-        return self._made[name]
-
-
 def stage_preprocess(ws: Workspace):
-    """Record the preprocess digest and return lazy splits. The digest covers the
-    log's bytes and the window and split keys; it does not validate the log, which
-    is parsed (and rejected if missing or empty) only when a stage needs frames."""
-    digest = ws.stage_hash("preprocess", ["input_log", "window_size",
-                                          "train_ratio", "val_ratio", "test_ratio"])
-    if not ws.fresh("preprocess", digest):
+    """Record the preprocess digest and return the splits as a cached call, so that
+    they are made only if a later stage misses. The digest covers the log's bytes and
+    the window and split keys; it does not validate the log, which is parsed (and
+    rejected if missing or empty) only when a stage needs frames."""
+    digest, hit = ws.check("preprocess")
+    if not hit:
         ws.mark("preprocess", digest)
-    return Lazy(lambda: prepare_splits(ws.config))
+    return functools.cache(lambda: prepare_splits(ws.config))
 
 
 def _graphs_for(split_windows, config: PipelineConfig):
@@ -157,83 +171,95 @@ def _graphs_for(split_windows, config: PipelineConfig):
     return [build_graph(w, mode) for w in split_windows]
 
 
-def stage_train_encoder(ws: Workspace, splits):
-    cfg = ws.config
-    digest = ws.stage_hash("train-encoder",
-                           ["byte_mode", "encoder_epochs", "encoder_lr",
-                            "encoder_patience", "encoder_seed", "grad_clip"],
-                           upstream=("preprocess",))
-    ckpt = "encoder.ckpt"
-    model = EncoderModel(seed=cfg.encoder_seed)
-    if ws.fresh("train-encoder", digest, checkpoints=[ckpt]):
-        model.load(ws.path(ckpt))
+def _train_stage(ws: Workspace, stage: str, model, train):
+    """Load the stage's checkpoint into `model` on a hit. Otherwise `train()` returns
+    (model, record); save that model and write `<model>_log.csv` from its history."""
+    digest, hit = ws.check(stage)
+    ckpt = ws.path(STAGES[stage].checkpoints[0])
+    if hit:
+        model.load(ckpt)
         return model
-    normal_graphs = _graphs_for([w for w in splits["train"] if w.label == 0], cfg)
-    if not normal_graphs:
-        raise ValueError("no normal windows in the training split to train the encoder on")
-    model, train_log = train_encoder(normal_graphs, EncoderConfig(
-        epochs=cfg.encoder_epochs, lr=cfg.encoder_lr, patience=cfg.encoder_patience,
-        seed=cfg.encoder_seed, grad_clip=cfg.grad_clip))
-    model.save(ws.path(ckpt))
-    nn.write_atomic(ws.path("encoder_log.csv"), ("epoch,train_loss,val_loss\n" + "".join(
-        f"{row['epoch']},{row['train_loss']!r},{row['val_loss']!r}\n"
-        for row in train_log["history"])).encode())
-    ws.mark("train-encoder", digest)
+    model, record = train()
+    model.save(ckpt)
+    rows = record["history"]
+    text = ",".join(rows[0]) + "\n" + "".join(",".join(map(repr, r.values())) + "\n" for r in rows)
+    nn.write_atomic(ckpt.with_name(f"{ckpt.stem}_log.csv"), text.encode())
+    ws.mark(stage, digest)
     return model
 
 
+def stage_train_encoder(ws: Workspace, splits):
+    cfg = ws.config
+
+    def train():
+        normal_graphs = _graphs_for([w for w in splits()["train"] if w.label == 0], cfg)
+        return train_encoder(normal_graphs, EncoderConfig(
+            epochs=cfg.encoder_epochs, lr=cfg.encoder_lr, patience=cfg.encoder_patience,
+            seed=cfg.encoder_seed, grad_clip=cfg.grad_clip))
+
+    return _train_stage(ws, "train-encoder", EncoderModel(seed=cfg.encoder_seed), train)
+
+
 def stage_embed(ws: Workspace, splits, model: EncoderModel):
-    digest = ws.stage_hash("embed", ["byte_mode"], upstream=("train-encoder",))
-    outputs = [f"embeddings_{s}.csv" for s in SPLITS]
-    if ws.fresh("embed", digest, outputs):
-        return Lazy(lambda: {s: read_embeddings_csv(ws.path(o)) for s, o in zip(SPLITS, outputs)})
+    digest, hit = ws.check("embed")
+    outputs = STAGES["embed"].outputs
+    if hit:
+        return functools.cache(lambda: {s: read_embeddings_csv(ws.path(o))
+                                        for s, o in zip(SPLITS, outputs)})
     embeddings = {}
-    for s in SPLITS:
-        graphs = _graphs_for(splits[s], ws.config)
-        embeddings[s] = [embed(model, g) for g in graphs]
-        write_embeddings_csv(embeddings[s], ws.path(f"embeddings_{s}.csv"))
+    for s, name in zip(SPLITS, outputs):
+        embeddings[s] = [embed(model, g) for g in _graphs_for(splits()[s], ws.config)]
+        write_embeddings_csv(embeddings[s], ws.path(name))
     ws.mark("embed", digest, outputs)
-    return embeddings
+    return lambda: embeddings
 
 
 def stage_train_detector(ws: Workspace, embeddings):
     cfg = ws.config
-    digest = ws.stage_hash("train-detector",
-                           ["sequence_length", "detector_epochs", "detector_lr",
-                            "detector_batch", "detector_patience", "detector_seed",
-                            "grad_clip"],
-                           upstream=("embed",))
-    ckpt = "detector.ckpt"
     model = DetectorModel(seed=cfg.detector_seed)
-    if ws.fresh("train-detector", digest, checkpoints=[ckpt]):
-        model.load(ws.path(ckpt))
-        return model
-    train_seqs = make_sequences(embeddings["train"], cfg.sequence_length)
-    val_seqs = make_sequences(embeddings["val"], cfg.sequence_length)
-    model, train_log = train_detector(model, train_seqs, val_seqs, DetectorConfig(
-        epochs=cfg.detector_epochs, lr=cfg.detector_lr, batch_size=cfg.detector_batch,
-        patience=cfg.detector_patience, seed=cfg.detector_seed, grad_clip=cfg.grad_clip))
-    model.save(ws.path(ckpt))
-    nn.write_atomic(ws.path("detector_log.csv"), ("epoch,train_loss,val_f1\n" + "".join(
-        f"{row['epoch']},{row['train_loss']!r},{row['val_f1']!r}\n"
-        for row in train_log["history"])).encode())
-    ws.mark("train-detector", digest)
-    return model
+
+    def train():
+        train_seqs = make_sequences(embeddings()["train"], cfg.sequence_length)
+        val_seqs = make_sequences(embeddings()["val"], cfg.sequence_length)
+        return train_detector(model, train_seqs, val_seqs, DetectorConfig(
+            epochs=cfg.detector_epochs, lr=cfg.detector_lr, batch_size=cfg.detector_batch,
+            patience=cfg.detector_patience, seed=cfg.detector_seed, grad_clip=cfg.grad_clip))
+
+    return _train_stage(ws, "train-detector", model, train)
 
 
 def stage_detect(ws: Workspace, embeddings, model: DetectorModel):
     cfg = ws.config
-    digest = ws.stage_hash("detect", ["sequence_length", "threshold"],
-                           upstream=("train-detector",))
-    outputs = [f"detect_{v}.csv" for v in VIEWS] + ["summary.txt"]
-    if ws.fresh("detect", digest, outputs):
+    digest, hit = ws.check("detect")
+    if hit:
         return read_report_csvs(ws.dir, cfg.threshold)
-    report = detect(model, embeddings["test"], cfg.sequence_length, cfg.threshold)
+    report = detect(model, embeddings()["test"], cfg.sequence_length, cfg.threshold)
     write_report_csvs(report, ws.dir)
     text = summary_table(report, cfg.window_size, cfg.sequence_length)
     nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())
-    ws.mark("detect", digest, outputs)
+    ws.mark("detect", digest, STAGES["detect"].outputs)
     return report
+
+
+def current_report(config: PipelineConfig):
+    """The recorded report, read once every stage but `windows` is fresh for
+    `config`, the log's digest included. Otherwise raises, naming the first stage
+    that is not fresh, or its output that fails its sha256. Writes nothing."""
+    if not Path(config.work_dir).is_dir():
+        raise FileNotFoundError(f"missing {config.work_dir}; run detect first")
+    ws = Workspace(config)
+    for stage, spec in STAGES.items():
+        if stage == "windows":
+            continue
+        digest, hit = ws.check(stage)
+        if hit:
+            continue
+        broken = [o for o in spec.outputs if not ws.intact(o)]
+        if broken and ws.manifest.get(stage) == digest:
+            raise ValueError(f"{ws.path(broken[0])} is missing or does not match its sha256 "
+                             f"in manifest.json; rerun {stage}")
+        raise ValueError(f"stage {stage} is out of date for this config; rerun detect")
+    return read_report_csvs(ws.dir, config.threshold)
 
 
 def run_entropy(config: PipelineConfig) -> Path:
@@ -245,15 +271,28 @@ def run_entropy(config: PipelineConfig) -> Path:
     return path
 
 
-def run_pipeline(config: PipelineConfig):
-    """Full pipeline; returns (DetectionReport, Workspace)."""
+def run_pipeline(config: PipelineConfig, through: str = "detect"):
+    """Run the stages in order through the stage command `through` (`preprocess` also
+    writes the windowed splits); returns (DetectionReport or None, Workspace)."""
     ws = Workspace(config)
     splits = stage_preprocess(ws)
+    if through == "preprocess":
+        digest, hit = ws.check("windows")
+        if not hit:
+            for s, name in zip(SPLITS, STAGES["windows"].outputs):
+                ingest.write_windows_csv(splits()[s], ws.path(name))
+            ws.mark("windows", digest, STAGES["windows"].outputs)
+        return None, ws
     enc = stage_train_encoder(ws, splits)
+    if through == "train-encoder":
+        return None, ws
     embeddings = stage_embed(ws, splits, enc)
+    if through == "embed":
+        return None, ws
     det = stage_train_detector(ws, embeddings)
-    report = stage_detect(ws, embeddings, det)
-    return report, ws
+    if through == "train-detector":
+        return None, ws
+    return stage_detect(ws, embeddings, det), ws
 
 
 def run_sweep(config: PipelineConfig) -> Path:

@@ -35,6 +35,27 @@ def pairwise_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
+def loop_auc(scores, labels):
+    """The tie loop auc_score ran before its runs were found by array ops: average
+    ranks over each run of scores equal to the run's first, so a NaN is its own run."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    rank_sum_pos = float(ranks[labels == 1].sum())
+    return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 def entropy_bits(counts) -> float:
     """Shannon entropy -sum p log2 p of a count distribution, term by term in order."""
     total = sum(counts)
@@ -235,6 +256,19 @@ class TestAuc:
         # quantized scores force ties
         scores = np.round(rng.random(n), 2)
         assert auc_score(scores, labels) == pairwise_auc(scores.tolist(), labels.tolist())
+
+    @pytest.mark.parametrize("trial", range(200))
+    def test_matches_tie_loop_bit_for_bit(self, trial):
+        rng = np.random.default_rng(1000 + trial)
+        n = int(rng.integers(2, 2000))
+        labels = rng.integers(0, 2, size=n)
+        labels[: 2] = (0, 1)
+        scores = rng.random(n)
+        if trial % 2:  # heavy ties
+            scores = np.round(scores, int(rng.integers(0, 3)))
+        if trial % 5 == 0:
+            scores[rng.random(n) < 0.2] = np.nan
+        assert auc_score(scores, labels) == loop_auc(scores, labels)
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)

@@ -398,6 +398,72 @@ def test_evaluate_rejects_report_that_fails_its_digest(synth_log, tmp_path, caps
     assert "detect_max.csv" in err and "rerun detect" in err
 
 
+@pytest.mark.parametrize("change, stage", [
+    ("--set threshold=0.9", "detect"),
+    ("--set sequence_length=5", "train-detector"),
+    ("--window-size 75", "preprocess"),
+    ("rewrite the log", "preprocess"),
+])
+def test_evaluate_rejects_a_stale_stage(synth_log, tmp_path, capsys, change, stage):
+    _, log = synth_log
+    copy = tmp_path / "traffic.csv"
+    copy.write_bytes(log.read_bytes())
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {copy}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    flags = change.split() if change.startswith("--") else []
+    if not flags:  # drop the last frame
+        copy.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:-1]))
+    files = {p.name: p.read_bytes() for p in (tmp_path / "work").iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), *flags]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and f"stage {stage} is out of date" in err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "work").iterdir()} == files
+
+
+def test_evaluate_reads_the_run_of_its_config(synth_log, tmp_path, capsys):
+    _, log = synth_log
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg), "--set", "threshold=0.9"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg), "--set", "threshold=0.9"]) == EXIT_OK
+    assert capsys.readouterr().out == (tmp_path / "work" / "summary.txt").read_text()
+
+
+def test_evaluate_on_a_missing_work_dir_creates_nothing(synth_log, tmp_path, capsys):
+    _, log = synth_log
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    assert capsys.readouterr().out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["m.cfg"]
+
+
+@pytest.mark.parametrize("command, chain", [
+    ("preprocess", ["preprocess", "windows"]),
+    ("train-encoder", ["preprocess", "train-encoder"]),
+    ("embed", ["preprocess", "train-encoder", "embed"]),
+    ("train-detector", ["preprocess", "train-encoder", "embed", "train-detector"]),
+    ("detect", ["preprocess", "train-encoder", "embed", "train-detector", "detect"]),
+])
+def test_a_stage_command_runs_the_chain_through_its_stage(synth_log, tmp_path, command, chain):
+    _, log = synth_log
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "work" / "manifest.json").read_text())
+    assert [s for s in pipeline.STAGES if s in manifest] == chain
+
+
+def test_run_without_an_input_log_names_it(tmp_path, capsys):
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"work_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+    assert "input log not found" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0"])
 def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, override):
     root, log = synth_log

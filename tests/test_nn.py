@@ -388,6 +388,13 @@ class TestFit:
         with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 1$"):
             fit_toy(model, lambda: [(constant_loss(model, next(values)), 1)], lambda: (0.0, 0.0))
 
+    def test_first_non_finite_step_stops_before_its_adam_step(self):
+        model = module(w=0.0)
+        losses = [constant_loss(model, v) for v in (1.0, np.nan, 2.0, 3.0, 4.0)]
+        with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 0$"):
+            fit_toy(model, lambda: ((loss, 1) for loss in losses), lambda: (0.0, 0.0))
+        assert model.adam_t == 1
+
 
 class TestModule:
     def test_parameters_are_views_of_flat_vectors(self):

@@ -158,3 +158,31 @@ def test_manifest_records_output_digests(tmp_path):
     ws.path("out.csv").write_text("a,b\n")
     del ws.manifest["out.csv"]
     assert not ws.fresh("stage", "h", ["out.csv"])
+
+
+# Digests of every stage for the config and log below, each chained on the one
+# before. Any change to how a digest is formed invalidates every cached work dir.
+PINNED_DIGESTS = {
+    "preprocess": "5ad302e75819166b11a42aec3f69cdcaaee934ad8ab73f8b624d27106af04cc9",
+    "windows": "d96a84736d91e3348f9e57d7c84c5b7db2f70f960e608c7e3365ed8c4eed6172",
+    "train-encoder": "0978b5c325bd67f2889ec78349b99a0ed5ebf303f46f9c0b6bfee0eb80dc9771",
+    "embed": "1a30e1f1c2f0543a8bebb24f2ecb519440d8785cf2aca19c4c22b14b33d77094",
+    "train-detector": "aa751f511dadae535079b05d18947d57d9cb5b45be1ea5565a22fac5895a7d1e",
+    "detect": "86e2720ee04b828e8460f170168a952ddb543c457b00d8391fa9c3f89afe4857",
+}
+
+
+def test_stage_digests_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("traffic.csv").write_text(
+        "timestamp,arbitration_id,dlc,payload,label\n"
+        "0.0,100,8,01 02 03 04 05 06 07 08,Normal\n"
+        "0.001,1A0,6,00 FF 10 20 30 40,Normal\n"
+        "0.002,090,2,AA BB,Flooding\n")
+    cfg = PipelineConfig()
+    cfg.set("input_log", "traffic.csv")
+    cfg.set("work_dir", "work")
+    ws = pipeline.Workspace(cfg)
+    for stage in pipeline.STAGES:
+        ws.manifest[stage] = ws.stage_hash(stage)
+    assert {s: ws.manifest[s] for s in pipeline.STAGES} == PINNED_DIGESTS
