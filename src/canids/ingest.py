@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import logging
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -64,27 +65,16 @@ def _parse_id(text: str) -> int:
     return _parse_hex(text, "arbitration id")
 
 
-def _field(rows, width, index, default):
-    """Column `index` of every row as text; `default` where a row is too short or the
-    column is absent (index None)."""
-    if index is None:
-        return [default] * len(rows)
-    present = width > index
-    if present.all():
-        return list(map(itemgetter(index), rows))
-    return [row[index] if ok else default for row, ok in zip(rows, present.tolist())]
-
-
-def _convert(texts, convert, dtype, fast=None):
+def _convert(texts, convert, dtype, fast):
     """(values, rejected) for one column. An all-valid column takes one C-level pass
-    over `fast` (default: map(convert, texts)); otherwise each cell is converted
-    alone, a rejected or missing (None) cell becomes 0, and an integer too large for
-    `dtype` becomes -1, which fails every range check."""
+    over `fast` (None: no such pass); otherwise each cell is converted alone, a
+    rejected or missing (None) cell becomes 0, and an integer too large for `dtype`
+    becomes -1, which fails every range check."""
     n = len(texts)
-    if None not in texts:
+    if fast is not None:
         try:
-            return np.fromiter(fast or map(convert, texts), dtype, n), np.zeros(n, bool)
-        except (ValueError, OverflowError):
+            return np.fromiter(fast, dtype, n), np.zeros(n, bool)
+        except (TypeError, ValueError, OverflowError):  # TypeError: a missing cell
             pass
     values = np.zeros(n, dtype)
     rejected = np.zeros(n, bool)
@@ -120,29 +110,56 @@ def _reason(convert, text, missing: str = "") -> str:
 
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
-_NIBBLE = np.full(128, -1, np.int16)  # ASCII hex digit -> value; anything else -> -1
-_NIBBLE[[ord(c) for c in _HEX_DIGITS]] = [int(c, 16) for c in _HEX_DIGITS]
+_DIGIT = np.full(256, 255, np.uint8)  # ASCII code -> digit value; 255 for a non-digit
+_DIGIT[np.frombuffer(_HEX_DIGITS.encode(), np.uint8)] = [int(c, 16) for c in _HEX_DIGITS]
+_MAX_WIDTH = {10: 18, 16: 15}  # the widest cells whose value always fits int64
 _CANONICAL_WIDTH = 3 * MAX_DLC - 1  # "HH HH HH HH HH HH HH HH"
+
+
+def _integers(texts, base: int, convert):
+    """(int64 values, rejected) of an integer column. A column whose cells are all
+    ASCII base-`base` digits of one width is decoded from one joined buffer through
+    _DIGIT, to the values int(text, base) gives; any other takes one pass of
+    int(text, base) or, failing that, `convert` cell by cell."""
+    n = len(texts)
+    try:
+        joined = "".join(texts)
+        width = len(joined) // n if n else 0
+        one_width = (np.fromiter(map(len, texts), np.int64, n) == width).all()
+    except TypeError:  # a missing cell (None)
+        joined, width, one_width = "".join(filter(None, texts)), 0, False
+    if one_width and 0 < width <= _MAX_WIDTH[base] and joined.isascii():
+        digits = _DIGIT[np.frombuffer(joined.encode(), np.uint8)].reshape(n, width)
+        if (digits < base).all():
+            values = np.zeros(n, np.int64)
+            for column in digits.T:
+                values = values * base + column
+            return values, np.zeros(n, bool)
+    # int(text, 16) also reads "0x_1", which _parse_id rejects
+    fast = None if "_" in joined else map(int, texts, repeat(base))
+    return _convert(texts, convert, np.int64, fast)
 
 
 def _decode_payloads(texts):
     """(payload uint8[N, 8], rejected bool[N]).
 
     The form write_log emits (two hex digits per byte, single spaces, at most 8
-    bytes, or empty) is decoded for all rows at once through a nibble table; any
-    other text goes through _parse_payload for that row alone."""
+    bytes, or empty) is decoded for all rows at once from their ASCII bytes through
+    _DIGIT; any other text goes through _parse_payload for that row alone."""
     n = len(texts)
     length = np.fromiter(map(len, texts), np.int64, n)
-    chars = np.array(texts, dtype=f"U{_CANONICAL_WIDTH}").view(np.uint32)
-    chars = chars.reshape(n, _CANONICAL_WIDTH)
-    nibbles = _NIBBLE[np.minimum(chars, 127, out=chars)]  # code points >= 127 are not hex
-    high, low = nibbles[:, 0::3], nibbles[:, 1::3]
-    count = (length + 1) // 3
-    used = np.arange(MAX_DLC) < count[:, None]
-    canonical = (((length % 3 == 2) | (length == 0)) & (length <= _CANONICAL_WIDTH)
-                 & np.all(((high >= 0) & (low >= 0)) | ~used, axis=1)
-                 & np.all((chars[:, 2::3] == ord(" ")) | ~used[:, 1:], axis=1))
-    payload = np.where(used & canonical[:, None], high * 16 + low, 0).astype(np.uint8)
+    try:  # one 3-byte slot per payload byte: two digits and a space, or the end
+        chars = np.array(texts, f"S{3 * MAX_DLC}")  # a longer cell is cut, and fails on length
+    except UnicodeEncodeError:  # a non-ASCII cell: every row goes through _parse_payload
+        chars = np.zeros(n, f"S{3 * MAX_DLC}")
+    slots = chars.view(np.uint8).reshape(n, MAX_DLC, 3)
+    high, low = _DIGIT[slots[:, :, 0]], _DIGIT[slots[:, :, 1]]
+    unused = np.arange(MAX_DLC) >= ((length + 1) // 3)[:, None]
+    canonical = ((length % 3 == 2) | (length == 0)) & (length <= _CANONICAL_WIDTH)
+    canonical &= (((high | low) < 16) | unused).all(axis=1)
+    canonical &= ((slots[:, :-1, 2] == ord(" ")) | unused[:, 1:]).all(axis=1)
+    payload = high << 4 | low
+    payload[unused | ~canonical[:, None]] = 0
     rejected = np.zeros(n, bool)
     for i in np.flatnonzero(~canonical):
         try:
@@ -154,23 +171,18 @@ def _decode_payloads(texts):
     return payload, rejected
 
 
-_BLOCK_ROWS = 4096  # rows converted at a time: bounds how many cell strings are alive at once
+_BLOCK_ROWS = 4096  # lines read, or rows converted, at a time: bounds how much text is alive at once
 
 
-def _parse_block(rows, lines, position: dict) -> FrameTable:
-    """Convert and validate consecutive non-blank rows; `lines` holds their physical
-    line numbers and `position` maps a header name to its column. Raises ParseError
+def _parse_block(columns, lines) -> FrameTable:
+    """Convert and validate the five text columns (in COLUMNS order) of consecutive
+    non-blank rows; `lines[i]` is row i's physical line number. Raises ParseError
     for the first bad row."""
-    n = len(rows)
-    width = np.fromiter(map(len, rows), np.int64, n)
-    ts_text, id_text, dlc_text, payload_text, label_text = (
-        _field(rows, width, position.get(name), default)
-        for name, default in zip(COLUMNS, (None, None, None, "", "")))
-    timestamp, ts_bad = _convert(ts_text, float, np.float64)
-    # int(text, 16) also reads "0x_1", which _parse_id rejects
-    fast_id = None if "_" in "".join(filter(None, id_text)) else map(int, id_text, repeat(16))
-    arb, id_bad = _convert(id_text, _parse_id, np.int64, fast_id)
-    dlc, dlc_bad = _convert(dlc_text, int, np.int64)
+    ts_text, id_text, dlc_text, payload_text, label_text = columns
+    n = len(ts_text)
+    timestamp, ts_bad = _convert(ts_text, float, np.float64, map(float, ts_text))
+    arb, id_bad = _integers(id_text, 16, _parse_id)
+    dlc, dlc_bad = _integers(dlc_text, 10, int)
     payload, payload_bad = _decode_payloads(payload_text)
     payload[np.arange(MAX_DLC) >= dlc[:, None]] = 0  # the declared DLC wins
     codes = {text: _label_code(text) for text in set(label_text)}
@@ -194,39 +206,119 @@ def _parse_block(rows, lines, position: dict) -> FrameTable:
     return FrameTable(timestamp, arb, dlc.astype(np.uint8), payload, label)
 
 
+def _row_columns(rows, fields):
+    """The five columns of csv rows, as _plain_columns gives them; where a row is
+    too short, a cell is None, or the default text of an optional column."""
+    width = min(map(len, rows), default=0)
+    return [[default] * len(rows) if index is None
+            else list(map(itemgetter(index), rows)) if index < width
+            else [row[index] if index < len(row) else default for row in rows]
+            for index, default in fields]
+
+
+_CELL_ENDS = bytes.maketrans(b"\n", b",")
+
+
+def _plain_columns(text: str, n: int, width: int, fields):
+    """The five columns of a block of `n` lines, or None when the block is not plain
+    (see parse_log) or a line is longer than csv's field size limit. `fields` holds
+    each column's index in a row, or None and the text of an absent column."""
+    if width < 2 or '"' in text:  # with one field, a blank line would pass for a row
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    data = text.encode()
+    array = np.frombuffer(data, np.uint8)
+    separators = np.flatnonzero((array == ord(",")) | (array == ord("\n")))
+    # width - 1 commas and then "\n" on every line: no line ends in a bare "\r"
+    if (len(separators) != n * width
+            or (array[separators].reshape(n, width)
+                != np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)).any()
+            or len(data) > csv.field_size_limit()
+            and np.diff(separators[width - 1 :: width], prepend=-1).max() > csv.field_size_limit()):
+        return None
+    del array, separators
+    # every "\r" is the start of a "\r\n"
+    cells = data.translate(_CELL_ENDS, b"\r").decode().split(",")
+    stop = n * width
+    return [[default] * n if index is None else cells[index:stop:width]
+            for index, default in fields]
+
+
+def _blocks(fh, width: int, fields, line: int):
+    """(five columns, physical line numbers) of each block of rows in `fh`, which
+    follows `line` lines of the file: plain blocks of _BLOCK_ROWS lines, then, from
+    the first block that is not plain, csv rows _BLOCK_ROWS at a time. The dels
+    free a block's text and cells before the next block is read: a suspended
+    generator keeps its locals alive."""
+    while True:
+        lines = list(islice(fh, _BLOCK_ROWS))
+        if not lines:
+            return
+        n, text = len(lines), "".join(lines)
+        del lines
+        columns = _plain_columns(text, n, width, fields)
+        if columns is None:
+            break
+        del text
+        yield columns, range(line + 1, line + n + 1)
+        del columns
+        line += n
+    reader = csv.reader(chain(io.StringIO(text, newline=""), fh))  # a quoted cell can span lines
+    del text
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(line + reader.line_num)
+            if len(rows) == _BLOCK_ROWS:
+                yield _row_columns(rows, fields), lines
+                rows, lines = [], []
+    if rows:
+        yield _row_columns(rows, fields), lines
+
+
 def parse_log(path) -> FrameTable:
-    """Parse a CSV CAN log into one FrameTable, rows in file order.
+    r"""Parse a CSV CAN log into one FrameTable, rows in file order.
 
     The header row names the columns, in any order, with the names in COLUMNS; a log
     with no label column is all Normal. Blank lines are skipped. A malformed row
     raises ParseError naming its physical line (1-based, header included); when
     several rows are bad, the first in file order is named, with the first failing
-    check of that row. Rows are converted
-    column by column, a block of rows at a time: payloads in the form write_log
-    emits ("HH HH ...") are decoded for the whole block at once; comma-separated,
-    contiguous ("A1B2C3") and single-digit forms are parsed row by row. Payloads
+    check of that row. Non-monotone timestamps produce a warning, not an error.
+
+    The file is read _BLOCK_ROWS lines at a time. A plain block (no '"', every line
+    ending in "\n" or "\r\n", no blank line, and as many fields on every line as the
+    header has) is cut into cells by one str.split, and its line numbers follow from
+    its first line. At the first block that is not plain, the rest of the file goes
+    through csv.reader a row at a time, since a quoted cell can span lines. Both
+    paths hand the same text columns to the same conversions and checks, so the
+    table, the error with its line number and the warning's line are the same
+    whichever path a row takes. Ids and DLCs whose cells are all ASCII digits of one
+    width, and payloads in the form write_log emits ("HH HH ..."), are decoded for a
+    whole block at once; "0x" prefixes, padding, comma-separated, contiguous
+    ("A1B2C3"), non-ASCII and single-digit forms are parsed cell by cell. Payloads
     shorter than 8 bytes are zero-padded; a payload longer than the declared DLC is
-    truncated to it. Non-monotone timestamps produce a warning, not an error.
+    truncated to it.
     """
     path = Path(path)
-    blocks, rows, lines = [], [], []
+    tables, block_lines = [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
+        header = next(reader, None) or []
         # a repeated name maps to its last column, as in csv.DictReader
-        position = {name: i for i, name in enumerate(next(reader, None) or [])}
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-                if len(rows) == _BLOCK_ROWS:
-                    blocks.append(_parse_block(rows, lines[-len(rows):], position))
-                    rows = []
-        blocks.append(_parse_block(rows, lines[len(lines) - len(rows):], position))
-    table = FrameTable.concat(blocks)
+        position = {name: i for i, name in enumerate(header)}
+        fields = [(position.get(name), default)
+                  for name, default in zip(COLUMNS, (None, None, None, "", ""))]
+        for columns, lines in _blocks(fh, len(header), fields, reader.line_num):
+            tables.append(_parse_block(columns, lines))
+            block_lines.append(lines)
+            del columns
+    table = FrameTable.concat(tables) if tables else _parse_block([[]] * len(COLUMNS), [])
     back = np.flatnonzero(table.timestamp[1:] < table.timestamp[:-1])
     if back.size:
-        log.warning("%s: non-monotone timestamp at line %d (kept in file order)",
-                    path, lines[back[0] + 1])
+        line = next(islice(chain.from_iterable(block_lines), int(back[0]) + 1, None))
+        log.warning("%s: non-monotone timestamp at line %d (kept in file order)", path, line)
     return table
 
 

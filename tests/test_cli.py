@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -37,6 +38,21 @@ encoder_epochs = 3
 encoder_patience = 3
 detector_epochs = 4
 detector_patience = 4
+"""
+
+# PIPELINE_KEYS's detector scores every test sequence between 0.52 and 0.59, so all
+# its decisions are 1. This one's detector separates the classes of the test split
+# well enough that every view has decisions on both sides of the threshold.
+DECISION_KEYS = """
+window_size = 50
+sequence_length = 3
+encoder_epochs = 3
+encoder_patience = 3
+detector_epochs = 20
+detector_patience = 20
+detector_lr = 0.005
+detector_batch = 16
+threshold = 0.5
 """
 
 
@@ -217,6 +233,19 @@ def test_threshold_change_reruns_only_detect(synth_log, tmp_path, monkeypatch):
     refuse(monkeypatch, "pipeline.detect")  # the same command again is a hit
     assert main(["run", "--config", str(cfg), "--set", f"threshold={threshold}"]) == EXIT_OK
     assert {n: (work / n).read_bytes() for n in outputs} == outputs
+
+
+def test_run_reports_decisions_of_both_kinds(synth_log, tmp_path):
+    _, log = synth_log
+    cfg = tmp_path / "decide.cfg"
+    cfg.write_text(DECISION_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    for view in VIEWS:
+        with (tmp_path / "work" / f"detect_{view}.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        decisions = [int(r["decision"]) for r in rows]
+        assert sorted(set(decisions)) == [0, 1], view
+        assert decisions == [int(float(r["probability"]) >= 0.5) for r in rows], view
 
 
 def test_truncated_report_is_rewritten(synth_log, tmp_path):

@@ -228,6 +228,7 @@ def _hex_byte_forms(data):
         ",".join(f"{b:02X}" for b in data),             # comma form
         "".join(f"{b:02X}" for b in data),              # contiguous form
         " ".join(f"{b:X}" for b in data),               # single-digit bytes
+        " ".join(f"0x{b:02X}" for b in data),           # 0x-prefixed bytes
         " " + canonical,                                # padded
         "".join(chr(0xFF10 + int(c, 16)) if c.isdigit() else c
                 for c in canonical),                    # fullwidth digits (non-ASCII)
@@ -259,6 +260,10 @@ def log_rows(draw, rate):
                   st.sampled_from(["Bogus", " ", "Normal2"]))
     dlc_text = field(st.just(str(dlc)), st.sampled_from(["x", "", "8.0"]))
     row = [ts, arb, dlc_text, payload, label]
+    if draw(st.integers(0, 29)) == 0:                   # a cell spanning lines
+        i = draw(st.integers(0, 4))
+        newline = draw(st.sampled_from(["\n", "\r\n"]))
+        row[i] = draw(st.sampled_from([row[i] + newline, newline + row[i]]))
     if rate and draw(st.integers(0, 99)) < rate:
         row = row[: draw(st.integers(1, 4))]              # missing columns
     if draw(st.integers(0, 49)) == 0:
@@ -268,8 +273,10 @@ def log_rows(draw, rate):
 
 @st.composite
 def logs(draw):
-    """The text of a log mixing valid and malformed rows and blank lines."""
+    r"""The text of a log mixing valid and malformed rows and blank lines, with one
+    line terminator: "\r\n" as write_log writes, "\n" or a bare "\r"."""
     rate = draw(st.sampled_from([0, 0, 0, 1, 5, 20]))
+    terminator = draw(st.sampled_from(["\r\n", "\n", "\r"]))
     rows = draw(st.lists(log_rows(rate), max_size=12))
     layout = draw(st.sampled_from(["header", "header", "no-label", "permuted"]))
     names = ["timestamp", "arbitration_id", "dlc", "payload", "label"]
@@ -279,11 +286,12 @@ def logs(draw):
     if layout == "no-label":
         order = order[:4]
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL] * 4 + [csv.QUOTE_ALL]))
+    writer = csv.writer(out, lineterminator=terminator, quoting=quoting)
     writer.writerow([names[i] for i in order])
     for row in rows:
         for _ in range(draw(st.integers(0, 1)) * draw(st.integers(0, 2))):
-            out.write("\n")
+            out.write(terminator)
         cells = [row[i] for i in order if i < len(row)] + row[5:]
         writer.writerow(cells)
     return out.getvalue()
@@ -313,13 +321,97 @@ def log_dir(tmp_path_factory):
 @settings(max_examples=400, deadline=None)
 def test_columnar_parse_matches_row_parser(log_dir, text, block_rows):
     path = log_dir / "log.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
         assert_parses_like_row_parser(path)
 
 
+def mixed_frames(n):
+    """n frames with every DLC and label, ids of 1 to 7 hex digits, and one step back
+    in time in the third block of rows."""
+    rng = np.random.default_rng(7)
+    frames = [make_frame(ts=i * 0.001, arb=int(rng.choice([0x7, 0x100, 0x7FF, 0x1ABCDEF])),
+                         dlc=i % 9, data=rng.integers(0, 256, 8).tolist(),
+                         label=LABELS[i % len(LABELS)])
+              for i in range(n)]
+    back = 2 * ingest._BLOCK_ROWS + 3
+    frames[back] = frames[back]._replace(timestamp=0.5)
+    return frames, back
+
+
+def test_a_written_log_takes_only_plain_blocks(tmp_path, monkeypatch, caplog):
+    """write_log's output is plain, block after block, so no row of it goes through
+    the csv row path; line numbers still count from the header."""
+    frames, back = mixed_frames(2 * ingest._BLOCK_ROWS + 5)
+    path = tmp_path / "log.csv"
+    write_log(table(frames), path)
+
+    def refuse(*args):
+        raise AssertionError("a row of a plain block went through the csv row path")
+
+    monkeypatch.setattr(ingest, "_row_columns", refuse)
+    with caplog.at_level("WARNING"):
+        assert_tables_equal(parse_log(path), table(frames))
+    assert [r.message for r in caplog.records] == [
+        f"{path}: non-monotone timestamp at line {back + 2} (kept in file order)"]
+
+
+def test_a_quoted_cell_hands_the_rest_to_csv_on_the_same_lines(tmp_path, caplog):
+    """A quoted payload spanning two lines in the second block: the rest of the file
+    is read row by row, to the same table, with line numbers one further on."""
+    frames, back = mixed_frames(2 * ingest._BLOCK_ROWS + 5)
+    path = tmp_path / "log.csv"
+    write_log(table(frames), path)
+    lines = path.read_bytes().split(b"\r\n")  # the header, then row r on line r + 2
+    quoted = ingest._BLOCK_ROWS + 10
+    cells = lines[quoted + 1].split(b",")
+    cells[3] = b'"' + cells[3] + b'\r\n"'
+    lines[quoted + 1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    with caplog.at_level("WARNING"):
+        assert_tables_equal(parse_log(path), table(frames))
+    assert [r.message for r in caplog.records] == [
+        f"{path}: non-monotone timestamp at line {back + 3} (kept in file order)"]
+
+    bad = 2 * ingest._BLOCK_ROWS + 1
+    cells = lines[bad + 1].split(b",")
+    cells[1] = b"XYZ"
+    lines[bad + 1] = b",".join(cells)
+    path.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ParseError, match=rf"^line {bad + 3}: malformed hex arbitration id 'XYZ'$"):
+        parse_log(path)
+
+
+@pytest.mark.parametrize("rows", [
+    # 6 and 4 fields, 10 in all: a plain block has the header's count on every line
+    ["1.0,100,8,00,Normal,extra", "1.1,100,0,Normal"],
+    ["1.0,100,8,00", "1.1,100,0,,Normal,extra"],
+    # a quote, needless or inside an unquoted cell
+    ['"1.0","100","2","01 02","Normal"', "1.1,100,0,,Normal"],
+    ['1.0,100,2,01 02,Nor"mal', "1.1,100,0,,Normal"],
+    # one-width columns; 2**64 + 1 wraps to 1 in 64 bits, so too wide a cell must
+    # not take the digit table
+    ["1.0,111111111111111,8,,Normal", "1.1,111111111111111,8,,Normal"],
+    ["1.0,10000000000000001,0,,Normal", "1.1,10000000000000001,0,,Normal"],
+    ["1.0,7FF,18446744073709551617,,Normal", "1.1,7FF,18446744073709551617,,Normal"],
+    ["1.0,7FF,08,,Normal", "1.1,7FF,08,,Normal"],
+])
+def test_blocks_match_row_parser(tmp_path, rows):
+    assert_parses_like_row_parser(write_csv(tmp_path, rows))
+
+
+def test_an_overlong_field_fails_as_in_csv_reader(tmp_path):
+    path = write_csv(tmp_path, ["1.0,100,0,,Normal",
+                                "1.1,100,0," + "0" * (csv.field_size_limit() + 2) + ",Normal"])
+    with pytest.raises(csv.Error) as expected:
+        oracle_parse_log(path)
+    with pytest.raises(csv.Error) as got:
+        parse_log(path)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("text", ["0x_1F", "1_0", "0x0x10", "0X1a", " 7ff ", "-0x1", "0x",
-                                  "20000000", "1" * 20, "\uff11\uff10"])
+                                  "20000000", "1" * 20, "\uff11\uff10", "\uff11\uff10\uff10"])
 def test_id_forms_match_row_parser(tmp_path, text):
     # "0x_1F" is read by int(text, 16) but rejected by the row parser
     path = write_csv(tmp_path, ["1.0,100,0,,Normal", f"1.1,{text},0,,Normal"])
