@@ -159,13 +159,9 @@ def _parse_ecu(raw: str) -> EcuSpec:
     byte_specs = []
     for i in range(dlc):
         base = (arb + 37 * i + 1) % 256
-        if model == "counter" and i == 0:
+        if i == 0 and model in ("counter", "mixed"):  # mixed: a counter, then a walk
             byte_specs.append(ByteSpec("counter", 0, 1))
-        elif model == "walk" and i == 0:
-            byte_specs.append(ByteSpec("walk", 0, 255, 5))
-        elif model == "mixed" and i == 0:
-            byte_specs.append(ByteSpec("counter", 0, 1))
-        elif model == "mixed" and i == 1:
+        elif (i, model) in ((0, "walk"), (1, "mixed")):
             byte_specs.append(ByteSpec("walk", 0, 255, 5))
         else:
             byte_specs.append(ByteSpec("const", base))

@@ -5,10 +5,10 @@ inter-layer dropout 0.3) with a 64->32->1 sigmoid head scores each timestep;
 the final timestep's score is the sequence probability. Window-level scores
 aggregate each window's per-occurrence probabilities by mean or max.
 
-Each GRU layer is one `nn.gru_layer` op over the whole batch of sequences, in
-training and at inference alike; `nn.gru_cell`, the unfused step, is kept only
-as the tests' oracle for it. Training runs the head on the final timestep only,
-since the loss reads nothing else; inference runs it on every timestep.
+Each GRU layer is one `nn.gru_layer` op and the head one `nn.dense_stack` op, in
+training and at inference alike; `nn.gru_cell`, `linear` and `relu` are only the
+tests' oracles for them. Training runs the head on the final timestep only, since
+the loss reads nothing else; inference runs it once over all timesteps.
 """
 from __future__ import annotations
 
@@ -100,20 +100,15 @@ class DetectorModel(nn.Module):
         super().__init__(named)
         self.gru1 = {n[5:]: p for n, p in self.params.items() if n.startswith("gru1_")}
         self.gru2 = {n[5:]: p for n, p in self.params.items() if n.startswith("gru2_")}
-        self.fc1_w, self.fc1_b, self.fc2_w, self.fc2_b = (
-            self.params[n] for n in ("fc1_w", "fc1_b", "fc2_w", "fc2_b"))
+        self.head = [(self.params[f"fc{i}_w"], self.params[f"fc{i}_b"], False, i == 1) for i in (1, 2)]
         self.dropout_p = dropout_p
-
-    def _head(self, h) -> nn.Tensor:
-        return nn.sigmoid(nn.linear(nn.relu(nn.linear(h, self.fc1_w, self.fc1_b)),
-                                    self.fc2_w, self.fc2_b))
 
     def forward_batch(self, x: np.ndarray, training: bool = False, rng=None):
         """Run the GRU stack over a (B, L, 32) batch.
 
-        Returns (seq_probs Tensor (B, 1), window_probs list of (B, 1) Tensors): the
-        head's output at every step, or in training only at the final step, which
-        is all the loss reads. seq_probs is window_probs[-1].
+        Returns the head's output as one Tensor: (L, B, 1), every timestep's
+        probability, or in training (B, 1), the final step's only, which is all the
+        loss reads. The sequence probabilities are the final step's.
         """
         if x.ndim != 3 or x.shape[2] != EMBED_DIM:
             raise ValueError(f"expected (B, L, {EMBED_DIM}) input, got {x.shape}")
@@ -121,9 +116,8 @@ class DetectorModel(nn.Module):
             raise ValueError("training-mode forward needs an rng for dropout")
         h1 = nn.gru_layer(nn.Tensor(x.transpose(1, 0, 2)), self.gru1)
         h2 = nn.gru_layer(nn.dropout(h1, self.dropout_p, training, rng), self.gru2)
-        steps = [x.shape[1] - 1] if training else range(x.shape[1])
-        window_probs = [self._head(nn.take_step(h2, t)) for t in steps]
-        return window_probs[-1], window_probs
+        h = nn.take_step(h2, x.shape[1] - 1) if training else h2
+        return nn.sigmoid(nn.dense_stack(h, None, self.head))
 
 
 def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorConfig = DetectorConfig()):
@@ -147,11 +141,11 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            seq_probs = model.forward_batch(x_train[idx], training=True, rng=rng)[0]
+            seq_probs = model.forward_batch(x_train[idx], training=True, rng=rng)
             yield nn.bce_loss(seq_probs, nn.Tensor(y_train[idx])), len(idx)
 
     def validate():
-        val_probs = model.forward_batch(x_val)[0].data[:, 0]
+        val_probs = model.forward_batch(x_val).data[-1, :, 0]
         f1 = compute_metrics((val_probs >= 0.5).astype(np.int64), y_val, val_probs).f1
         return f1, f1
 
@@ -170,8 +164,7 @@ def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     vectors, labels = make_sequences(embeddings, length)
     with nn.no_grad():
-        window_probs = model.forward_batch(vectors)[1]
-    probs = np.hstack([p.data for p in window_probs])  # (S, L)
+        probs = model.forward_batch(vectors).data[:, :, 0].T  # (S, L)
     sequence_rows = [(embeddings[n].window_index, p, int(p >= threshold), label)
                      for n, (p, label) in enumerate(zip(probs[:, -1].tolist(), labels.tolist()))]
     mean_rows, max_rows = [], []

@@ -267,13 +267,16 @@ def _blocks(fh, width: int, fields, line: int):
     reader = csv.reader(chain(io.StringIO(text, newline=""), fh))  # a quoted cell can span lines
     del text
     rows, lines = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(line + reader.line_num)
-            if len(rows) == _BLOCK_ROWS:
-                yield _row_columns(rows, fields), lines
-                rows, lines = [], []
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(line + reader.line_num)
+                if len(rows) == _BLOCK_ROWS:
+                    yield _row_columns(rows, fields), lines
+                    rows, lines = [], []
+    except csv.Error as e:  # a field over csv's size limit, for one
+        raise ParseError(line + reader.line_num, str(e)) from None
     if rows:
         yield _row_columns(rows, fields), lines
 
@@ -305,7 +308,10 @@ def parse_log(path) -> FrameTable:
     tables, block_lines = [], []
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None) or []
+        try:
+            header = next(reader, None) or []
+        except csv.Error as e:
+            raise ParseError(reader.line_num, str(e)) from None
         # a repeated name maps to its last column, as in csv.DictReader
         position = {name: i for i, name in enumerate(header)}
         fields = [(position.get(name), default)

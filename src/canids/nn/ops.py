@@ -1,12 +1,12 @@
 """Differentiable operations: linear, activations, dropout, graph conv, the GRU,
 pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
 
-The encoder's layers run as one `dense_stack` op, tested value for value against
-the `linear`/`gcn_conv`/`relu` composition. The GRU comes twice. `gru_layer` runs
-one layer over a whole time-major sequence as a single op: a plain-numpy time loop
-forward and a hand-written BPTT backward. The detector uses it. `gru_cell` is one
-step built from the elementwise ops; it is the oracle that `gru_layer` is tested
-against, value for value.
+Both models' dense layers run as `dense_stack` ops, tested value for value against
+the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU comes
+twice. `gru_layer` runs one layer over a whole time-major sequence as a single op:
+a plain-numpy time loop forward and a hand-written BPTT backward. The detector uses
+it. `gru_cell` is one step built from the elementwise ops; it is the oracle that
+`gru_layer` is tested against, value for value.
 """
 from __future__ import annotations
 
@@ -147,13 +147,15 @@ def gcn_conv(node_feats, norm_adj: np.ndarray, weight, bias) -> Tensor:
     return linear(matmul(Tensor(norm_adj), node_feats), weight, bias)
 
 
-def dense_stack(x: np.ndarray, norm_adj: np.ndarray, layers) -> Tensor:
-    """Dense layers h -> h @ W + b over the input array x as one op, from (weight, bias,
+def dense_stack(x, norm_adj, layers) -> Tensor:
+    """Dense layers h -> h @ W + b over x, (..., d_in), as one op, from (weight, bias,
     conv, relu) tuples of Tensors: a conv layer first takes h to norm_adj @ h, as
     gcn_conv does, and a relu layer ends in a ReLU. Forward and backward keep the
-    linear/gcn_conv/relu tape's expressions and order, so they equal it bit for bit;
-    x gets no gradient. Under no_grad nothing is kept."""
-    saved, h = [], x  # saved: each layer's GEMM input and ReLU mask (or None)
+    linear/gcn_conv/relu tape's expressions and order, so on a 2-D x they equal it
+    bit for bit; parameter gradients sum over all leading axes, and x gets one only
+    if it is a tracked Tensor. Under no_grad nothing is kept."""
+    x = _wrap(x)
+    saved, h = [], x.data  # saved: each layer's GEMM input and ReLU mask (or None)
     for w, b, conv, relu in layers:
         inp = norm_adj @ h if conv else h
         h, mask = inp @ w.data + b.data, None
@@ -169,14 +171,16 @@ def dense_stack(x: np.ndarray, norm_adj: np.ndarray, layers) -> Tensor:
             (w, b, conv, _), (inp, mask) = layers[i], saved[i]
             if mask is not None:
                 g = g * mask
-            b.accumulate(g.sum(axis=0))
-            w.accumulate(inp.T @ g)
-            if i:
+            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
+            w.accumulate(inp.reshape(-1, inp.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+            if i or _tracked(x):
                 g = g @ w.data.T
                 if conv:
                     g = norm_adj.T @ g
+        if _tracked(x):
+            x.accumulate(g)
 
-    return Tensor(h, parents=tuple(t for w, b, _, _ in layers for t in (w, b)), backward_fn=bwd)
+    return Tensor(h, parents=(x, *(t for w, b, _, _ in layers for t in (w, b))), backward_fn=bwd)
 
 
 def global_mean_pool(node_feats) -> Tensor:

@@ -64,16 +64,17 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
     for epoch in range(config.epochs):
         started = time.perf_counter()
         total, weights = 0.0, 0
-        for loss, weight in steps():
-            step_loss = loss.item()
-            if not np.isfinite(step_loss):  # stop before an Adam step on it
-                raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
-            loss.backward()
-            if config.grad_clip > 0:
-                nn.clip_global_norm(model, config.grad_clip)
-            nn.adam_step(model, lr=config.lr)
-            total += step_loss * weight
-            weights += weight
+        with np.errstate(over="ignore", invalid="ignore"):  # the loss check reports them
+            for loss, weight in steps():
+                step_loss = loss.item()
+                if not np.isfinite(step_loss):  # stop before an Adam step on it
+                    raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
+                loss.backward()
+                if config.grad_clip > 0:
+                    nn.clip_global_norm(model, config.grad_clip)
+                nn.adam_step(model, lr=config.lr)
+                total += step_loss * weight
+                weights += weight
         train_loss = total / weights
         if not np.isfinite(train_loss):  # a sum of finite losses can still overflow
             raise FloatingPointError(f"{name} training diverged at epoch {epoch}")

@@ -304,11 +304,9 @@ def run_sweep(config: PipelineConfig) -> Path:
         fh.write("window_size,sequence_length,type,accuracy,precision,recall,f1,auc\n")
         for w in config.sweep_window_sizes:
             for l in config.sweep_sequence_lengths:
-                sub = PipelineConfig(values=dict(config.values), ecus=dict(config.ecus),
-                                     attacks=dict(config.attacks))
-                sub.values["window_size"] = w
-                sub.values["sequence_length"] = l
-                sub.values["work_dir"] = str(base_dir / f"w{w}_l{l}")
+                sub = PipelineConfig(values=dict(config.values, window_size=w, sequence_length=l,
+                                                 work_dir=str(base_dir / f"w{w}_l{l}")),
+                                     ecus=dict(config.ecus), attacks=dict(config.attacks))
                 try:
                     report, _ = run_pipeline(sub)
                 except (ValueError, FloatingPointError) as e:

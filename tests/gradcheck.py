@@ -1,6 +1,6 @@
 """Oracles for the autodiff engine: central finite differences, the encoder's
 forward as unfused linear/gcn_conv/relu ops, and the detector's forward as a
-stack of unfused GRU cells."""
+stack of unfused GRU cells under a linear/relu/sigmoid head."""
 import numpy as np
 
 from canids import nn
@@ -55,18 +55,39 @@ def unfused_encoder_forward(model, graph):
     return node_emb, nn.linear(d, p["dec2_w"], p["dec2_b"])
 
 
+def unfused_head(model, h):
+    """DetectorModel's 64->32->1 sigmoid head built from nn.linear, nn.relu and
+    nn.sigmoid on the model's parameters: the oracle that its nn.dense_stack head
+    must reproduce."""
+    p = model.params
+    return nn.sigmoid(nn.linear(nn.relu(nn.linear(h, p["fc1_w"], p["fc1_b"])), p["fc2_w"], p["fc2_b"]))
+
+
+def stack(tensors):
+    """The tensors stacked on a new leading axis, recorded on the tape: step t's
+    gradient goes back to tensors[t]."""
+    def bwd(g):
+        for t, tensor in enumerate(tensors):
+            tensor.accumulate(g[t])
+
+    return nn.Tensor(np.stack([t.data for t in tensors]), parents=tuple(tensors), backward_fn=bwd)
+
+
 def unfused_forward_batch(model, x, training=False, rng=None):
     """DetectorModel.forward_batch built from one nn.gru_cell per layer and
-    timestep, one (B, H) dropout draw per timestep and the head on every step:
-    the oracle that the fused nn.gru_layer path must reproduce."""
+    timestep, one (B, H) dropout draw per timestep and the unfused head on each
+    step: the oracle that the fused nn.gru_layer and nn.dense_stack path must
+    reproduce. Returns forward_batch's contract: the (L, B, 1) stack of every
+    step's probabilities, or in training the final step's (B, 1)."""
     b, length, _ = x.shape
     h1 = h2 = nn.Tensor(np.zeros((b, model.gru1["u_z"].shape[0])))
-    window_probs = []
+    probs = []
     for t in range(length):
         h1 = nn.gru_cell(nn.Tensor(x[:, t, :]), h1, model.gru1)
         h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, training, rng), h2, model.gru2)
-        window_probs.append(model._head(h2))
-    return window_probs[-1], window_probs
+        if not training or t == length - 1:
+            probs.append(unfused_head(model, h2))
+    return probs[-1] if training else stack(probs)
 
 
 def gradients(build_loss, tensors: dict) -> dict:

@@ -4,8 +4,9 @@ Criteria:
  1. analytic gradients match central finite differences for every operation
     and for the composed encoder/detector losses (>= 10 seeds, rel err 1e-4);
     the fused GRU layer equals the unfused GRU cell stack (values exactly,
-    gradients to 1e-12 relative); the fused encoder stack equals the unfused
-    linear/gcn_conv/relu tape (loss and gradients exactly)
+    gradients to 1e-12 relative); the fused encoder stack and the detector's
+    dense_stack head equal the unfused linear/gcn_conv/relu tape (values and
+    gradients exactly), the head run once over all steps as well as step by step
  2. structural oracles: window partition, graph node/edge counts, sequence
     count and any-attack labeling vs brute force
  3. entropy oracles: closed-form cases, 200 random count vectors, sweep shape
@@ -43,7 +44,7 @@ from canids.nn.tensor import Parameter, Tensor
 from canids.pipeline import prepare_splits, run_pipeline, run_synth
 
 from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
-                       unfused_encoder_forward, unfused_forward_batch)
+                       unfused_encoder_forward, unfused_forward_batch, unfused_head)
 
 
 @contextmanager
@@ -220,8 +221,8 @@ def test_criterion_1_gradients(capfd):
             det = DetectorModel(seed=seed, dropout_p=0.0)
             xb = np.random.default_rng(seed).normal(size=(2, 3, 32))
             yd = Tensor(np.array([[1.0], [0.0]]))
-            assert_gradients_match(
-                lambda: nn.bce_loss(det.forward_batch(xb, training=False)[0], yd),
+            assert_gradients_match(  # the head over all steps, recorded; the loss reads the last
+                lambda: nn.bce_loss(nn.take_step(det.forward_batch(xb, training=False), -1), yd),
                 det.parameters(), max_coords=3, rng=check_rng)
 
             # gru_layer: finite differences, then the unfused gru_cell stack with the
@@ -257,15 +258,52 @@ def test_criterion_1_gradients(capfd):
                                                for t in range(3)]), tensors),
                 gradients(lambda: step_losses(cells()), tensors))
 
+            # dense_stack on a tracked 2-D and 3-D input, a graph convolution first:
+            # the input's gradient against finite differences too
+            rd = np.random.default_rng(4000 + seed)
+            for shape in ((4, 5), (3, 4, 5)):
+                xd = Parameter(rd.normal(size=shape), "xd")
+                pd = [Parameter(rd.normal(size=size), name) for name, size in
+                      (("w1", (5, 3)), ("b1", 3), ("w2", (3, 2)), ("b2", 2))]
+                layers = [(pd[0], pd[1], True, True), (pd[2], pd[3], False, False)]
+                target = Tensor(rd.normal(size=shape[:-1] + (2,)))
+                assert_gradients_match(
+                    lambda: nn.mse_loss(nn.dense_stack(xd, normalized_adjacency(4), layers), target),
+                    [xd, *pd])
+
             # the detector: every window probability equal to the unfused stack's,
-            # and the sequence loss's gradients within 1e-12 relative
+            # and the gradients of a loss over every step within 1e-12 relative
             det = DetectorModel(seed=seed)
             with nn.no_grad():
-                got, want = det.forward_batch(xb)[1], unfused_forward_batch(det, xb)[1]
-            assert all(np.array_equal(g.data, w.data) for g, w in zip(got, want, strict=True))
+                got, want = det.forward_batch(xb), unfused_forward_batch(det, xb)
+            assert got.shape == want.shape == (3, 2, 1) and np.array_equal(got.data, want.data)
+            ys = Tensor(np.stack([yd.data, 1.0 - yd.data, yd.data]))
             assert_close_gradients(
-                gradients(lambda: nn.bce_loss(det.forward_batch(xb)[0], yd), det.params),
-                gradients(lambda: nn.bce_loss(unfused_forward_batch(det, xb)[0], yd), det.params))
+                gradients(lambda: nn.bce_loss(det.forward_batch(xb), ys), det.params),
+                gradients(lambda: nn.bce_loss(unfused_forward_batch(det, xb), ys), det.params))
+
+            # its head, one dense_stack op and a sigmoid, on a tracked (B, 64) input as
+            # in training: the value and every gradient equal the linear/relu/sigmoid tape's
+            head = {k: det.params[k] for k in ("fc1_w", "fc1_b", "fc2_w", "fc2_b")}
+            for batch in (1, 7, 43, 64):
+                hh = Parameter(rd.normal(size=(batch, 64)), "h")
+                yh = Tensor(rd.integers(0, 2, size=(batch, 1)).astype(float))
+                fused, tape = (lambda: nn.sigmoid(nn.dense_stack(hh, None, det.head)),
+                               lambda: unfused_head(det, hh))
+                assert np.array_equal(fused().data, tape().data)
+                got, want = (gradients(lambda: nn.bce_loss(f(), yh), {**head, "h": hh})
+                             for f in (fused, tape))
+                assert all(np.array_equal(got[k], want[k]) for k in want)
+
+        # the detector's head run once over all L = 50 steps: every probability equal
+        # to the unfused head's run step by step on the same GRU states
+        det, rc = DetectorModel(seed=0), np.random.default_rng(5000)
+        for batch in (1, 7, 8, 29, 43, 64, 215, 1455):
+            xc = rc.normal(size=(batch, 50, 32))
+            with nn.no_grad():
+                states = nn.gru_layer(nn.gru_layer(Tensor(xc.transpose(1, 0, 2)), det.gru1), det.gru2)
+                per_step = np.stack([unfused_head(det, nn.take_step(states, t)).data for t in range(50)])
+                assert np.array_equal(det.forward_batch(xc).data, per_step)
 
         # the fused encoder stack: all 14 gradients against finite differences at
         # W = 2, 4 and 50, then the loss and gradients equal to the unfused

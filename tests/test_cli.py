@@ -323,6 +323,17 @@ def test_empty_log_entropy_error(tmp_path):
     assert main(["entropy", "--config", str(cfg)]) == EXIT_DATA
 
 
+def test_overlong_field_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "overlong.csv"
+    payload = "0" * (csv.field_size_limit() + 2)
+    log.write_text(f"timestamp,arbitration_id,dlc,payload,label\n1.0,100,0,,Normal\n"
+                   f"1.1,100,8,{payload},Normal\n")
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(f"input_log = {log}\nwork_dir = {tmp_path / 'w'}\n")
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_DATA
+    assert "preprocess failed: line 3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_truncated_checkpoint_exit_code(synth_log, tmp_path, capsys):
     root, log = synth_log
     cfg = tmp_path / "t.cfg"

@@ -75,17 +75,19 @@ class TestForward:
         for p in model.parameters():
             p.data[...] = 0.0
         x = np.random.default_rng(0).normal(size=(1, 4, 32))
-        prob, window_probs = model.forward_batch(x)
-        assert prob.data[0, 0] == pytest.approx(0.5)
-        assert [p.data[0, 0] for p in window_probs] == pytest.approx([0.5] * 4)
+        probs = model.forward_batch(x)
+        assert probs.shape == (4, 1, 1)
+        assert probs.data[:, 0, 0].tolist() == pytest.approx([0.5] * 4)
+        train = model.forward_batch(x, training=True, rng=np.random.default_rng(0))
+        assert train.data[0, 0] == pytest.approx(0.5)
 
     def test_shapes_and_ranges(self):
         model = DetectorModel(seed=1)
         x = np.random.default_rng(1).normal(size=(1, 50, 32))
-        prob, window_probs = model.forward_batch(x)
-        assert len(window_probs) == 50
-        assert all(p.shape == (1, 1) and 0.0 < p.data[0, 0] < 1.0 for p in window_probs)
-        assert prob is window_probs[-1]  # head on the final hidden state
+        probs = model.forward_batch(x)
+        assert probs.shape == (50, 1, 1)  # one probability per step, the last the sequence's
+        assert ((0.0 < probs.data) & (probs.data < 1.0)).all()
+        assert len(np.unique(probs.data)) == 50
 
     def test_wrong_width(self):
         model = DetectorModel(seed=0)
@@ -96,10 +98,11 @@ class TestForward:
     def test_bce_gradients_match_finite_differences(self, seed):
         model = DetectorModel(seed=seed, dropout_p=0.0)
         x = np.random.default_rng(seed).normal(size=(2, 3, 32))
-        y = nn.Tensor(np.array([[1.0], [0.0]]))
         rng = np.random.default_rng(seed)
+        y = nn.Tensor(rng.integers(0, 2, size=(3, 2, 1)).astype(float))  # every step's label
+        # the head over all steps, recorded: the loss reads every step
         assert_gradients_match(
-            lambda: nn.bce_loss(model.forward_batch(x, training=False)[0], y),
+            lambda: nn.bce_loss(model.forward_batch(x, training=False), y),
             model.parameters(), rtol=1e-4, max_coords=4, rng=rng)
 
 
@@ -110,21 +113,25 @@ class TestForward:
         x = np.random.default_rng(4).normal(size=(6, 9, 32))
         y = nn.Tensor(np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]]))
         rngs = [np.random.default_rng(11), np.random.default_rng(11)]
-        fused = nn.bce_loss(model.forward_batch(x, training=True, rng=rngs[0])[0], y)
-        unfused = nn.bce_loss(unfused_forward_batch(model, x, training=True, rng=rngs[1])[0], y)
+        fused = nn.bce_loss(model.forward_batch(x, training=True, rng=rngs[0]), y)
+        unfused = nn.bce_loss(unfused_forward_batch(model, x, training=True, rng=rngs[1]), y)
         assert fused.item() == unfused.item()
         assert rngs[0].random() == rngs[1].random()  # the same number of draws
         assert_close_gradients(
             gradients(lambda: nn.bce_loss(model.forward_batch(
-                x, training=True, rng=np.random.default_rng(11))[0], y), model.params),
+                x, training=True, rng=np.random.default_rng(11)), y), model.params),
             gradients(lambda: nn.bce_loss(unfused_forward_batch(
-                model, x, training=True, rng=np.random.default_rng(11))[0], y), model.params))
+                model, x, training=True, rng=np.random.default_rng(11)), y), model.params))
 
     def test_training_runs_the_head_on_the_final_step_only(self):
         model = DetectorModel(seed=0)
         x = np.random.default_rng(0).normal(size=(3, 7, 32))
-        prob, window_probs = model.forward_batch(x, training=True, rng=np.random.default_rng(0))
-        assert window_probs == [prob] and prob.shape == (3, 1)
+        prob = model.forward_batch(x, training=True, rng=np.random.default_rng(0))
+        assert prob.shape == (3, 1)
+        model.dropout_p = 0.0  # without dropout, the final step of the inference forward
+        with nn.no_grad():
+            probs = model.forward_batch(x)
+        assert np.array_equal(model.forward_batch(x, training=True).data, probs.data[-1])
 
 
 class TestTraining:
@@ -158,12 +165,14 @@ class TestTraining:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def test_gru_cell_is_not_on_the_model_path(self, monkeypatch):
-        """Training and detection run the fused layer; the unfused cell is only an oracle."""
-        def refuse(*args):
-            raise AssertionError("gru_cell called on the model path")
+        """Training and detection run the fused layer and the dense_stack head; the
+        unfused cell and the linear and relu ops are only oracles."""
+        for op in ("gru_cell", "linear", "relu"):
+            def refuse(*args, op=op):
+                raise AssertionError(f"{op} called on the model path")
 
-        monkeypatch.setattr(nn, "gru_cell", refuse)
-        monkeypatch.setattr(nn.ops, "gru_cell", refuse)
+            monkeypatch.setattr(nn, op, refuse)
+            monkeypatch.setattr(nn.ops, op, refuse)
         seqs = self.separable_sequences(n=10)
         model, _ = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(epochs=2))
         report = detect(model, embeddings_from_labels([0, 0, 1, 0, 0, 0]), 3)
@@ -245,9 +254,9 @@ class TestDetect:
         vectors, _ = make_sequences(embs, length)
         alone = []
         for n, row in enumerate(report.sequence_rows):
-            seq_prob, window_probs = model.forward_batch(vectors[n : n + 1])
-            assert row[0] == n and row[1] == pytest.approx(seq_prob.data[0, 0], abs=1e-12)
-            alone.append([p.data[0, 0] for p in window_probs])
+            probs = model.forward_batch(vectors[n : n + 1]).data[:, 0, 0].tolist()
+            assert row[0] == n and row[1] == pytest.approx(probs[-1], abs=1e-12)
+            alone.append(probs)
         for w, (mean_row, max_row) in enumerate(zip(report.mean_rows, report.max_rows)):
             c = [alone[n][w - n] for n in range(len(alone)) if 0 <= w - n < length]
             assert len(c) == min(w, len(alone) - 1) - max(0, w - length + 1) + 1

@@ -401,13 +401,19 @@ def test_blocks_match_row_parser(tmp_path, rows):
 
 
 def test_an_overlong_field_fails_as_in_csv_reader(tmp_path):
-    path = write_csv(tmp_path, ["1.0,100,0,,Normal",
-                                "1.1,100,0," + "0" * (csv.field_size_limit() + 2) + ",Normal"])
-    with pytest.raises(csv.Error) as expected:
-        oracle_parse_log(path)
-    with pytest.raises(csv.Error) as got:
-        parse_log(path)
-    assert str(got.value) == str(expected.value)
+    """csv.reader's error, as a ParseError naming the physical line: in a row, past
+    a block of rows or in the header."""
+    overlong = "0" * (csv.field_size_limit() + 2)
+    rows = ["1.0,100,0,,Normal", f"1.1,100,0,{overlong},Normal"]
+    for log, header, line in ((rows, COLUMNS, 3), (rows[:1] * 5 + rows, COLUMNS, 8),
+                              (rows[:1], ("timestamp", overlong), 1)):
+        path = write_csv(tmp_path, log, header=",".join(header))
+        with pytest.raises(csv.Error) as expected:
+            oracle_parse_log(path)
+        with mock.patch.object(ingest, "_BLOCK_ROWS", 3), pytest.raises(ParseError) as got:
+            parse_log(path)
+        assert got.value.line_no == line
+        assert str(got.value) == f"line {line}: {expected.value}"
 
 
 @pytest.mark.parametrize("text", ["0x_1F", "1_0", "0x0x10", "0X1a", " 7ff ", "-0x1", "0x",
