@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frames import Label
-from .synth import AttackSpec, ByteSpec, EcuSpec, TrafficProfile
+from .synth import AttackSpec, EcuSpec, TrafficProfile
 
 
 class ConfigError(ValueError):
@@ -79,7 +79,7 @@ class PipelineConfig:
                 self.attacks[int(attack.group(1))] = _parse_attack(raw)
             else:
                 caster, _ = KEY_SPECS[key]
-                self.values[key] = caster(raw.strip()) if isinstance(raw, str) else raw
+                self.values[key] = caster(raw.strip())
         except ValueError as e:  # a failed cast, a spec parser's ConfigError, a spec out of range
             raise ConfigError(f"bad value for {key!r}: {e}") from None
 
@@ -91,27 +91,35 @@ class PipelineConfig:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
         ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+        if any(not r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split ratios must be positive and sum to 1, got {ratios}")
         if self.byte_mode not in ("binarized", "normalized"):
             raise ConfigError(f"byte_mode must be binarized or normalized, got {self.byte_mode!r}")
         for key, low in (("encoder_epochs", 1), ("detector_epochs", 1), ("detector_batch", 1),
-                         ("grad_clip", 0), ("encoder_patience", 0), ("detector_patience", 0)):
+                         ("grad_clip", 0), ("encoder_patience", 0), ("detector_patience", 0),
+                         ("encoder_seed", 0), ("detector_seed", 0), ("synth_seed", 0)):
             if not self.values[key] >= low:
                 raise ConfigError(f"{key} must be >= {low}, got {self.values[key]}")
         for key in ("encoder_lr", "detector_lr"):
             if not self.values[key] > 0:
                 raise ConfigError(f"{key} must be > 0, got {self.values[key]}")
+        sizes = self.entropy_sizes
+        if min(sizes, default=1) < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(f"entropy_sizes must be >= 1 and strictly increasing, got {sizes}")
+        for key, low in (("sweep_window_sizes", 2), ("sweep_sequence_lengths", 1)):
+            if any(v < low for v in self.values[key]):
+                raise ConfigError(f"every {key} entry must be >= {low}, got {self.values[key]}")
 
     def ratios(self):
         return (self.train_ratio, self.val_ratio, self.test_ratio)
 
     def traffic_profile(self) -> TrafficProfile:
-        if not self.ecus:
-            raise ConfigError("no ecuN keys configured for synthesis")
-        specs = tuple(self.ecus[k] for k in sorted(self.ecus))
-        return TrafficProfile(ecu_specs=specs, duration=self.synth_duration,
-                              jitter=self.synth_jitter, seed=self.synth_seed)
+        try:
+            return TrafficProfile(ecu_specs=tuple(self.ecus[k] for k in sorted(self.ecus)),
+                                  duration=self.synth_duration, jitter=self.synth_jitter,
+                                  seed=self.synth_seed)
+        except ValueError as e:
+            raise ConfigError(f"synthesis profile: {e}") from None
 
     def attack_specs(self):
         return [self.attacks[k] for k in sorted(self.attacks)]
@@ -150,22 +158,7 @@ def _parse_ecu(raw: str) -> EcuSpec:
     parts = raw.split()
     if len(parts) != 4:
         raise ConfigError(f"ecu spec needs 'id period_ms dlc model', got {raw!r}")
-    arb = _int_auto(parts[0])
-    period = float(parts[1])
-    dlc = int(parts[2])
-    model = parts[3]
-    if model not in ("const", "counter", "walk", "mixed"):
-        raise ConfigError(f"unknown ecu byte model {model!r}")
-    byte_specs = []
-    for i in range(dlc):
-        base = (arb + 37 * i + 1) % 256
-        if i == 0 and model in ("counter", "mixed"):  # mixed: a counter, then a walk
-            byte_specs.append(ByteSpec("counter", 0, 1))
-        elif (i, model) in ((0, "walk"), (1, "mixed")):
-            byte_specs.append(ByteSpec("walk", 0, 255, 5))
-        else:
-            byte_specs.append(ByteSpec("const", base))
-    return EcuSpec(arbitration_id=arb, period_ms=period, dlc=dlc, bytes=tuple(byte_specs))
+    return EcuSpec(_int_auto(parts[0]), float(parts[1]), int(parts[2]), parts[3])
 
 
 def _parse_attack(raw: str) -> AttackSpec:

@@ -16,35 +16,20 @@ from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, FrameTable, Label
 STANDARD_ID_SPACE = 0x800  # 11-bit IDs for randomly fuzzed frames
 
 
-@dataclass(frozen=True)
-class ByteSpec:
-    """Value model for one payload byte.
-
-    kind: "const" (value a), "counter" (starts at a, step b, mod 256),
-    or "walk" (bounded random walk on [a, b] with +-step c).
-    """
-
-    kind: str
-    a: int = 0
-    b: int = 0
-    c: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("const", "counter", "walk"):
-            raise ValueError(f"unknown byte model {self.kind!r}")
-        if not 0 <= self.a <= 0xFF:
-            raise ValueError(f"{self.kind} byte a={self.a} outside [0, 255]")
-        if self.kind == "walk" and not (self.a <= self.b <= 0xFF and self.c >= 0):
-            raise ValueError(f"walk byte needs a <= b <= 255 and c >= 0, "
-                             f"got a={self.a} b={self.b} c={self.c}")
+MODELS = ("const", "counter", "walk", "mixed")
 
 
 @dataclass(frozen=True)
 class EcuSpec:
+    """A periodic ECU whose `model` fixes every payload byte i < dlc: byte 0 of
+    `counter` and `mixed` counts frames mod 256; byte 0 of `walk` and byte 1 of
+    `mixed` walk from 127 by a step in [-5, 5], clamped to [0, 255]; every other
+    byte is the constant (arbitration_id + 37 * i + 1) % 256."""
+
     arbitration_id: int
     period_ms: float
     dlc: int
-    bytes: Tuple[ByteSpec, ...] = ()  # one spec per payload byte up to dlc; missing = const 0
+    model: str
 
     def __post_init__(self) -> None:
         if not 0 <= self.arbitration_id < MAX_ARBITRATION_ID:
@@ -53,6 +38,8 @@ class EcuSpec:
             raise ValueError(f"ECU {self.arbitration_id:#x} dlc {self.dlc} outside [0, {MAX_DLC}]")
         if not self.period_ms > 0:
             raise ValueError(f"ECU {self.arbitration_id:#x} has non-positive period")
+        if self.model not in MODELS:
+            raise ValueError(f"unknown ecu byte model {self.model!r}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +49,13 @@ class TrafficProfile:
     jitter: float = 0.0  # fraction of period, uniform +- jitter
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.ecu_specs:
             raise ValueError("profile needs at least one ECU spec")
         if not 0.0 <= self.jitter < 0.5:
             raise ValueError(f"jitter must lie in [0, 0.5), got {self.jitter}")
-        if not np.isfinite(self.duration):
-            raise ValueError(f"duration must be finite, got {self.duration}")
+        if not 0 < self.duration < np.inf:
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -106,37 +93,30 @@ def _ecu_frames(spec: EcuSpec, profile: TrafficProfile, idx: int) -> FrameTable:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=profile.seed, spawn_key=(idx,)))
     period = spec.period_ms / 1000.0
     # duration / period is rounded, so allow two more k than its floor, then cut
-    k = np.arange(int(profile.duration / period) + 2 if profile.duration > 0 else 0)
+    k = np.arange(int(profile.duration / period) + 2)
     k = k[: np.searchsorted(k * period, profile.duration)]
-    n = len(k)
+    n, dlc = len(k), spec.dlc
     payload = np.zeros((n, MAX_DLC), np.uint8)
-    walks = []
-    for b in range(spec.dlc):
-        bspec = spec.bytes[b] if b < len(spec.bytes) else ByteSpec("const", 0)
-        if bspec.kind == "const":
-            payload[:, b] = bspec.a
-        elif bspec.kind == "counter":
-            payload[:, b] = (bspec.a + k * (bspec.b & 0xFF)) & 0xFF
-        else:
-            walks.append((b, bspec))
+    payload[:, :dlc] = (spec.arbitration_id + 37 * np.arange(dlc) + 1) % 256
+    if spec.model in ("counter", "mixed") and dlc:
+        payload[:, 0] = k & 0xFF
+    walk = {"walk": 0, "mixed": 1}.get(spec.model, dlc)  # the walking byte, if < dlc
     jitter = profile.jitter
-    if not walks:
+    if walk >= dlc:
         u = rng.uniform(-jitter, jitter, size=n) if jitter > 0 else None
     else:
-        # a frame's jitter draw comes before its walk steps, so draw frame by frame
+        # a frame's jitter draw comes before its walk step, so draw frame by frame
         u = np.empty(n)
-        value = [(bspec.a + bspec.b) // 2 for _, bspec in walks]
+        value = 127
         for i in range(n):
             if jitter > 0:
                 u[i] = rng.uniform(-jitter, jitter)
-            for w, (b, bspec) in enumerate(walks):
-                v = value[w] + int(rng.integers(-bspec.c, bspec.c + 1))
-                value[w] = payload[i, b] = max(bspec.a, min(bspec.b, v))
+            value = payload[i, walk] = max(0, min(255, value + int(rng.integers(-5, 6))))
     ts = k * period
     if jitter > 0:
         ts = np.maximum(ts + u * period, 0.0)
     return FrameTable(ts, np.full(n, spec.arbitration_id, np.int64),
-                      np.full(n, spec.dlc, np.uint8), payload, np.zeros(n, np.int8))
+                      np.full(n, dlc, np.uint8), payload, np.zeros(n, np.int8))
 
 
 def generate_normal(profile: TrafficProfile) -> FrameTable:
@@ -145,7 +125,6 @@ def generate_normal(profile: TrafficProfile) -> FrameTable:
     Deterministic for a fixed seed; each ECU draws from its own seeded
     substream so adding an ECU never perturbs the others.
     """
-    profile.validate()
     table = FrameTable.concat([_ecu_frames(spec, profile, idx)
                                for idx, spec in enumerate(profile.ecu_specs)])
     return table[np.argsort(table.timestamp, kind="stable")]

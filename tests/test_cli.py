@@ -294,6 +294,7 @@ def test_config_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["ecu2 = 0x200 ten 8 const",
+                                  "ecu2 = 0x200 10 8 sine",
                                   "attack1 = spoofing 0.2 0.1 target=0x100 mutate=8:0:1",
                                   "attack1 = replay 0.5 0.1 span=0:0.1:0.2"])
 def test_malformed_synth_spec_is_config_error(tmp_path, spec):
@@ -306,6 +307,20 @@ def test_malformed_synth_spec_is_config_error(tmp_path, spec):
     assert result.returncode == EXIT_CONFIG
     assert "Traceback" not in result.stderr
     assert f"config error: {cfg}:3: bad value for" in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("synth_jitter=0.7", "jitter must lie in [0, 0.5), got 0.7"),
+    ("synth_duration=-3", "duration must be finite and > 0, got -3.0"),
+    ("synth_duration=nan", "duration must be finite and > 0, got nan"),
+])
+def test_bad_traffic_profile_is_config_error(tmp_path, capsys, override, message):
+    out = tmp_path / "traffic.csv"
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text(f"synth_output = {out}\necu1 = 0x100 10 8 const\n")
+    assert main(["synth", "--config", str(cfg), "--set", override]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -504,7 +519,10 @@ def test_run_without_an_input_log_names_it(tmp_path, capsys):
     assert "input log not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0"])
+@pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0",
+                                      "encoder_seed=-1", "detector_seed=-2", "synth_seed=-1",
+                                      "train_ratio=nan", "entropy_sizes=20,10",
+                                      "sweep_sequence_lengths=0", "sweep_window_sizes=1"])
 def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, override):
     root, log = synth_log
     cfg = run_cfg(root, log, name="override.cfg")

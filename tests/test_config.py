@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from canids.config import ConfigError, PipelineConfig
 from canids.frames import Label
-from canids.synth import ByteSpec
+from canids.synth import EcuSpec
 
 
 def write_cfg(tmp_path, text):
@@ -61,6 +63,14 @@ def test_bad_value_reports_line(tmp_path):
     "grad_clip = -1\n",
     "encoder_patience = -1\n",
     "detector_patience = -1\n",
+    "encoder_seed = -1\n",
+    "detector_seed = -2\n",
+    "synth_seed = -1\n",
+    "train_ratio = nan\n",
+    "entropy_sizes = 20,10\n",
+    "entropy_sizes = 0,10\n",
+    "sweep_window_sizes = 50,1\n",
+    "sweep_sequence_lengths = 0\n",
 ])
 def test_validation_failures(tmp_path, text):
     with pytest.raises(ConfigError):
@@ -78,7 +88,8 @@ attack3 = spoofing 5.0 1.0 rate=100 target=0x200 mutate=1:0x80:0xFF
     cfg = PipelineConfig.from_file(path)
     profile = cfg.traffic_profile()
     assert len(profile.ecu_specs) == 2
-    assert profile.ecu_specs[0].bytes[0] == ByteSpec("counter", 0, 1)
+    assert profile.ecu_specs == (EcuSpec(0x100, 10.0, 8, "counter"),
+                                 EcuSpec(0x200, 20.0, 4, "const"))
     attacks = cfg.attack_specs()
     assert [a.kind for a in attacks] == [Label.FLOODING, Label.REPLAY, Label.SPOOFING]
     assert attacks[0].rate == 2000
@@ -140,3 +151,15 @@ def test_validation_boundaries_accepted(tmp_path):
         tmp_path, "grad_clip = 0\nencoder_patience = 0\ndetector_patience = 0\n"
                   "encoder_epochs = 1\ndetector_epochs = 1\ndetector_batch = 1\n"))
     assert cfg.grad_clip == 0.0 and cfg.detector_batch == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "profile needs at least one ECU spec"),
+    ("ecu1 = 0x100 10 8 const\nsynth_jitter = 0.7\n", "jitter must lie in [0, 0.5)"),
+    ("ecu1 = 0x100 10 8 const\nsynth_duration = -3\n", "duration must be finite and > 0"),
+    ("ecu1 = 0x100 10 8 const\nsynth_duration = nan\n", "duration must be finite and > 0"),
+])
+def test_traffic_profile_errors_are_config_errors(tmp_path, text, message):
+    cfg = PipelineConfig.from_file(write_cfg(tmp_path, text))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg.traffic_profile()

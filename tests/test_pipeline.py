@@ -6,7 +6,7 @@ import pytest
 
 from canids import pipeline
 from canids.analysis import compute_metrics
-from canids.config import PipelineConfig
+from canids.config import KEY_SPECS, PipelineConfig
 from canids.detector import DetectionReport
 
 
@@ -186,3 +186,17 @@ def test_stage_digests_are_pinned(tmp_path, monkeypatch):
     for stage in pipeline.STAGES:
         ws.manifest[stage] = ws.stage_hash(stage)
     assert {s: ws.manifest[s] for s in pipeline.STAGES} == PINNED_DIGESTS
+
+
+# Keys that no stage's digest covers: where the work dir and the synthetic log go, the
+# generator's own settings, and the entropy and sweep grids, which write no stage artifact.
+NO_STAGE_KEYS = {"work_dir", "synth_output", "synth_duration", "synth_jitter", "synth_seed",
+                 "entropy_sizes", "sweep_window_sizes", "sweep_sequence_lengths"}
+
+
+def test_every_key_reaches_a_digest_or_no_stage():
+    """A training setting missing from its stage's digest would let a cached checkpoint
+    stand for other settings."""
+    stage_keys = {key for stage in pipeline.STAGES.values() for key in stage.keys}
+    assert not stage_keys & NO_STAGE_KEYS
+    assert stage_keys | NO_STAGE_KEYS == set(KEY_SPECS)

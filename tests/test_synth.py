@@ -7,8 +7,7 @@ from scipy import stats
 
 from canids.frames import LABELS, FrameTable, Label
 from canids.ingest import write_log
-from canids.synth import (AttackSpec, ByteSpec, EcuSpec, TrafficProfile,
-                          generate_normal, inject)
+from canids.synth import MODELS, AttackSpec, EcuSpec, TrafficProfile, generate_normal, inject
 
 from conftest import rows_of
 
@@ -28,7 +27,7 @@ def same_columns(a: FrameTable, b: FrameTable) -> bool:
 
 
 def simple_ecu(arb=0x100, period_ms=10.0, dlc=8):
-    return EcuSpec(arb, period_ms, dlc, tuple(ByteSpec("const", 10 + i) for i in range(dlc)))
+    return EcuSpec(arb, period_ms, dlc, "const")
 
 
 class TestGenerateNormal:
@@ -44,27 +43,38 @@ class TestGenerateNormal:
         assert np.all(np.diff(frames.timestamp) >= 0)
 
     def test_seed_determinism(self):
-        p = profile([EcuSpec(0x1, 5, 8, (ByteSpec("walk", 0, 255, 5),))], jitter=0.2)
+        p = profile([EcuSpec(0x1, 5, 8, "walk")], jitter=0.2)
         assert same_columns(generate_normal(p), generate_normal(p))
 
     def test_counter_and_walk_models(self):
-        ecu = EcuSpec(0x1, 10, 3, (ByteSpec("counter", 0, 1), ByteSpec("const", 5),
-                                   ByteSpec("walk", 10, 20, 2)))
-        frames = generate_normal(profile([ecu]))
-        assert frames.payload[:5, 0].tolist() == [0, 1, 2, 3, 4]
-        assert np.all(frames.payload[:, 1] == 5)
-        assert np.all((10 <= frames.payload[:, 2]) & (frames.payload[:, 2] <= 20))
-        assert not frames.payload[:, 3:].any()
+        """Each model's bytes: a counter in byte 0 of counter and mixed, a walk in byte 0
+        of walk and byte 1 of mixed, and (id + 37 i + 1) % 256 in every other byte i."""
+        # no jitter, so an ECU's substream holds only its walk steps
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=(0,)))
+        walk, value = [], 127
+        for _ in range(500):
+            value = max(0, min(255, value + int(rng.integers(-5, 6))))
+            walk.append(value)
+        for model in MODELS:
+            payload = generate_normal(profile([EcuSpec(0x1A3, 2, 5, model)])).payload
+            expected = {i: [(0x1A3 + 37 * i + 1) % 256] * 500 for i in range(5)}
+            if model in ("counter", "mixed"):
+                expected[0] = [k % 256 for k in range(500)]  # wraps after 255
+            if model in ("walk", "mixed"):
+                expected[int(model == "mixed")] = walk
+            assert {i: payload[:, i].tolist() for i in range(5)} == expected, model
+            assert not payload[:, 5:].any()
 
     def test_invalid_profiles(self):
-        with pytest.raises(ValueError):
-            generate_normal(profile([]))
-        with pytest.raises(ValueError):
-            generate_normal(profile([simple_ecu()], jitter=0.6))
-        with pytest.raises(ValueError):
-            generate_normal(profile([EcuSpec(0x1, 0.0, 8)]))
-        with pytest.raises(ValueError):
-            generate_normal(profile([simple_ecu()], duration=float("inf")))
+        """A profile checks itself when built, before any frame is generated."""
+        with pytest.raises(ValueError, match="at least one ECU"):
+            profile([])
+        for jitter in (0.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="jitter must lie in"):
+                profile([simple_ecu()], jitter=jitter)
+        for duration in (0.0, -3.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="duration must be finite and > 0"):
+                profile([simple_ecu()], duration=duration)
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +122,7 @@ class TestInject:
         assert np.all(spoof.arbitration_id == 0x100)
         assert np.all(spoof.payload[:, 2] >= 200)
         # non-mutated bytes copy the victim's genuine payload
-        assert np.all(spoof.payload[:, 0] == 10)
+        assert np.all(spoof.payload[:, 0] == (0x100 + 1) % 256)
 
     def test_originals_preserved_and_sorted(self, base_log):
         spec = AttackSpec(Label.FUZZING, start=0.2, duration=0.5, rate=500)
@@ -156,17 +166,17 @@ class TestInject:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: EcuSpec(0x100, 10, 9),
-    lambda: EcuSpec(0x100, 10, -1),
-    lambda: EcuSpec(-1, 10, 8),
-    lambda: EcuSpec(1 << 29, 10, 8),
-    lambda: EcuSpec(0x100, float("nan"), 8),
-    lambda: ByteSpec("sine"),
-    lambda: ByteSpec("const", 300),
-    lambda: ByteSpec("counter", -1, 1),
-    lambda: ByteSpec("walk", 0, 256, 5),
-    lambda: ByteSpec("walk", 20, 10, 1),
-    lambda: ByteSpec("walk", 0, 255, -1),
+    lambda: EcuSpec(0x100, 10, 9, "const"),
+    lambda: EcuSpec(0x100, 10, -1, "const"),
+    lambda: EcuSpec(-1, 10, 8, "const"),
+    lambda: EcuSpec(1 << 29, 10, 8, "const"),
+    lambda: EcuSpec(0x100, float("nan"), 8, "const"),
+    lambda: EcuSpec(0x100, 10, 8, "sine"),
+    lambda: TrafficProfile((), 1.0),
+    lambda: TrafficProfile((simple_ecu(),), 1.0, jitter=0.5),
+    lambda: TrafficProfile((simple_ecu(),), 1.0, jitter=-0.1),
+    lambda: TrafficProfile((simple_ecu(),), 0.0),
+    lambda: TrafficProfile((simple_ecu(),), float("nan")),
     lambda: AttackSpec(Label.NORMAL, 0.0, 1.0),
     lambda: AttackSpec(Label.FLOODING, 0.0, -1.0),
     lambda: AttackSpec(Label.FLOODING, float("nan"), 1.0),
@@ -183,13 +193,14 @@ class TestInject:
     lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, 9, 8),)),
 ])
 def test_out_of_range_specs_rejected_before_generation(make):
-    """Each value would otherwise wrap silently in a uint8 column or index past a payload."""
+    """Each value would otherwise wrap silently in a uint8 column, index past a payload,
+    or give an empty log or jittered frames out of their ECU's order."""
     with pytest.raises(ValueError):
         make()
 
 
 def test_spoofing_copies_last_victim_payload_and_extends_dlc():
-    ecu = EcuSpec(0x100, 10, 2, (ByteSpec("counter", 0, 1), ByteSpec("const", 9)))
+    ecu = EcuSpec(0x100, 10, 2, "counter")  # byte 1 is (0x100 + 37 + 1) % 256 = 38
     log = generate_normal(profile([ecu]))
     spec = AttackSpec(Label.SPOOFING, start=0.1, duration=0.1, rate=100, target_id=0x100,
                       mutation=((5, 1, 1),))
@@ -198,18 +209,18 @@ def test_spoofing_copies_last_victim_payload_and_extends_dlc():
     last = [max(k for k in range(len(log)) if log.timestamp[k] <= t) for t in spoof.timestamp]
     assert spoof.payload[:, 0].tolist() == last
     assert np.all(spoof.dlc == 6)
-    assert np.all(spoof.payload[:, 1:] == [9, 0, 0, 0, 1, 0, 0])
+    assert np.all(spoof.payload[:, 1:] == [38, 0, 0, 0, 1, 0, 0])
 
 
-# A profile with const, counter (wrapping), walk, mixed and zero-dlc ECUs under
-# jitter, and every attack kind. Flooding starts at 0.0, where the jitter clamps
-# several ECUs' first frames, so original and injected timestamps tie there.
+# A profile with const, counter (334 frames, so it wraps), walk, mixed and zero-dlc
+# ECUs under jitter, and every attack kind. Flooding starts at 0.0, where the jitter
+# clamps several ECUs' first frames, so original and injected timestamps tie there.
 GOLDEN_ECUS = (
-    EcuSpec(0x100, 10, 8, tuple(ByteSpec("const", 10 + i) for i in range(8))),
-    EcuSpec(0x180, 7, 4, (ByteSpec("counter", 250, 3), ByteSpec("const", 1))),
-    EcuSpec(0x200, 13, 6, (ByteSpec("walk", 0, 255, 5), ByteSpec("walk", 100, 120, 2))),
-    EcuSpec(0x2A0, 5, 8, (ByteSpec("counter", 0, 1), ByteSpec("walk", 0, 255, 5))),
-    EcuSpec(0x050, 25, 0),
+    EcuSpec(0x100, 10, 8, "const"),
+    EcuSpec(0x180, 3, 4, "counter"),
+    EcuSpec(0x200, 13, 6, "walk"),
+    EcuSpec(0x2A0, 5, 8, "mixed"),
+    EcuSpec(0x050, 25, 0, "const"),
 )
 GOLDEN_ATTACKS = (
     AttackSpec(Label.FLOODING, start=0.0, duration=0.05, rate=1000),
@@ -218,7 +229,7 @@ GOLDEN_ATTACKS = (
     AttackSpec(Label.SPOOFING, start=0.7, duration=0.2, rate=100, target_id=0x200,
                mutation=((1, 0, 9), (7, 200, 255))),
 )
-GOLDEN_SHA256 = "3ba35ef09378661d0ca49b2c31a19ac53fa0b4d15b905b1d06d713148b6068d8"
+GOLDEN_SHA256 = "7fce3cde9ea97725525804c700c5c73a11b84e270707edc9ef8b9370d5d6222a"
 
 
 def test_golden_log(tmp_path):
