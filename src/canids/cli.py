@@ -73,7 +73,7 @@ def dispatch(command: str, cfg: PipelineConfig) -> None:
         elif command == "embed":
             print(f"wrote embeddings to {ws.dir}")
         else:
-            print(f"wrote {ws.path(pipeline.STAGES[command].checkpoints[0])}")
+            print(f"wrote {ws.path(pipeline.STAGES[command].outputs[0])}")
 
 
 def main(argv=None) -> int:

@@ -104,8 +104,8 @@ class PipelineConfig:
             if not self.values[key] > 0:
                 raise ConfigError(f"{key} must be > 0, got {self.values[key]}")
         sizes = self.entropy_sizes
-        if min(sizes, default=1) < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-            raise ConfigError(f"entropy_sizes must be >= 1 and strictly increasing, got {sizes}")
+        if not sizes or min(sizes) < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ConfigError(f"entropy_sizes must be non-empty, >= 1, strictly increasing; got {sizes}")
         for key, low in (("sweep_window_sizes", 2), ("sweep_sequence_lengths", 1)):
             if any(v < low for v in self.values[key]):
                 raise ConfigError(f"every {key} entry must be >= {low}, got {self.values[key]}")

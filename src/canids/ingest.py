@@ -191,6 +191,7 @@ def _parse_block(columns, lines) -> FrameTable:
     # in the order a row is checked, so a row's message is its first failure
     checks = [
         (ts_bad, lambda i: _reason(float, ts_text[i], "missing column 'timestamp'")),
+        (~np.isfinite(timestamp), lambda i: f"timestamp {ts_text[i]!r} is not finite"),
         (id_bad, lambda i: _reason(_parse_id, id_text[i], "missing column 'arbitration_id'")),
         (dlc_bad, lambda i: _reason(int, dlc_text[i], "missing column 'dlc'")),
         ((dlc < 0) | (dlc > MAX_DLC), lambda i: f"dlc {int(dlc_text[i])} outside [0, {MAX_DLC}]"),

@@ -1,10 +1,10 @@
 """Stage orchestration: wiring ingest -> graph -> encoder -> detector -> analysis.
 
 Every stage in `STAGES` writes its artifacts into the work dir (each through a temp
-file and a rename) and records its input hash, and the sha256 of each CSV or text
-output, in manifest.json. A stage is skipped on rerun only when its input hash
-matches and those outputs still have their recorded digests, so stale or truncated
-intermediates are rebuilt.
+file and a rename) and records its input hash, and the sha256 of every file it
+writes, checkpoints and training logs included, in manifest.json. A stage is
+skipped on rerun only when its input hash matches and those outputs still have
+their recorded digests, so stale or truncated artifacts are rebuilt.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ log = logging.getLogger(__name__)
 SPLITS = ("train", "val", "test")
 
 # A stage's digest covers its config `keys`, its `upstream` stages' digests and, for
-# `preprocess`, the log's bytes. The manifest records the sha256 of its `outputs`;
-# its `checkpoints` need only exist, as loading one rejects a corrupt file.
-Stage = namedtuple("Stage", "keys upstream outputs checkpoints", defaults=((), ()))
+# `preprocess`, the log's bytes. The manifest records the sha256 of its `outputs`,
+# which are every file the stage writes.
+Stage = namedtuple("Stage", "keys upstream outputs", defaults=((),))
 
 # Every stage in run order; `windows` is the dump only `canids preprocess` writes.
 STAGES = {
@@ -42,12 +42,12 @@ STAGES = {
     "windows": Stage((), ("preprocess",), tuple(f"windows_{s}.csv" for s in SPLITS)),
     "train-encoder": Stage(("byte_mode", "encoder_epochs", "encoder_lr", "encoder_patience",
                             "encoder_seed", "grad_clip"), ("preprocess",),
-                           checkpoints=("encoder.ckpt",)),
+                           ("encoder.ckpt", "encoder_log.csv")),
     "embed": Stage(("byte_mode",), ("train-encoder",),
                    tuple(f"embeddings_{s}.csv" for s in SPLITS)),
     "train-detector": Stage(("sequence_length", "detector_epochs", "detector_lr",
                              "detector_batch", "detector_patience", "detector_seed",
-                             "grad_clip"), ("embed",), checkpoints=("detector.ckpt",)),
+                             "grad_clip"), ("embed",), ("detector.ckpt", "detector_log.csv")),
     "detect": Stage(("sequence_length", "threshold"), ("train-detector",),
                     tuple(f"detect_{v}.csv" for v in VIEWS) + ("summary.txt",)),
 }
@@ -97,13 +97,9 @@ class Workspace:
         """Whether the output file exists and still has the sha256 recorded by `mark`."""
         return self.path(name).exists() and self.manifest.get(name) == self._sha256(name)
 
-    def fresh(self, stage: str, digest: str, outputs=(), checkpoints=()) -> bool:
-        """Whether the stage ran on these inputs and its outputs are intact. A
-        checkpoint need only exist, as loading one rejects a truncated or corrupt
-        file (CheckpointError)."""
-        return (self.manifest.get(stage) == digest
-                and all(self.intact(o) for o in outputs)
-                and all(self.path(c).exists() for c in checkpoints))
+    def fresh(self, stage: str, digest: str, outputs=()) -> bool:
+        """Whether the stage ran on these inputs and its outputs are intact."""
+        return self.manifest.get(stage) == digest and all(self.intact(o) for o in outputs)
 
     def mark(self, stage: str, digest: str, outputs=()) -> None:
         """Record the stage's input hash and each output file's sha256."""
@@ -114,9 +110,8 @@ class Workspace:
 
     def check(self, stage: str):
         """(digest, hit): the stage's digest for this config, and whether it is fresh."""
-        spec = STAGES[stage]
         digest = self.stage_hash(stage)
-        return digest, self.fresh(stage, digest, spec.outputs, spec.checkpoints)
+        return digest, self.fresh(stage, digest, STAGES[stage].outputs)
 
 
 def run_synth(config: PipelineConfig) -> Path:
@@ -172,20 +167,21 @@ def _graphs_for(split_windows, config: PipelineConfig):
 
 
 def _train_stage(ws: Workspace, stage: str, model, train):
-    """Load the stage's checkpoint into `model` on a hit. Otherwise `train()` returns
-    (model, record); save that model and write `<model>_log.csv` from its history."""
+    """Return the stage's model as a call. On a hit, the call loads the checkpoint into
+    `model`, once and only if a later stage misses. Otherwise `train()` returns (model,
+    record); save that model and its per-epoch history, the stage's two outputs."""
     digest, hit = ws.check(stage)
-    ckpt = ws.path(STAGES[stage].checkpoints[0])
+    outputs = STAGES[stage].outputs
+    ckpt, history = map(ws.path, outputs)
     if hit:
-        model.load(ckpt)
-        return model
+        return functools.cache(lambda: model.load(ckpt) or model)
     model, record = train()
     model.save(ckpt)
     rows = record["history"]
     text = ",".join(rows[0]) + "\n" + "".join(",".join(map(repr, r.values())) + "\n" for r in rows)
-    nn.write_atomic(ckpt.with_name(f"{ckpt.stem}_log.csv"), text.encode())
-    ws.mark(stage, digest)
-    return model
+    nn.write_atomic(history, text.encode())
+    ws.mark(stage, digest, outputs)
+    return lambda: model
 
 
 def stage_train_encoder(ws: Workspace, splits):
@@ -200,15 +196,15 @@ def stage_train_encoder(ws: Workspace, splits):
     return _train_stage(ws, "train-encoder", EncoderModel(seed=cfg.encoder_seed), train)
 
 
-def stage_embed(ws: Workspace, splits, model: EncoderModel):
+def stage_embed(ws: Workspace, splits, model):
     digest, hit = ws.check("embed")
     outputs = STAGES["embed"].outputs
     if hit:
         return functools.cache(lambda: {s: read_embeddings_csv(ws.path(o))
                                         for s, o in zip(SPLITS, outputs)})
-    embeddings = {}
+    encoder, embeddings = model(), {}
     for s, name in zip(SPLITS, outputs):
-        embeddings[s] = [embed(model, g) for g in _graphs_for(splits()[s], ws.config)]
+        embeddings[s] = [embed(encoder, g) for g in _graphs_for(splits()[s], ws.config)]
         write_embeddings_csv(embeddings[s], ws.path(name))
     ws.mark("embed", digest, outputs)
     return lambda: embeddings
@@ -228,12 +224,12 @@ def stage_train_detector(ws: Workspace, embeddings):
     return _train_stage(ws, "train-detector", model, train)
 
 
-def stage_detect(ws: Workspace, embeddings, model: DetectorModel):
+def stage_detect(ws: Workspace, embeddings, model):
     cfg = ws.config
     digest, hit = ws.check("detect")
     if hit:
         return read_report_csvs(ws.dir, cfg.threshold)
-    report = detect(model, embeddings()["test"], cfg.sequence_length, cfg.threshold)
+    report = detect(model(), embeddings()["test"], cfg.sequence_length, cfg.threshold)
     write_report_csvs(report, ws.dir)
     text = summary_table(report, cfg.window_size, cfg.sequence_length)
     nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())

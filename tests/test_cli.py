@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -173,8 +174,8 @@ def refuse(monkeypatch, *names):
 
 
 def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, capsys):
-    """A fully cached run hashes the log, loads the checkpoints and reads the report:
-    it parses no log, reads no embeddings and runs no detector."""
+    """A fully cached run hashes the log and the recorded outputs and reads the report:
+    it parses no log, loads no checkpoint, reads no embeddings and runs no detector."""
     _, log = synth_log
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
@@ -194,7 +195,8 @@ def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, cap
     first = capsys.readouterr().out
 
     refuse(monkeypatch, "ingest.parse_log", "pipeline.detect", "detector.detect",
-           "pipeline.read_embeddings_csv", "encoder.read_embeddings_csv")
+           "pipeline.read_embeddings_csv", "encoder.read_embeddings_csv",
+           "nn.restore_parameters")
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
     assert capsys.readouterr().out == first
     fresh, cached = reports
@@ -349,28 +351,76 @@ def test_overlong_field_is_a_data_error(tmp_path, capsys):
     assert "preprocess failed: line 3: field larger than field limit" in capsys.readouterr().err
 
 
-def test_truncated_checkpoint_exit_code(synth_log, tmp_path, capsys):
+def test_non_finite_timestamp_is_a_data_error(synth_log, tmp_path, capsys):
+    _, log = synth_log
+    lines = log.read_text().splitlines(keepends=True)
+    lines[5] = "nan" + lines[5][lines[5].index(","):]
+    copy = tmp_path / "traffic.csv"
+    copy.write_text("".join(lines))
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {copy}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+    assert "run failed: line 6: timestamp 'nan' is not finite" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_rebuilt(synth_log, tmp_path):
     root, log = synth_log
     cfg = tmp_path / "t.cfg"
     cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
-    ckpt = tmp_path / "work" / "detector.ckpt"
-    ckpt.write_bytes(ckpt.read_bytes()[:20])
-    assert main(["detect", "--config", str(cfg)]) == EXIT_DATA
-    assert "detector.ckpt" in capsys.readouterr().err
+    ckpt, summary = tmp_path / "work" / "detector.ckpt", tmp_path / "work" / "summary.txt"
+    full, table = ckpt.read_bytes(), summary.read_bytes()
+    ckpt.write_bytes(full[:20])
+    assert main(["detect", "--config", str(cfg)]) == EXIT_OK
+    assert ckpt.read_bytes() == full and summary.read_bytes() == table
 
 
-def test_corrupt_checkpoint_exit_code(synth_log, tmp_path, capsys):
+def test_corrupt_checkpoint_is_rebuilt(synth_log, tmp_path):
     root, log = synth_log
     cfg = tmp_path / "c.cfg"
     cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
-    ckpt = tmp_path / "work" / "encoder.ckpt"
-    data = bytearray(ckpt.read_bytes())
+    ckpt, summary = tmp_path / "work" / "encoder.ckpt", tmp_path / "work" / "summary.txt"
+    full, table = ckpt.read_bytes(), summary.read_bytes()
+    data = bytearray(full)
     data[16] = 0xFF  # first byte of the first parameter name
     ckpt.write_bytes(bytes(data))
-    assert main(["embed", "--config", str(cfg)]) == EXIT_DATA
-    assert "encoder.ckpt" in capsys.readouterr().err
+    assert main(["embed", "--config", str(cfg)]) == EXIT_OK
+    assert ckpt.read_bytes() == full and summary.read_bytes() == table
+
+
+def test_checkpoint_of_another_run_is_retrained(synth_log, tmp_path):
+    """A valid checkpoint copied in from a run with another detector seed fails its
+    recorded sha256, so a threshold change retrains the detector before it detects."""
+    _, log = synth_log
+    work, other = tmp_path / "work", tmp_path / "other"
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {work}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    shutil.copytree(work, other)
+    assert main(["train-detector", "--config", str(cfg), "--set", f"work_dir={other}",
+                 "--set", "detector_seed=7"]) == EXIT_OK
+    own, copied = (d / "detector.ckpt" for d in (work, other))
+    trained = own.read_bytes()
+    assert copied.read_bytes() != trained
+    shutil.copyfile(copied, own)
+    assert main(["run", "--config", str(cfg), "--set", "threshold=0.55"]) == EXIT_OK
+    assert own.read_bytes() == trained
+
+
+def test_every_file_in_the_work_dir_is_a_recorded_output(synth_log, tmp_path):
+    """No stage writes a file that the cache cannot see."""
+    _, log = synth_log
+    work = tmp_path / "work"
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {work}\n")
+    for command in ("preprocess", "run"):
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((work / "manifest.json").read_text())
+    files = {p.name for p in work.iterdir()} - {"manifest.json"}
+    assert files == {o for stage in pipeline.STAGES.values() for o in stage.outputs}
+    assert {n: manifest.get(n) for n in files} == {
+        n: hashlib.sha256((work / n).read_bytes()).hexdigest() for n in files}
 
 
 def test_diverged_training_exit_code(synth_log, tmp_path, capsys):
@@ -447,10 +497,18 @@ def test_evaluate_rejects_report_that_fails_its_digest(synth_log, tmp_path, caps
     # a report whose digest the manifest lacks is rejected the same way
     report.write_bytes(full)
     manifest = tmp_path / "work" / "manifest.json"
-    manifest.write_text(manifest.read_text().replace('"detect_max.csv"', '"other.csv"'))
+    recorded = manifest.read_text()
+    manifest.write_text(recorded.replace('"detect_max.csv"', '"other.csv"'))
     assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "detect_max.csv" in err and "rerun detect" in err
+    # and so is a report whose checkpoint is cut short, naming the stage that wrote it
+    manifest.write_text(recorded)
+    ckpt = tmp_path / "work" / "detector.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:20])
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and "detector.ckpt" in err and "rerun train-detector" in err
 
 
 @pytest.mark.parametrize("change, stage", [
@@ -521,7 +579,7 @@ def test_run_without_an_input_log_names_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0",
                                       "encoder_seed=-1", "detector_seed=-2", "synth_seed=-1",
-                                      "train_ratio=nan", "entropy_sizes=20,10",
+                                      "train_ratio=nan", "entropy_sizes=20,10", "entropy_sizes=",
                                       "sweep_sequence_lengths=0", "sweep_window_sizes=1"])
 def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, override):
     root, log = synth_log

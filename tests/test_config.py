@@ -69,6 +69,7 @@ def test_bad_value_reports_line(tmp_path):
     "train_ratio = nan\n",
     "entropy_sizes = 20,10\n",
     "entropy_sizes = 0,10\n",
+    "entropy_sizes =\n",
     "sweep_window_sizes = 50,1\n",
     "sweep_sequence_lengths = 0\n",
 ])

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestParseLog:
         path = write_csv(tmp_path, ["1.0,100,0,,Normal", "1.1,20000000,0,,Bogus",
                                     "abc,XYZ,9,,Normal"])
         with pytest.raises(ParseError, match=r"^line 3: unknown label 'Bogus'$"):
+            parse_log(path)
+
+    @pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
+    def test_non_finite_timestamp_names_line(self, tmp_path, ts):
+        # the non-finite timestamp is line 3's first failure, ahead of its bad id
+        path = write_csv(tmp_path, ["1.0,100,0,,Normal", f"{ts},XYZ,0,,Normal"])
+        with pytest.raises(ParseError, match=rf"^line 3: timestamp '{ts}' is not finite$"):
             parse_log(path)
 
     def test_dlc_out_of_range(self, tmp_path):
@@ -190,6 +198,8 @@ def oracle_parse_log(path):
                 continue
             try:
                 ts = float(get(row, "timestamp"))
+                if not math.isfinite(ts):
+                    raise ParseError(line_no, f"timestamp {get(row, 'timestamp')!r} is not finite")
                 arb = _oracle_hex(get(row, "arbitration_id"), "arbitration id", line_no)
                 dlc = int(get(row, "dlc"))
             except KeyError as e:
@@ -241,8 +251,8 @@ def log_rows(draw, rate):
     def field(valid, invalid):
         return draw(invalid if rate and draw(st.integers(0, 99)) < rate else valid)
 
-    ts = field(st.floats(0, 1000, allow_nan=False).map(repr) | st.sampled_from(["1e2", " 3.5", "inf"]),
-               st.sampled_from(["abc", "", "1.2.3"]))
+    ts = field(st.floats(0, 1000, allow_nan=False).map(repr) | st.sampled_from(["1e2", " 3.5"]),
+               st.sampled_from(["abc", "", "1.2.3", "nan", "inf", " -inf", "NaN"]))
     arb = field(st.integers(0, 0x7FF).map(lambda v: f"{v:03X}")
                 | st.integers(0, (1 << 29) - 1).map(hex)
                 | st.sampled_from(["1_0", "0X1a", " 7ff "]),

@@ -99,7 +99,9 @@ detector_patience = 4
 """
 
 
-def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys):
+@pytest.mark.parametrize("artifact", ["embeddings_test.csv", "encoder.ckpt", "detector.ckpt",
+                                      "detector_log.csv"])
+def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys, artifact):
     (tmp_path / "run.cfg").write_text(RUN_CFG + f"synth_output = {tmp_path / 'traffic.csv'}\n"
                                       f"input_log = {tmp_path / 'traffic.csv'}\n"
                                       f"work_dir = {tmp_path / 'work'}\n")
@@ -108,12 +110,12 @@ def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys):
     report, ws = pipeline.run_pipeline(cfg)
     assert len(report.mean_rows) == 32
     manifest = ws.manifest_path.read_bytes()
-    embeddings = ws.path("embeddings_test.csv")
-    full = embeddings.read_bytes()
-    embeddings.write_bytes(b"".join(full.splitlines(keepends=True)[:17]))  # header + 16 rows
+    path = ws.path(artifact)
+    full = path.read_bytes()
+    path.write_bytes(full[: len(full) // 2])
 
     report, ws = pipeline.run_pipeline(cfg)
-    assert embeddings.read_bytes() == full  # the embed stage ran again
+    assert path.read_bytes() == full  # the stage that wrote it ran again
     assert len(report.mean_rows) == len(report.max_rows) == 32
     assert len(pipeline.Workspace(cfg).path("detect_mean.csv").read_text().splitlines()) == 33
     assert ws.manifest_path.read_bytes() == manifest
