@@ -7,7 +7,7 @@ import sys
 
 from . import pipeline
 from .analysis import compute_metrics  # noqa: F401 -- perfbench's tracer patches it here
-from .config import KEY_SPECS, ConfigError, PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .detector import summary_table
 
 EXIT_OK = 0
@@ -30,26 +30,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override any config key (repeatable)")
-        # one flag per scalar config key, e.g. --window-size overrides window_size
-        for key in KEY_SPECS:
-            p.add_argument(f"--{key.replace('_', '-')}", dest=f"cfg_{key}", metavar="V")
+                       help="override any config key (repeatable; read after the file, in order)")
     return parser
 
 
 def load_config(args) -> PipelineConfig:
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    for key in KEY_SPECS:
-        v = getattr(args, f"cfg_{key}", None)
-        if v is not None:
-            cfg.set(key, v)
-    for item in args.set:
-        if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, value = item.split("=", 1)
-        cfg.set(key, value)
-    cfg.validate()
-    return cfg
+    """The config file's lines, then each `--set` as one more line, checked once."""
+    return PipelineConfig.from_file(args.config, args.set)
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:

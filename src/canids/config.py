@@ -107,8 +107,8 @@ class PipelineConfig:
         if not sizes or min(sizes) < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError(f"entropy_sizes must be non-empty, >= 1, strictly increasing; got {sizes}")
         for key, low in (("sweep_window_sizes", 2), ("sweep_sequence_lengths", 1)):
-            if any(v < low for v in self.values[key]):
-                raise ConfigError(f"every {key} entry must be >= {low}, got {self.values[key]}")
+            if not self.values[key] or min(self.values[key]) < low:
+                raise ConfigError(f"{key} must be non-empty, each entry >= {low}; got {self.values[key]}")
 
     def ratios(self):
         return (self.train_ratio, self.val_ratio, self.test_ratio)
@@ -125,24 +125,25 @@ class PipelineConfig:
         return [self.attacks[k] for k in sorted(self.attacks)]
 
     @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        cfg = cls()
-        path = Path(path)
+    def from_file(cls, path, overrides=()) -> "PipelineConfig":
+        """Read the file at `path` (None: none), then each of `overrides` as one more
+        `key=value` line, taken whole: no `#` comment. A later line wins; the merged
+        config is validated once. Errors name `path:line`, or `--set` for an override."""
         try:
-            text = path.read_text()
+            text = "" if path is None else Path(path).read_text()
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, raw = line.split("=", 1)
+        lines = [(f"{path}:{n}", s) for n, line in enumerate(text.splitlines(), start=1)
+                 if (s := line.split("#", 1)[0].strip())]
+        cfg = cls()
+        for where, line in lines + [("--set", item) for item in overrides]:
+            key, eq, raw = line.partition("=")
             try:
+                if not eq:
+                    raise ConfigError(f"expected key=value, got {line!r}")
                 cfg.set(key, raw)
             except ConfigError as e:
-                raise ConfigError(f"{path}:{line_no}: {e}") from None
+                raise ConfigError(f"{where}: {e}") from None
         cfg.validate()
         return cfg
 

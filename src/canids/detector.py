@@ -149,9 +149,7 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorC
         f1 = compute_metrics((val_probs >= 0.5).astype(np.int64), y_val, val_probs).f1
         return f1, f1
 
-    record = nn.fit(model, config, steps, validate, log, "detector", ("val_f1", "val F1 %.4f"))
-    record["best_val_f1"] = max((row["val_f1"] for row in record["history"]), default=-1.0)
-    return model, record
+    return model, nn.fit(model, config, steps, validate, log, "detector", ("val_f1", "val F1 %.4f"))
 
 
 def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5) -> DetectionReport:

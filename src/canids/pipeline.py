@@ -259,7 +259,10 @@ def current_report(config: PipelineConfig):
 
 
 def run_entropy(config: PipelineConfig) -> Path:
-    stats = analysis.entropy_sweep(load_frames(config), config.entropy_sizes)
+    frames = load_frames(config)
+    stats = analysis.entropy_sweep(frames, config.entropy_sizes)
+    if not stats:
+        raise ValueError(f"every entropy_sizes entry exceeds the log's {len(frames)} frames")
     out = Path(config.work_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "entropy_sweep.csv"
@@ -292,25 +295,32 @@ def run_pipeline(config: PipelineConfig, through: str = "detect"):
 
 
 def run_sweep(config: PipelineConfig) -> Path:
-    """Grid over (window size, sequence length); one summary row per view per cell."""
+    """Grid over (window size, sequence length); one summary row per view per cell. A cell
+    failing on its data or diverging is skipped; a malformed log or no row fails the sweep."""
     base_dir = Path(config.work_dir)
     base_dir.mkdir(parents=True, exist_ok=True)
     out = base_dir / "sweep_summary.csv"
+    cells = [(w, l) for w in config.sweep_window_sizes for l in config.sweep_sequence_lengths]
+    skipped = []
     with nn.atomic_path(out) as tmp, tmp.open("w") as fh:
         fh.write("window_size,sequence_length,type,accuracy,precision,recall,f1,auc\n")
-        for w in config.sweep_window_sizes:
-            for l in config.sweep_sequence_lengths:
-                sub = PipelineConfig(values=dict(config.values, window_size=w, sequence_length=l,
-                                                 work_dir=str(base_dir / f"w{w}_l{l}")),
-                                     ecus=dict(config.ecus), attacks=dict(config.attacks))
-                try:
-                    report, _ = run_pipeline(sub)
-                except (ValueError, FloatingPointError) as e:
-                    log.warning("sweep cell (w=%d, l=%d) skipped: %s", w, l, e)
-                    continue
-                for view in VIEWS:
-                    mb = report.metrics[view]
-                    auc = "" if mb.auc is None else repr(mb.auc)
-                    fh.write(f"{w},{l},{view},{mb.accuracy!r},{mb.precision!r},"
-                             f"{mb.recall!r},{mb.f1!r},{auc}\n")
+        for w, l in cells:
+            sub = PipelineConfig(values=dict(config.values, window_size=w, sequence_length=l,
+                                             work_dir=str(base_dir / f"w{w}_l{l}")),
+                                 ecus=dict(config.ecus), attacks=dict(config.attacks))
+            try:
+                report, _ = run_pipeline(sub)
+            except ingest.ParseError:
+                raise  # the log is bad for every cell
+            except (ValueError, FloatingPointError) as e:
+                log.warning("sweep cell (w=%d, l=%d) skipped: %s", w, l, e)
+                skipped.append(f"(w={w}, l={l}): {e}")
+                continue
+            for view in VIEWS:
+                mb = report.metrics[view]
+                auc = "" if mb.auc is None else repr(mb.auc)
+                fh.write(f"{w},{l},{view},{mb.accuracy!r},{mb.precision!r},"
+                         f"{mb.recall!r},{mb.f1!r},{auc}\n")
+        if cells and len(skipped) == len(cells):
+            raise ValueError(f"every sweep cell was skipped, the first {skipped[0]}")
     return out

@@ -13,7 +13,8 @@ import pytest
 
 import canids
 from canids import ingest, pipeline
-from canids.cli import EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, main
+from canids.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK,
+                        STAGE_COMMANDS, build_parser, main)
 from canids.detector import VIEWS
 
 SYNTH_CFG = """
@@ -275,7 +276,8 @@ def test_evaluate_matches_summary(synth_log, capsys):
 def test_flag_overrides_config(synth_log):
     root, log = synth_log
     cfg = run_cfg(root, log, "flags.cfg", "work_dir = " + str(root / "work_flags") + "\n")
-    assert main(["preprocess", "--config", str(cfg), "--window-size", "25"]) == EXIT_OK
+    assert main(["preprocess", "--config", str(cfg), "--set", "window_size=60",
+                 "--set", "window_size=25"]) == EXIT_OK  # the later one wins
     header_rows = (root / "work_flags" / "windows_train.csv").read_text().splitlines()
     first_window_rows = [r for r in header_rows[1:] if r.startswith("0,")]
     assert len(first_window_rows) == 25
@@ -285,6 +287,42 @@ def test_set_override(synth_log):
     root, log = synth_log
     cfg = run_cfg(root, log, "set.cfg", "work_dir = " + str(root / "work_set") + "\n")
     assert main(["preprocess", "--config", str(cfg), "--set", "window_size=20"]) == EXIT_OK
+
+
+def test_set_fixes_an_invalid_file_value(synth_log, tmp_path):
+    _, log = synth_log
+    cfg = tmp_path / "fix.cfg"
+    cfg.write_text(f"window_size = 1\ninput_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_CONFIG
+    assert main(["preprocess", "--config", str(cfg), "--set", "window_size=50"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("override, message", [
+    ("window_size=many", "config error: --set: bad value for 'window_size'"),
+    ("window_sise=50", "config error: --set: unknown config key 'window_sise'"),
+    ("window_size", "config error: --set: expected key=value, got 'window_size'"),
+    ("", "config error: --set: expected key=value, got ''"),
+])
+def test_bad_override_names_set(tmp_path, capsys, override, message):
+    assert main(["run", "--set", f"work_dir={tmp_path / 'work'}", "--set", override]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
+def test_per_key_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--window-size", "75"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --window-size 75" in capsys.readouterr().err
+
+
+def test_every_subcommand_takes_only_config_and_set():
+    """`--set` is the one override path; no per-key flag comes back."""
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert set(sub.choices) == set(STAGE_COMMANDS)
+    for name, parser in sub.choices.items():
+        options = sorted(o for a in parser._actions for o in a.option_strings)
+        assert options == ["--config", "--help", "--set", "-h"], name
 
 
 def test_config_error_exit_code(tmp_path):
@@ -332,12 +370,32 @@ def test_data_error_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == EXIT_DATA
 
 
-def test_empty_log_entropy_error(tmp_path):
+def test_empty_log_entropy_error(tmp_path, capsys):
     log = tmp_path / "empty.csv"
-    log.write_text("timestamp,arbitration_id,dlc,payload,label\n")
     cfg = tmp_path / "e.cfg"
     cfg.write_text(f"input_log = {log}\nwork_dir = {tmp_path / 'w'}\n")
-    assert main(["entropy", "--config", str(cfg)]) == EXIT_DATA
+    header = "timestamp,arbitration_id,dlc,payload,label\n"
+    five_frames = "".join(f"{i / 10},100,0,,Normal\n" for i in range(5))
+    for body, message in (("", "is empty"), (five_frames, "exceeds the log's 5 frames")):
+        log.write_text(header + body)  # no entropy_sizes entry (10 to 400) fits 5 frames
+        assert main(["entropy", "--config", str(cfg)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "w" / "entropy_sweep.csv").exists()
+
+
+def test_malformed_log_fails_the_sweep(synth_log, tmp_path, capsys, caplog):
+    _, log = synth_log
+    lines = log.read_text().splitlines(keepends=True)
+    lines[363] = "garbage\n"
+    copy = tmp_path / "traffic.csv"
+    copy.write_text("".join(lines))
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {copy}\nwork_dir = {tmp_path / 'work'}\n"
+                   "sweep_window_sizes = 20,50\nsweep_sequence_lengths = 5\n")
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_DATA
+    assert "sweep failed: line 364: " in capsys.readouterr().err
+    assert not any("skipped" in r.getMessage() for r in caplog.records)
+    assert not (tmp_path / "work" / "sweep_summary.csv").exists()
 
 
 def test_overlong_field_is_a_data_error(tmp_path, capsys):
@@ -514,7 +572,7 @@ def test_evaluate_rejects_report_that_fails_its_digest(synth_log, tmp_path, caps
 @pytest.mark.parametrize("change, stage", [
     ("--set threshold=0.9", "detect"),
     ("--set sequence_length=5", "train-detector"),
-    ("--window-size 75", "preprocess"),
+    pytest.param("--set window_size=75", "preprocess", id="--window-size 75-preprocess"),
     ("rewrite the log", "preprocess"),
 ])
 def test_evaluate_rejects_a_stale_stage(synth_log, tmp_path, capsys, change, stage):
@@ -580,7 +638,8 @@ def test_run_without_an_input_log_names_it(tmp_path, capsys):
 @pytest.mark.parametrize("override", ["detector_batch=0", "detector_epochs=0", "encoder_lr=0",
                                       "encoder_seed=-1", "detector_seed=-2", "synth_seed=-1",
                                       "train_ratio=nan", "entropy_sizes=20,10", "entropy_sizes=",
-                                      "sweep_sequence_lengths=0", "sweep_window_sizes=1"])
+                                      "sweep_sequence_lengths=0", "sweep_window_sizes=1",
+                                      "sweep_window_sizes="])
 def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, override):
     root, log = synth_log
     cfg = run_cfg(root, log, name="override.cfg")

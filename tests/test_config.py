@@ -72,10 +72,21 @@ def test_bad_value_reports_line(tmp_path):
     "entropy_sizes =\n",
     "sweep_window_sizes = 50,1\n",
     "sweep_sequence_lengths = 0\n",
+    "sweep_window_sizes =\n",
+    "sweep_sequence_lengths =\n",
 ])
 def test_validation_failures(tmp_path, text):
     with pytest.raises(ConfigError):
         PipelineConfig.from_file(write_cfg(tmp_path, text))
+
+
+def test_overrides_are_read_after_the_file_and_validated_once(tmp_path):
+    path = write_cfg(tmp_path, "window_size = 1\nthreshold = 0.4\n")
+    cfg = PipelineConfig.from_file(path, ["window_size=60", " window_size = 75 ", "work_dir=a#b"])
+    assert (cfg.window_size, cfg.threshold, cfg.work_dir) == (75, 0.4, "a#b")
+    with pytest.raises(ConfigError, match="window_size must be >= 2"):
+        PipelineConfig.from_file(path, ["window_size=50", "window_size=1"])
+    assert PipelineConfig.from_file(None, ["sequence_length=7"]).sequence_length == 7
 
 
 def test_ecu_and_attack_parsing(tmp_path):

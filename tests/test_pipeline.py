@@ -34,6 +34,25 @@ def test_sweep_skips_diverged_cell(tmp_path, monkeypatch, caplog):
     assert any("(w=20, l=5) skipped" in r.getMessage() for r in caplog.records)
 
 
+def test_sweep_with_every_cell_skipped_fails_and_keeps_previous_summary(tmp_path, monkeypatch):
+    cfg = PipelineConfig()
+    cfg.set("work_dir", str(tmp_path))
+    cfg.set("sweep_window_sizes", "10,20")
+    cfg.set("sweep_sequence_lengths", "5")
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: (fake_report(), None))
+    before = pipeline.run_sweep(cfg).read_bytes()
+
+    def too_short(cfg):
+        raise ValueError(f"log too short for window size {cfg.window_size}")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", too_short)
+    with pytest.raises(ValueError, match=r"every sweep cell was skipped, the first "
+                                         r"\(w=10, l=5\): log too short for window size 10$"):
+        pipeline.run_sweep(cfg)
+    assert (tmp_path / "sweep_summary.csv").read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_summary.csv"]
+
+
 def test_failed_sweep_write_keeps_previous_summary(tmp_path, monkeypatch):
     cfg = PipelineConfig()
     cfg.set("work_dir", str(tmp_path))
