@@ -46,8 +46,8 @@ def entropy_sweep(table, sizes) -> list:
     stable sort of the (windows, size) ID matrix gives each ID's count and first
     position, where its term is placed before each row is summed in order.
     growth_rate is the relative change of the mean vs the previous swept size
-    (0/0 taken as 0); the first size has none. Sizes exceeding the frame count
-    are skipped with a warning.
+    (0/0 taken as 0); the first size has none. Sizes exceeding the frame count, a
+    suffix of `sizes`, are skipped with one warning that names them.
     """
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
@@ -58,11 +58,11 @@ def entropy_sweep(table, sizes) -> list:
     # ID ranks sort like the IDs, and their narrow dtype takes numpy's radix sort
     distinct, ids = np.unique(table.arbitration_id, return_inverse=True)
     ids = ids.astype(np.min_scalar_type(len(distinct) - 1))
-    for size in sizes:
+    for i, size in enumerate(sizes):
         n_full = len(ids) // size
         if n_full == 0:
-            log.warning("window size %d exceeds frame count %d; skipped", size, len(ids))
-            continue
+            log.warning("window sizes %s exceed frame count %d; skipped", list(sizes[i:]), len(ids))
+            break
         window_ids = ids[: n_full * size].reshape(n_full, size)
         order = np.argsort(window_ids, axis=1, kind="stable")
         ranked = np.take_along_axis(window_ids, order, axis=1)

@@ -14,7 +14,7 @@ class ConfigError(ValueError):
 
 
 def _parse_int_list(s: str):
-    return [int(v) for v in s.replace(" ", "").split(",") if v]
+    return [int(v) for v in s.split(",") if v.strip()]  # "10 20" is one bad entry
 
 
 # key -> (caster, default)

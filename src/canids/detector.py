@@ -33,16 +33,6 @@ VIEWS = ("sequence", "mean", "max")
 
 
 @dataclass
-class DetectorConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 32
-    patience: int = 20
-    seed: int = 0
-    grad_clip: float = 5.0  # 0 disables clipping
-
-
-@dataclass
 class DetectionReport:
     threshold: float
     sequence_rows: list    # (start_index, prob, decision, label)
@@ -120,27 +110,29 @@ class DetectorModel(nn.Module):
         return nn.sigmoid(nn.dense_stack(h, None, self.head))
 
 
-def train_detector(model: DetectorModel, train_seqs, val_seqs, config: DetectorConfig = DetectorConfig()):
+def train_detector(model: DetectorModel, train_seqs, val_seqs, config):
     """Minimize sequence-level BCE; keep the epoch with best validation F1 at 0.5.
 
     `train_seqs` and `val_seqs` are (vectors, labels) pairs from make_sequences.
-    Window-level probabilities carry no loss. Raises on a single-class
-    training set, where BCE evaluation is degenerate.
+    `config` is the PipelineConfig: batches of `detector_batch` are drawn, and dropout
+    sampled, from `detector_seed`, and nn.fit reads the `detector_*` settings.
+    Window-level probabilities carry no loss. Raises on a single-class training set,
+    where BCE evaluation is degenerate.
     """
     x_train, train_labels = train_seqs
     x_val, y_val = val_seqs
     labels = set(np.unique(train_labels).tolist())
     if labels != {0, 1}:
         raise ValueError(f"training set must contain both classes, got labels {sorted(labels)}")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.detector_seed)
     y_train = train_labels[:, None].astype(np.float64)
 
     n = len(x_train)
 
     def steps():
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
+        for start in range(0, n, config.detector_batch):
+            idx = order[start : start + config.detector_batch]
             seq_probs = model.forward_batch(x_train[idx], training=True, rng=rng)
             yield nn.bce_loss(seq_probs, nn.Tensor(y_train[idx])), len(idx)
 

@@ -23,15 +23,6 @@ EMBED_DIM = 32
 VAL_FRACTION = 0.1  # trailing share of the training graphs held out for validation
 
 
-@dataclass
-class EncoderConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    patience: int = 20
-    seed: int = 0
-    grad_clip: float = 5.0  # 0 disables clipping
-
-
 @dataclass(frozen=True)
 class GraphEmbedding:
     """The pooled 1x32 representation of one window."""
@@ -78,11 +69,12 @@ def _reconstruction_loss(model: EncoderModel, graph: WindowGraph) -> nn.Tensor:
     return nn.mse_loss(model.forward(graph), nn.Tensor(graph.node_features))
 
 
-def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
+def train_encoder(graphs, config):
     """Train on normal-only graphs; returns (model, log of per-epoch losses).
 
-    Keeps the parameters from the epoch with the lowest validation
-    reconstruction loss; stops early by nn.fit's patience rule.
+    `config` is the PipelineConfig: the model starts from `encoder_seed`, and
+    nn.fit reads the `encoder_*` settings. Keeps the parameters from the epoch with
+    the lowest validation reconstruction loss; stops early by nn.fit's patience rule.
     """
     if not graphs:
         raise ValueError("no normal window graphs to train the encoder on")
@@ -93,7 +85,7 @@ def train_encoder(graphs, config: EncoderConfig = EncoderConfig()):
     train_graphs = graphs[: len(graphs) - n_val] if n_val else list(graphs)
     val_graphs = graphs[len(graphs) - n_val :] if n_val else list(graphs)
 
-    model = EncoderModel(seed=config.seed)
+    model = EncoderModel(seed=config.encoder_seed)
 
     def steps():
         return ((_reconstruction_loss(model, g), 1) for g in train_graphs)

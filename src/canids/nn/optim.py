@@ -47,21 +47,24 @@ def adam_step(model, lr: float = 1e-3) -> None:
 
 
 def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
-    """Train `model` for up to `config.epochs` epochs and return its training record.
+    """Train `model` for up to `<name>_epochs` epochs and return its training record.
 
-    Each epoch takes one Adam step at `config.lr` per (loss, weight) pair `steps()`
-    yields, clipping the gradients' global norm to `config.grad_clip` when it is > 0.
+    `name` ("encoder", "detector") prefixes both the log lines and the settings read
+    from `config`: `<name>_epochs`, `<name>_lr`, `<name>_patience` and `grad_clip`.
+    Each epoch takes one Adam step at `<name>_lr` per (loss, weight) pair `steps()`
+    yields, clipping the gradients' global norm to `grad_clip` when it is > 0.
     A non-finite step loss, or train loss (the weighted mean), raises FloatingPointError.
     `validate()` runs on no tape and returns (score, value); `value` goes to the
     history under `metric[0]` and to the INFO line as `metric[1] % value`. The best
     epoch is the first with the highest score. Training stops after the first epoch
-    more than `config.patience` epochs past it, so up to patience + 1 epochs without
+    more than `<name>_patience` epochs past it, so up to patience + 1 epochs without
     improvement can run; the parameters saved after it are then restored.
     """
+    epochs, lr, patience = (getattr(config, f"{name}_{k}") for k in ("epochs", "lr", "patience"))
     column, shown = metric
     history = []
     best_score, best_epoch, best_state = -np.inf, -1, model.snapshot()
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         started = time.perf_counter()
         total, weights = 0.0, 0
         with np.errstate(over="ignore", invalid="ignore"):  # the loss check reports them
@@ -72,7 +75,7 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
                 loss.backward()
                 if config.grad_clip > 0:
                     nn.clip_global_norm(model, config.grad_clip)
-                nn.adam_step(model, lr=config.lr)
+                nn.adam_step(model, lr=lr)
                 total += step_loss * weight
                 weights += weight
         train_loss = total / weights
@@ -85,7 +88,7 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
                  name, epoch, train_loss, value, time.perf_counter() - started)
         if score > best_score:
             best_score, best_epoch, best_state = score, epoch, model.snapshot()
-        elif epoch - best_epoch > config.patience:
+        elif epoch - best_epoch > patience:
             break
     model.load_state(best_state)
     return {"epochs_run": len(history), "best_epoch": best_epoch, "history": history}

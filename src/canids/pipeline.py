@@ -19,10 +19,9 @@ import numpy as np
 
 from . import analysis, ingest, nn, synth
 from .config import PipelineConfig
-from .detector import (VIEWS, DetectorConfig, DetectorModel, detect, make_sequences,
-                       read_report_csvs, summary_table, train_detector, write_report_csvs)
-from .encoder import (EncoderConfig, EncoderModel, embed, read_embeddings_csv,
-                      train_encoder, write_embeddings_csv)
+from .detector import (VIEWS, DetectorModel, detect, make_sequences, read_report_csvs,
+                       summary_table, train_detector, write_report_csvs)
+from .encoder import EncoderModel, embed, read_embeddings_csv, train_encoder, write_embeddings_csv
 from .frames import LABELS, FrameTable
 from .graph import ByteMode, build_graph
 
@@ -189,9 +188,7 @@ def stage_train_encoder(ws: Workspace, splits):
 
     def train():
         normal_graphs = _graphs_for([w for w in splits()["train"] if w.label == 0], cfg)
-        return train_encoder(normal_graphs, EncoderConfig(
-            epochs=cfg.encoder_epochs, lr=cfg.encoder_lr, patience=cfg.encoder_patience,
-            seed=cfg.encoder_seed, grad_clip=cfg.grad_clip))
+        return train_encoder(normal_graphs, cfg)
 
     return _train_stage(ws, "train-encoder", EncoderModel(seed=cfg.encoder_seed), train)
 
@@ -217,9 +214,7 @@ def stage_train_detector(ws: Workspace, embeddings):
     def train():
         train_seqs = make_sequences(embeddings()["train"], cfg.sequence_length)
         val_seqs = make_sequences(embeddings()["val"], cfg.sequence_length)
-        return train_detector(model, train_seqs, val_seqs, DetectorConfig(
-            epochs=cfg.detector_epochs, lr=cfg.detector_lr, batch_size=cfg.detector_batch,
-            patience=cfg.detector_patience, seed=cfg.detector_seed, grad_clip=cfg.grad_clip))
+        return train_detector(model, train_seqs, val_seqs, cfg)
 
     return _train_stage(ws, "train-detector", model, train)
 

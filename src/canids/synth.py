@@ -36,8 +36,9 @@ class EcuSpec:
             raise ValueError(f"ECU arbitration_id {self.arbitration_id:#x} outside 29-bit range")
         if not 0 <= self.dlc <= MAX_DLC:
             raise ValueError(f"ECU {self.arbitration_id:#x} dlc {self.dlc} outside [0, {MAX_DLC}]")
-        if not self.period_ms > 0:
-            raise ValueError(f"ECU {self.arbitration_id:#x} has non-positive period")
+        if not 0 < self.period_ms < np.inf:
+            raise ValueError(f"ECU {self.arbitration_id:#x} period must be finite and > 0, "
+                             f"got {self.period_ms}")
         if self.model not in MODELS:
             raise ValueError(f"unknown ecu byte model {self.model!r}")
 

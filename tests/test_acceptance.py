@@ -34,9 +34,8 @@ from canids import nn
 from canids.analysis import auc_score, entropy_sweep
 from canids.cli import EXIT_OK, main
 from canids.config import PipelineConfig
-from canids.detector import (DetectorConfig, DetectorModel, detect,
-                             make_sequences, train_detector)
-from canids.encoder import EncoderConfig, EncoderModel, GraphEmbedding, train_encoder
+from canids.detector import DetectorModel, detect, make_sequences, train_detector
+from canids.encoder import EncoderModel, GraphEmbedding, train_encoder
 from canids.frames import FrameTable
 from canids.graph import ByteMode, WindowGraph, build_graph, normalized_adjacency
 from canids.ingest import make_windows
@@ -438,16 +437,17 @@ def test_criterion_5_overfit(capfd):
     with criterion(5, "overfit checks (encoder MSE < 1e-3, detector BCE < 0.05)", capfd):
         t0 = time.monotonic()
         graphs = [random_path_graph(w=6, seed=1, index=i) for i in range(20)]
-        _, enc_log = train_encoder(graphs, EncoderConfig(
-            epochs=200, lr=1e-2, patience=200, seed=0))
+        _, enc_log = train_encoder(graphs, PipelineConfig(values=dict(
+            encoder_epochs=200, encoder_lr=1e-2, encoder_patience=200, encoder_seed=0)))
         assert enc_log["history"][-1]["train_loss"] < 1e-3
 
         labels = ([0] * 6 + [1] * 2) * 4
         vectors, seq_labels = make_sequences(toy_embeddings(labels), 3)
         seqs = (vectors[:20], seq_labels[:20])
         assert set(seq_labels[:20]) == {0, 1}
-        _, det_log = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(
-            epochs=500, lr=5e-3, batch_size=8, patience=500, seed=0))
+        _, det_log = train_detector(DetectorModel(seed=0), seqs, seqs, PipelineConfig(values=dict(
+            detector_epochs=500, detector_lr=5e-3, detector_batch=8, detector_patience=500,
+            detector_seed=0)))
         assert det_log["history"][-1]["train_loss"] < 0.05
         assert time.monotonic() - t0 < 120.0
 

@@ -161,9 +161,10 @@ class TestEntropySweep:
 
     def test_oversize_window_skipped(self, caplog):
         with caplog.at_level("WARNING"):
-            stats = entropy_sweep(self.norm(normal_frames(30)), [10, 100])
+            stats = entropy_sweep(self.norm(normal_frames(30)), [10, 40, 100])
         assert [s.window_size for s in stats] == [10]
-        assert any("skipped" in r.message for r in caplog.records)
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["window sizes [40, 100] exceed frame count 30; skipped"]
 
     def test_multi_ecu_traffic_growth_flattens(self):
         rng = np.random.default_rng(0)

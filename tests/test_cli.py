@@ -335,6 +335,7 @@ def test_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("spec", ["ecu2 = 0x200 ten 8 const",
                                   "ecu2 = 0x200 10 8 sine",
+                                  "ecu2 = 0x200 inf 8 const",
                                   "attack1 = spoofing 0.2 0.1 target=0x100 mutate=8:0:1",
                                   "attack1 = replay 0.5 0.1 span=0:0.1:0.2"])
 def test_malformed_synth_spec_is_config_error(tmp_path, spec):

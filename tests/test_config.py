@@ -30,12 +30,14 @@ window_size = 75
 sequence_length=30   # inline comment
 threshold = 0.4
 entropy_sizes = 10,20,30
+sweep_window_sizes = 50, 75,,100,
 """)
     cfg = PipelineConfig.from_file(path)
     assert cfg.window_size == 75
     assert cfg.sequence_length == 30
     assert cfg.threshold == 0.4
     assert cfg.entropy_sizes == [10, 20, 30]
+    assert cfg.sweep_window_sizes == [50, 75, 100]
 
 
 def test_unknown_key_is_error(tmp_path):
@@ -70,6 +72,8 @@ def test_bad_value_reports_line(tmp_path):
     "entropy_sizes = 20,10\n",
     "entropy_sizes = 0,10\n",
     "entropy_sizes =\n",
+    "entropy_sizes = 10 20\n",  # a space inside an entry, not a separator
+    "sweep_window_sizes = 50 75\n",
     "sweep_window_sizes = 50,1\n",
     "sweep_sequence_lengths = 0\n",
     "sweep_window_sizes =\n",

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from canids import nn
 from canids.analysis import compute_metrics
-from canids.detector import (DetectorConfig, DetectorModel, detect, make_sequences,
-                             summary_table, train_detector, write_report_csvs)
+from canids.config import PipelineConfig
+from canids.detector import (DetectorModel, detect, make_sequences, summary_table,
+                             train_detector, write_report_csvs)
 from canids.encoder import GraphEmbedding
 
 from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
@@ -146,8 +147,9 @@ class TestTraining:
     def test_overfits_separable_sequences(self):
         seqs = self.separable_sequences()
         model = DetectorModel(seed=0)
-        model, log = train_detector(model, seqs, seqs, DetectorConfig(
-            epochs=500, lr=5e-3, batch_size=8, patience=500, seed=0))
+        model, log = train_detector(model, seqs, seqs, PipelineConfig(values=dict(
+            detector_epochs=500, detector_lr=5e-3, detector_batch=8, detector_patience=500,
+            detector_seed=0)))
         assert log["history"][-1]["train_loss"] < 0.05
 
     def test_best_val_f1_not_worse_than_first(self):
@@ -155,7 +157,7 @@ class TestTraining:
         Validation flips the training labels, so fitting them lowers it after epoch 0."""
         x, y = self.separable_sequences()
         model, log = train_detector(DetectorModel(seed=0), (x, y), (x, 1 - y),
-                                    DetectorConfig(epochs=10, seed=0))
+                                    PipelineConfig(values=dict(detector_epochs=10, detector_seed=0)))
         history = [row["val_f1"] for row in log["history"]]
         assert history[-1] < history[log["best_epoch"]] >= history[0]
         with nn.no_grad():
@@ -165,7 +167,7 @@ class TestTraining:
 
     def test_determinism(self, tmp_path):
         seqs = self.separable_sequences(n=10)
-        cfg = DetectorConfig(epochs=3, seed=5)
+        cfg = PipelineConfig(values=dict(detector_epochs=3, detector_seed=5))
         m1, _ = train_detector(DetectorModel(seed=5), seqs, seqs, cfg)
         m2, _ = train_detector(DetectorModel(seed=5), seqs, seqs, cfg)
         m1.save(tmp_path / "a.ckpt")
@@ -182,14 +184,16 @@ class TestTraining:
             monkeypatch.setattr(nn, op, refuse)
             monkeypatch.setattr(nn.ops, op, refuse)
         seqs = self.separable_sequences(n=10)
-        model, _ = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(epochs=2))
+        model, _ = train_detector(DetectorModel(seed=0), seqs, seqs,
+                                  PipelineConfig(values=dict(detector_epochs=2)))
         report = detect(model, embeddings_from_labels([0, 0, 1, 0, 0, 0]), 3)
         assert len(report.sequence_rows) == 4
 
     def test_logs_one_line_per_epoch(self, caplog):
         seqs = self.separable_sequences(n=10)
         with caplog.at_level(logging.INFO, logger="canids.detector"):
-            _, log = train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig(epochs=3))
+            _, log = train_detector(DetectorModel(seed=0), seqs, seqs,
+                                    PipelineConfig(values=dict(detector_epochs=3)))
         lines = [r.getMessage() for r in caplog.records if r.name == "canids.detector"]
         assert len(lines) == log["epochs_run"] == 3
         for epoch, (line, row) in enumerate(zip(lines, log["history"])):
@@ -200,7 +204,7 @@ class TestTraining:
     def test_single_class_rejected(self):
         seqs = make_sequences(embeddings_from_labels([0] * 6), 2)
         with pytest.raises(ValueError, match="both classes"):
-            train_detector(DetectorModel(seed=0), seqs, seqs, DetectorConfig())
+            train_detector(DetectorModel(seed=0), seqs, seqs, PipelineConfig())
 
 
 class TestDetect:
@@ -211,7 +215,7 @@ class TestDetect:
         embs = embeddings_from_labels(labels, seed=2)
         seqs = make_sequences(embs, 5)
         model, _ = train_detector(DetectorModel(seed=0), seqs, seqs,
-                                  DetectorConfig(epochs=40, seed=0))
+                                  PipelineConfig(values=dict(detector_epochs=40, detector_seed=0)))
         return model, embs
 
     def test_degenerate_single_sequence_views_agree(self, trained):

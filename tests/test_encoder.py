@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from canids import nn
-from canids.encoder import (EncoderConfig, EncoderModel, GraphEmbedding, embed,
-                            read_embeddings_csv, train_encoder, write_embeddings_csv)
+from canids.config import PipelineConfig
+from canids.encoder import (EncoderModel, GraphEmbedding, embed, read_embeddings_csv,
+                            train_encoder, write_embeddings_csv)
 from canids.frames import Label
 from canids.graph import ByteMode, WindowGraph, build_graph
 
@@ -66,12 +67,13 @@ class TestForward:
 class TestTraining:
     def test_overfits_identical_graphs(self):
         graphs = [random_graph(w=6, seed=1, index=i) for i in range(20)]
-        model, log = train_encoder(graphs, EncoderConfig(epochs=200, lr=1e-2, patience=200, seed=0))
+        model, log = train_encoder(graphs, PipelineConfig(values=dict(
+            encoder_epochs=200, encoder_lr=1e-2, encoder_patience=200, encoder_seed=0)))
         assert log["history"][-1]["train_loss"] < 1e-3
 
     def test_best_epoch_not_worse_than_first(self):
         graphs = [random_graph(w=6, seed=i, index=i) for i in range(10)]
-        model, log = train_encoder(graphs, EncoderConfig(epochs=20, seed=0))
+        model, log = train_encoder(graphs, PipelineConfig(values=dict(encoder_epochs=20, encoder_seed=0)))
         hist = log["history"]
         assert all(np.isfinite(h["train_loss"]) for h in hist)
         best = hist[log["best_epoch"]]["val_loss"]
@@ -79,8 +81,8 @@ class TestTraining:
 
     def test_determinism(self, tmp_path):
         graphs = [random_graph(w=5, seed=i, index=i) for i in range(8)]
-        m1, _ = train_encoder(graphs, EncoderConfig(epochs=5, seed=3))
-        m2, _ = train_encoder(graphs, EncoderConfig(epochs=5, seed=3))
+        m1, _ = train_encoder(graphs, PipelineConfig(values=dict(encoder_epochs=5, encoder_seed=3)))
+        m2, _ = train_encoder(graphs, PipelineConfig(values=dict(encoder_epochs=5, encoder_seed=3)))
         m1.save(tmp_path / "a.ckpt")
         m2.save(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
@@ -88,7 +90,7 @@ class TestTraining:
     def test_logs_one_line_per_epoch(self, caplog):
         graphs = [random_graph(w=5, seed=i, index=i) for i in range(8)]
         with caplog.at_level(logging.INFO, logger="canids.encoder"):
-            _, log = train_encoder(graphs, EncoderConfig(epochs=3, seed=0))
+            _, log = train_encoder(graphs, PipelineConfig(values=dict(encoder_epochs=3, encoder_seed=0)))
         lines = [r.getMessage() for r in caplog.records if r.name == "canids.encoder"]
         assert len(lines) == log["epochs_run"] == 3
         for epoch, (line, row) in enumerate(zip(lines, log["history"])):
@@ -99,7 +101,7 @@ class TestTraining:
     def test_rejects_attack_graphs(self):
         graphs = [random_graph(index=0), random_graph(label=1, index=1)]
         with pytest.raises(ValueError, match="normal-only"):
-            train_encoder(graphs)
+            train_encoder(graphs, PipelineConfig())
 
 
 def recorded_ops(root) -> int:
@@ -125,7 +127,7 @@ class TestFusedPath:
         """Training, validation and embed run the fused stack; linear, gcn_conv and
         relu are only the oracle, whose checkpoint and embeddings it reproduces."""
         graphs = [random_graph(w=5 + i % 3, seed=i, index=i) for i in range(10)]
-        config = EncoderConfig(epochs=1, seed=2)
+        config = PipelineConfig(values=dict(encoder_epochs=1, encoder_seed=2))
         with monkeypatch.context() as m:
             m.setattr(EncoderModel, "forward", lambda self, g: unfused_encoder_forward(self, g)[1])
             oracle, oracle_log = train_encoder(graphs, config)

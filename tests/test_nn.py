@@ -337,7 +337,7 @@ FIT_LOG = logging.getLogger("fit-test")
 
 def fit_toy(model, steps, validate, epochs=20, patience=2, grad_clip=0.0):
     """nn.fit on a toy model; its history column is `score`, logged as "score %.1f"."""
-    config = SimpleNamespace(epochs=epochs, lr=0.1, patience=patience, grad_clip=grad_clip)
+    config = SimpleNamespace(toy_epochs=epochs, toy_lr=0.1, toy_patience=patience, grad_clip=grad_clip)
     return nn.fit(model, config, steps, validate, FIT_LOG, "toy", ("score", "score %.1f"))
 
 

@@ -2,12 +2,15 @@ import hashlib
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from canids import pipeline
 from canids.analysis import compute_metrics
 from canids.config import KEY_SPECS, PipelineConfig
-from canids.detector import DetectionReport
+from canids.detector import DetectionReport, DetectorModel, train_detector
+from canids.encoder import EMBED_DIM, train_encoder
+from canids.graph import WindowGraph
 
 
 def fake_report():
@@ -221,3 +224,31 @@ def test_every_key_reaches_a_digest_or_no_stage():
     stage_keys = {key for stage in pipeline.STAGES.values() for key in stage.keys}
     assert not stage_keys & NO_STAGE_KEYS
     assert stage_keys | NO_STAGE_KEYS == set(KEY_SPECS)
+
+
+class RecordedReads(dict):
+    """Config values that record each key read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", ["encoder", "detector"])
+def test_a_trainer_reads_only_its_stage_digest_keys(name):
+    """A setting a trainer reads but its stage's digest misses would let a cached
+    checkpoint stand for other settings."""
+    cfg = PipelineConfig(values=dict(encoder_epochs=1, detector_epochs=1))
+    cfg.values = RecordedReads(cfg.values)
+    rng = np.random.default_rng(0)
+    if name == "encoder":
+        train_encoder([WindowGraph(rng.random((4, 9)), label=0, window_index=i) for i in range(3)], cfg)
+    else:
+        seqs = rng.normal(size=(4, 3, EMBED_DIM)), np.arange(4) % 2
+        train_detector(DetectorModel(seed=0), seqs, seqs, cfg)
+    assert f"{name}_epochs" in cfg.values.read
+    assert cfg.values.read <= set(pipeline.STAGES[f"train-{name}"].keys)

@@ -191,6 +191,7 @@ class TestInject:
     lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, 0, 256),)),
     lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, -1, 5),)),
     lambda: AttackSpec(Label.SPOOFING, 0.0, 1.0, mutation=((0, 9, 8),)),
+    lambda: EcuSpec(0x100, float("inf"), 8, "const"),
 ])
 def test_out_of_range_specs_rejected_before_generation(make):
     """Each value would otherwise wrap silently in a uint8 column, index past a payload,

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 from canids import detector, encoder
+from canids.config import PipelineConfig
 from canids.graph import build_graph
 
 from conftest import normal_frames, windows_from
@@ -38,10 +39,10 @@ def test_tracer_counts_each_trainers_adam_steps():
     t = load_tracer()
     try:
         t.install()
-        t.op(0, lambda: encoder.train_encoder(graphs, encoder.EncoderConfig(epochs=2)))
+        cfg = PipelineConfig(values=dict(encoder_epochs=2, detector_epochs=2, detector_batch=5))
+        t.op(0, lambda: encoder.train_encoder(graphs, cfg))
         model = detector.DetectorModel(seed=0)
-        t.op(1, lambda: detector.train_detector(model, seqs, val,
-                                                detector.DetectorConfig(epochs=2, batch_size=5)))
+        t.op(1, lambda: detector.train_detector(model, seqs, val, cfg))
     finally:
         t.uninstall()
     # 9 training graphs (one of 10 is held out) and 3 batches of 12 sequences, twice each
