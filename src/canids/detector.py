@@ -5,10 +5,11 @@ inter-layer dropout 0.3) with a 64->32->1 sigmoid head scores each timestep;
 the final timestep's score is the sequence probability. Window-level scores
 aggregate each window's per-occurrence probabilities by mean or max.
 
-Each GRU layer is one `nn.gru_layer` op and the head one `nn.dense_stack` op, in
-training and at inference alike; `nn.gru_cell`, `linear` and `relu` are only the
-tests' oracles for them. Training runs the head on the final timestep only, since
-the loss reads nothing else; inference runs it once over all timesteps.
+In training each GRU layer is one `nn.gru_layer` op; at inference both are one
+`nn.gru_stack` wavefront op, which keeps only the top layer's states. The head is
+one `nn.dense_stack` op; `nn.gru_cell`, `linear` and `relu` are only the tests'
+oracles. Training runs the head on the final timestep only, since the loss reads
+nothing else; inference runs it once over all timesteps.
 """
 from __future__ import annotations
 
@@ -60,9 +61,8 @@ def make_sequences(embeddings, length: int):
     m = len(embeddings)
     if length > m:
         raise ValueError(f"sequence length {length} exceeds window count {m}")
-    for prev, cur in zip(embeddings, embeddings[1:]):
-        if cur.window_index != prev.window_index + 1:
-            raise ValueError("embeddings must have consecutive window indices")
+    if np.any(np.diff([e.window_index for e in embeddings]) != 1):
+        raise ValueError("embeddings must have consecutive window indices")
     stacked = np.stack([e.vector for e in embeddings])
     vectors = sliding_window_view(stacked, length, axis=0).transpose(0, 2, 1)
     attack = np.array([e.label == 1 for e in embeddings])
@@ -104,10 +104,12 @@ class DetectorModel(nn.Module):
             raise ValueError(f"expected (B, L, {EMBED_DIM}) input, got {x.shape}")
         if training and self.dropout_p > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        h1 = nn.gru_layer(nn.Tensor(x.transpose(1, 0, 2)), self.gru1)
+        x = nn.Tensor(x.transpose(1, 0, 2))
+        if not training:
+            return nn.sigmoid(nn.dense_stack(nn.gru_stack(x, [self.gru1, self.gru2]), None, self.head))
+        h1 = nn.gru_layer(x, self.gru1)
         h2 = nn.gru_layer(nn.dropout(h1, self.dropout_p, training, rng), self.gru2)
-        h = nn.take_step(h2, x.shape[1] - 1) if training else h2
-        return nn.sigmoid(nn.dense_stack(h, None, self.head))
+        return nn.sigmoid(nn.dense_stack(nn.take_step(h2, -1), None, self.head))
 
 
 def train_detector(model: DetectorModel, train_seqs, val_seqs, config):
@@ -160,8 +162,9 @@ def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5
     mean_rows, max_rows = [], []
     for w, e in enumerate(embeddings):
         c = np.diagonal(probs[::-1], w - len(probs) + 1)
-        for rows, score in ((mean_rows, float(np.mean(c))), (max_rows, float(np.max(c)))):
-            rows.append((e.window_index, score, int(score >= threshold), e.label))
+        mean, peak = float(np.add.reduce(c) / c.size), float(np.maximum.reduce(c))  # np.mean's, np.max's bits
+        mean_rows.append((e.window_index, mean, int(mean >= threshold), e.label))
+        max_rows.append((e.window_index, peak, int(peak >= threshold), e.label))
     return DetectionReport.from_rows(threshold, sequence_rows, mean_rows, max_rows)
 
 

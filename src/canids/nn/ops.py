@@ -3,10 +3,12 @@ pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
 
 Both models' dense layers run as `dense_stack` ops, tested value for value against
 the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU comes
-twice. `gru_layer` runs one layer over a whole time-major sequence as a single op:
-a plain-numpy time loop forward and a hand-written BPTT backward. The detector uses
-it. `gru_cell` is one step built from the elementwise ops; it is the oracle that
-`gru_layer` is tested against, value for value.
+three times. `gru_layer` runs one layer over a time-major sequence as a single op:
+a plain-numpy time loop forward and a hand-written BPTT backward; the detector
+trains with it. At inference it runs `gru_stack`, which under no_grad advances a
+whole stack of layers in one wavefront time loop, one set of numpy calls a step.
+`gru_cell` is one step built from the elementwise ops, the oracle both are tested
+against value for value.
 """
 from __future__ import annotations
 
@@ -276,6 +278,51 @@ def gru_layer(x, params: dict) -> Tensor:
             x.accumulate((d_n @ w_n.T + d_z @ w_z.T + d_r @ w_r.T).reshape(x.data.shape))
 
     return Tensor(hs, parents=(x, *p.values()), backward_fn=bwd)
+
+
+def gru_stack(x, layers) -> Tensor:
+    """The top layer's (L, B, H) states from GRU layers over a time-major (L, B, D)
+    sequence, each fed the states of the one below, all from zero states.
+
+    On a tape it is gru_layer chained. Under no_grad it is one wavefront loop:
+    iteration k runs layer j at step k - j, with gru_layer's expressions in its order
+    over the active layers' stacked (..., m, B, H) arrays, so the bits equal chained
+    gru_layer's. Rows run top layer first; layer j's state after step t sits in
+    hs[t + 1] until layer j + 1 has read it, so the top layer's states end in hs[1:].
+    Only active layers compute, and only the products the chained layers take.
+    """
+    if recording():
+        for params in layers:
+            x = gru_layer(x, params)
+        return _wrap(x)
+    x = _wrap(x).data
+    length, batch, _ = x.shape
+    n, d_h, top_first = len(layers), layers[0]["u_z"].shape[0], layers[::-1]
+
+    def stacked(keys, of=top_first):
+        return np.array([[_wrap(p[k]).data for k in keys] for p in of])
+
+    (w0,), u = stacked(("w_z", "w_r", "w_n"), layers[:1]), stacked(("u_z", "u_r", "u_n"))
+    w_in = stacked(("w_z", "w_r", "w_n"), top_first[:-1])
+    bias = np.repeat(stacked(("b_z", "b_r", "b_in", "b_hn")).transpose(1, 0, 2)[:, :, None], batch, 2)
+    hs = np.zeros((length + 1, batch, d_h))
+    gates_in, gates_rec = np.empty((2, 3, n, batch, d_h))  # x W and h U per gate
+    for k in range(length + n - 1):
+        lo, hi = max(0, k - length + 1), min(n - 1, k)  # the active layers, in rows a:b
+        a, b = n - 1 - hi, n - lo
+        h, h_below = hs[k - hi : k - lo + 1], hs[k - hi + 1 : k - lo + 2]
+        inp, rec = gates_in[:, a:b], gates_rec[:, a:b]
+        if above := min(b, n - 1) - a:  # active layers above layer 0 read h_below
+            np.matmul(h_below[:above, None], w_in[a : a + above], out=inp[:, :above].transpose(1, 0, 2, 3))
+        if not lo:
+            np.matmul(x[k], w0, out=inp[:, -1])
+        np.matmul(h[:, None], u[a:b], out=rec.transpose(1, 0, 2, 3))
+        zr = np.add(inp[:2], rec[:2])
+        zr += bias[:2, a:b]
+        np.divide(1.0, 1.0 + np.exp(-zr), out=zr)
+        n_gate = np.tanh(inp[2] + bias[2, a:b] + zr[1] * (rec[2] + bias[3, a:b]))
+        np.add((1.0 - zr[0]) * n_gate, zr[0] * h, out=h_below)
+    return Tensor(hs[1:])
 
 
 def take_step(seq, t: int) -> Tensor:

@@ -294,15 +294,18 @@ def test_criterion_1_gradients(capfd):
                              for f in (fused, tape))
                 assert all(np.array_equal(got[k], want[k]) for k in want)
 
-        # the detector's head run once over all L = 50 steps: every probability equal
-        # to the unfused head's run step by step on the same GRU states
+        # the inference forward over L = 50 steps, its GRU layers one gru_stack op and
+        # its head run once over all steps: every probability equal to the unfused
+        # head's run step by step on chained gru_layer states, and to the gru_cell stack's
         det, rc = DetectorModel(seed=0), np.random.default_rng(5000)
-        for batch in (1, 7, 8, 29, 43, 64, 215, 1455):
+        for batch in (1, 7, 8, 11, 29, 43, 61, 64, 215, 1455):
             xc = rc.normal(size=(batch, 50, 32))
             with nn.no_grad():
                 states = nn.gru_layer(nn.gru_layer(Tensor(xc.transpose(1, 0, 2)), det.gru1), det.gru2)
                 per_step = np.stack([unfused_head(det, nn.take_step(states, t)).data for t in range(50)])
-                assert np.array_equal(det.forward_batch(xc).data, per_step)
+                probs = det.forward_batch(xc).data
+                assert np.array_equal(probs, per_step)
+                assert np.array_equal(probs, unfused_forward_batch(det, xc).data)
 
         # the fused encoder stack: all 14 gradients against finite differences at
         # W = 2, 4 and 50, then the loss and gradients equal to the unfused

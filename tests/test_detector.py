@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ class TestForward:
         model = DetectorModel(seed=0)
         with pytest.raises(ValueError):
             model.forward_batch(np.zeros((1, 3, 16)))
+
+    def test_inference_keeps_only_the_top_layers_states(self):
+        """Under no_grad at B = 215, L = 50 the forward allocates at most 2.5 (L, B, 64)
+        float64 arrays at its peak: no lower layer's (L, B, 64) states are kept."""
+        x = np.random.default_rng(0).normal(size=(215, 50, 32))
+        model = DetectorModel(seed=0)
+        tracemalloc.start()
+        try:
+            with nn.no_grad():
+                model.forward_batch(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (50 * 215 * 64 * 8)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bce_gradients_match_finite_differences(self, seed):
@@ -274,6 +289,25 @@ class TestDetect:
             assert len(c) == min(w, len(alone) - 1) - max(0, w - length + 1) + 1
             assert mean_row[1] == pytest.approx(sum(c) / len(c), abs=1e-12)
             assert max_row[1] == pytest.approx(max(c), abs=1e-12)
+
+    @pytest.mark.parametrize("windows,length", [(30, 12), (14, 10), (19, 10), (6, 1), (4, 4)])
+    def test_window_views_equal_numpy_mean_and_max(self, windows, length):
+        """On every anti-diagonal, of each length from 1 to min(S, L), with tied
+        values: the mean and max rows equal np.mean and np.max of it."""
+        s = windows - length + 1
+        probs = np.random.default_rng(windows).choice([0.1, 0.3, 0.7, 0.9], size=(s, length))
+
+        class Fixed:  # hands detect the (S, L) matrix as forward_batch's (L, S, 1)
+            def forward_batch(self, vectors):
+                return nn.Tensor(probs.T[:, :, None])
+
+        report = detect(Fixed(), embeddings_from_labels([w % 3 == 0 for w in range(windows)]), length)
+        sizes = []
+        for w, (mean_row, max_row) in enumerate(zip(report.mean_rows, report.max_rows)):
+            c = np.array([probs[w - t, t] for t in range(length) if 0 <= w - t < s])
+            sizes.append(c.size)
+            assert mean_row[1] == float(np.mean(c)) and max_row[1] == float(np.max(c))
+        assert set(sizes) == set(range(1, min(s, length) + 1))
 
     def test_report_files_and_summary(self, trained, tmp_path):
         model, embs = trained

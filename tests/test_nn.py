@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from canids import nn
 from canids.detector import DetectorModel
@@ -240,6 +241,49 @@ class TestGradients:
             return nn.bce_loss(prob, y)
 
         assert_gradients_match(loss, [w1, b1, w2, b2] + list(gru.values()), rtol=1e-4)
+
+
+def gru_params(r, d_in, d_h, scale):
+    shapes = {"w": (d_in, d_h), "u": (d_h, d_h), "b": (d_h,)}
+    return {k: param(r.normal(size=shapes[k[0]]) * scale / np.sqrt(shapes[k[0]][0]), k)
+            for k in ("w_z", "w_r", "w_n", "u_z", "u_r", "u_n", "b_z", "b_r", "b_in", "b_hn")}
+
+
+def chained_gru_layers(x, layers):
+    for p in layers:
+        x = nn.gru_layer(x, p)
+    return x
+
+
+class TestGruStack:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_grad_wavefront_equals_chained_layers_bit_for_bit(self, n):
+        """Fed an (L, B, 32) sliding_window_view, as detect feeds the detector (its
+        steps overlap unless B or L is 1), the stack's top states equal chained
+        gru_layer's at every B and L."""
+        r = np.random.default_rng(n)
+        for batch in (1, 2, 7, 8, 9, 11, 16, 29, 43, 61, 64, 215):
+            for length in (1, 2, 3, 50):
+                layers = [gru_params(r, 32 if j == 0 else 64, 64, 2.0) for j in range(n)]
+                windows = r.normal(size=(batch + length - 1, 32))
+                x = sliding_window_view(windows, length, axis=0).transpose(2, 0, 1)
+                assert x.shape == (length, batch, 32) and x.flags.c_contiguous == (min(batch, length) == 1)
+                with nn.no_grad():
+                    got, want = nn.gru_stack(x, layers), chained_gru_layers(Tensor(x), layers)
+                assert got.data.shape == (length, batch, 64)
+                assert np.array_equal(got.data, want.data), (batch, length)
+
+    def test_on_a_tape_it_is_the_chained_layers(self):
+        r = np.random.default_rng(7)
+        layers = [gru_params(r, 5, 4, 1.0), gru_params(r, 4, 4, 1.0)]
+        x = Parameter(r.normal(size=(3, 2, 5)), "x")
+        target = Tensor(r.normal(size=(3, 2, 4)))
+        tensors = {f"{j}{k}": p for j, ps in enumerate(layers) for k, p in ps.items()} | {"x": x}
+        got = gradients(lambda: nn.mse_loss(nn.gru_stack(x, layers), target), tensors)
+        want = gradients(lambda: nn.mse_loss(chained_gru_layers(x, layers), target), tensors)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+        assert_gradients_match(lambda: nn.mse_loss(nn.gru_stack(x, layers), target),
+                               list(tensors.values()))
 
 
 def module(**arrays):
