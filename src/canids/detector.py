@@ -6,7 +6,7 @@ the final timestep's score is the sequence probability. Window-level scores
 aggregate each window's per-occurrence probabilities by mean or max.
 
 In training each GRU layer is one `nn.gru_layer` op; at inference both are one
-`nn.gru_stack` wavefront op, which keeps only the top layer's states. The head is
+`nn.gru_stack` op. Both run the same GRU time loop (see `nn.ops`). The head is
 one `nn.dense_stack` op; `nn.gru_cell`, `linear` and `relu` are only the tests'
 oracles. Training runs the head on the final timestep only, since the loss reads
 nothing else; inference runs it once over all timesteps.
@@ -108,7 +108,7 @@ class DetectorModel(nn.Module):
         if not training:
             return nn.sigmoid(nn.dense_stack(nn.gru_stack(x, [self.gru1, self.gru2]), None, self.head))
         h1 = nn.gru_layer(x, self.gru1)
-        h2 = nn.gru_layer(nn.dropout(h1, self.dropout_p, training, rng), self.gru2)
+        h2 = nn.gru_layer(nn.dropout(h1, self.dropout_p, rng), self.gru2)
         return nn.sigmoid(nn.dense_stack(nn.take_step(h2, -1), None, self.head))
 
 

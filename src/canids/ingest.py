@@ -53,8 +53,8 @@ def _parse_payload(text: str) -> list:
     out = []
     for p in parts:
         v = _parse_hex(p, "payload byte")
-        if v > 0xFF:
-            raise ValueError(f"payload byte {p!r} exceeds 0xFF")
+        if not 0 <= v <= 0xFF:
+            raise ValueError(f"payload byte {p!r} outside 0x00..0xFF")
         out.append(v)
     if len(out) > MAX_DLC:
         raise ValueError(f"payload has {len(out)} bytes, max is {MAX_DLC}")

@@ -51,8 +51,8 @@ def save_checkpoint(params, path) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint into a name -> ndarray mapping. Every length is checked
-    against the bytes left, so a truncated or corrupt file raises CheckpointError."""
+    """Read a checkpoint into a name -> ndarray mapping. Every length is checked against
+    the bytes left, and none may be left over: a bad file raises CheckpointError."""
     path = Path(path)
     buf = memoryview(path.read_bytes())
     pos = len(MAGIC)
@@ -81,15 +81,19 @@ def load_checkpoint(path) -> dict:
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"dims of {name!r}"))
         data = take(8 * math.prod(shape), f"data of {name!r}")
         out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+    if pos != len(buf):
+        raise CheckpointError(f"{path}: corrupt checkpoint ({len(buf) - pos} bytes after the last record)")
     return out
 
 
 def restore_parameters(params, path) -> None:
-    """Load saved arrays into existing Parameters, matched by name and shape."""
-    saved = load_checkpoint(path)
+    """Load saved arrays into existing Parameters, matched by name and shape; the
+    checkpoint must hold exactly the Parameters' names."""
+    saved, names = load_checkpoint(path), {p.name for p in params}
+    if saved.keys() != names:
+        raise CheckpointError(f"checkpoint parameters differ from the model's: missing "
+                              f"{sorted(names - saved.keys())}, extra {sorted(saved.keys() - names)}")
     for p in params:
-        if p.name not in saved:
-            raise CheckpointError(f"checkpoint missing parameter {p.name!r}")
         if saved[p.name].shape != p.data.shape:
             raise CheckpointError(
                 f"shape mismatch for {p.name!r}: checkpoint {saved[p.name].shape} vs model {p.data.shape}")

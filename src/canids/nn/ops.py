@@ -2,13 +2,12 @@
 pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
 
 Both models' dense layers run as `dense_stack` ops, tested value for value against
-the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU comes
-three times. `gru_layer` runs one layer over a time-major sequence as a single op:
-a plain-numpy time loop forward and a hand-written BPTT backward; the detector
-trains with it. At inference it runs `gru_stack`, which under no_grad advances a
-whole stack of layers in one wavefront time loop, one set of numpy calls a step.
-`gru_cell` is one step built from the elementwise ops, the oracle both are tested
-against value for value.
+the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU's
+forward is one time loop, `_gru_steps`, a wavefront over a stack of layers.
+`gru_layer` runs it for one layer and keeps the gates its hand-written BPTT reads;
+the detector trains with it. At inference the detector runs `gru_stack`, which
+under no_grad runs the loop once for the whole stack. `gru_cell` is one step built
+from the elementwise ops, the oracle both are tested against value for value.
 """
 from __future__ import annotations
 
@@ -120,15 +119,15 @@ def tanh(x) -> Tensor:
     return Tensor(t, parents=(x,), backward_fn=bwd)
 
 
-def dropout(x, p: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Returns x itself at inference time. The mask is captured for the backward pass.
+    Returns x itself when p is 0. The mask is captured for the backward pass.
     """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
@@ -216,86 +215,16 @@ def gru_cell(x, h_prev, params: dict) -> Tensor:
 _GRU_KEYS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_in", "b_hn")
 
 
-def gru_layer(x, params: dict) -> Tensor:
-    """One GRU layer over a time-major (L, B, D) sequence from a zero state; returns
-    the (L, B, H) hidden states as one op.
-
-    Each step evaluates gru_cell's expressions in gru_cell's order, with per-gate
-    GEMMs, so the values equal a stack of gru_cell steps bit for bit. Under
-    no_grad nothing per step is kept. The backward runs BPTT in reverse t, then
-    does the weight-gradient GEMMs for all L steps at once; it may run only once,
-    as it overwrites the cached gate values.
+def _gru_steps(x: np.ndarray, layers, gates=None) -> np.ndarray:
+    """The GRU time loop: layers over a time-major (L, B, D) array x, each fed the
+    states of the one below, all from zero states; returns the (L + 1, B, H) states,
+    row 0 the zero state and rows 1: the top layer's. A wavefront: iteration k runs
+    layer j at step k - j, with gru_cell's expressions in its order over the active
+    layers' stacked (..., m, B, H) arrays, so the bits equal a stack of gru_cell
+    steps. Rows run top layer first; layer j's state after step t sits in hs[t + 1]
+    until layer j + 1 has read it. Given a (4, L, B, H) buffer for a single layer,
+    each step's n, z, r and h U_n + b_hn are written into it.
     """
-    x = _wrap(x)
-    p = {k: _wrap(params[k]) for k in _GRU_KEYS}
-    w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_in, b_hn = (p[k].data for k in _GRU_KEYS)
-    length, batch, _ = x.data.shape
-    d_h = u_z.shape[0]
-    keep = recording()
-    hs = np.empty((length, batch, d_h))
-    # Gate values n, z, r and h U_n + b_hn per step; under no_grad only one step's.
-    gates = np.empty((4, length if keep else 1, batch, d_h))
-    h = np.zeros((batch, d_h))
-    for t in range(length):
-        xt = x.data[t]
-        n, z, r, hn = gates[:, t if keep else 0]
-        np.divide(1.0, 1.0 + np.exp(-(xt @ w_z + h @ u_z + b_z)), out=z)
-        np.divide(1.0, 1.0 + np.exp(-(xt @ w_r + h @ u_r + b_r)), out=r)
-        np.add(h @ u_n, b_hn, out=hn)
-        np.tanh(xt @ w_n + b_in + r * hn, out=n)
-        h = np.add((1.0 - z) * n, z * h, out=hs[t])
-    if not keep:
-        return Tensor(hs)
-
-    def bwd(g):
-        # BPTT overwrites each step's gate values with the gradients of a_n, a_z,
-        # a_r (the pre-activations) and of h U_n + b_hn.
-        dh = np.zeros((batch, d_h))
-        for t in reversed(range(length)):
-            dh += g[t]
-            n, z, r, hn = gates[:, t]
-            h_prev = hs[t - 1] if t else 0.0
-            one_minus_z = 1.0 - z
-            dh_next = dh * z
-            np.multiply(dh * (h_prev - n), z * one_minus_z, out=z)
-            np.multiply(dh * one_minus_z, 1.0 - n * n, out=n)
-            da_r = n * hn * (r * (1.0 - r))
-            np.multiply(n, r, out=hn)
-            r[...] = da_r
-            dh = dh_next + z @ u_z.T + r @ u_r.T + hn @ u_n.T
-        d_n, d_z, d_r, d_hn = gates.reshape(4, length * batch, d_h)
-        xs = x.data.reshape(length * batch, -1)
-        hs_prev = hs[:-1].reshape(-1, d_h)  # h_{t-1} for t >= 1; h_0 = 0 adds nothing
-        grads = {"w_n": xs.T @ d_n, "w_z": xs.T @ d_z, "w_r": xs.T @ d_r,
-                 "u_z": hs_prev.T @ d_z[batch:], "u_r": hs_prev.T @ d_r[batch:],
-                 "u_n": hs_prev.T @ d_hn[batch:],
-                 "b_in": d_n.sum(axis=0), "b_z": d_z.sum(axis=0), "b_r": d_r.sum(axis=0),
-                 "b_hn": d_hn.sum(axis=0)}
-        for key, grad in grads.items():
-            if _tracked(p[key]):
-                p[key].accumulate(grad)
-        if _tracked(x):
-            x.accumulate((d_n @ w_n.T + d_z @ w_z.T + d_r @ w_r.T).reshape(x.data.shape))
-
-    return Tensor(hs, parents=(x, *p.values()), backward_fn=bwd)
-
-
-def gru_stack(x, layers) -> Tensor:
-    """The top layer's (L, B, H) states from GRU layers over a time-major (L, B, D)
-    sequence, each fed the states of the one below, all from zero states.
-
-    On a tape it is gru_layer chained. Under no_grad it is one wavefront loop:
-    iteration k runs layer j at step k - j, with gru_layer's expressions in its order
-    over the active layers' stacked (..., m, B, H) arrays, so the bits equal chained
-    gru_layer's. Rows run top layer first; layer j's state after step t sits in
-    hs[t + 1] until layer j + 1 has read it, so the top layer's states end in hs[1:].
-    Only active layers compute, and only the products the chained layers take.
-    """
-    if recording():
-        for params in layers:
-            x = gru_layer(x, params)
-        return _wrap(x)
-    x = _wrap(x).data
     length, batch, _ = x.shape
     n, d_h, top_first = len(layers), layers[0]["u_z"].shape[0], layers[::-1]
 
@@ -317,12 +246,75 @@ def gru_stack(x, layers) -> Tensor:
         if not lo:
             np.matmul(x[k], w0, out=inp[:, -1])
         np.matmul(h[:, None], u[a:b], out=rec.transpose(1, 0, 2, 3))
-        zr = np.add(inp[:2], rec[:2])
+        # the outputs of (z, r), h U_n + b_hn and n: new arrays, or the step's kept gates
+        kept = (None,) * 3 if gates is None else (gates[1:3, k, None], gates[3, k, None], gates[0, k, None])
+        zr = np.add(inp[:2], rec[:2], out=kept[0])
         zr += bias[:2, a:b]
         np.divide(1.0, 1.0 + np.exp(-zr), out=zr)
-        n_gate = np.tanh(inp[2] + bias[2, a:b] + zr[1] * (rec[2] + bias[3, a:b]))
+        hn = np.add(rec[2], bias[3, a:b], out=kept[1])
+        n_gate = np.tanh(inp[2] + bias[2, a:b] + zr[1] * hn, out=kept[2])
         np.add((1.0 - zr[0]) * n_gate, zr[0] * h, out=h_below)
-    return Tensor(hs[1:])
+    return hs
+
+
+def gru_layer(x, params: dict) -> Tensor:
+    """One GRU layer over a time-major (L, B, D) sequence from a zero state; returns
+    the (L, B, H) hidden states as one op.
+
+    The forward is _gru_steps over this one layer, keeping every step's gates, so the
+    values equal a stack of gru_cell steps bit for bit. The backward runs BPTT in
+    reverse t, then does the weight-gradient GEMMs for all L steps at once; it may
+    run only once, as it overwrites the kept gate values.
+    """
+    x = _wrap(x)
+    p = {k: _wrap(params[k]) for k in _GRU_KEYS}
+    w_z, u_z, w_r, u_r, w_n, u_n = (p[k].data for k in ("w_z", "u_z", "w_r", "u_r", "w_n", "u_n"))
+    (length, batch, _), d_h = x.data.shape, u_z.shape[0]
+    gates = np.empty((4, length, batch, d_h))  # n, z, r and h U_n + b_hn per step
+    hs = _gru_steps(x.data, [p], gates)
+
+    def bwd(g):
+        # BPTT overwrites each step's gate values with the gradients of a_n, a_z,
+        # a_r (the pre-activations) and of h U_n + b_hn.
+        dh = np.zeros((batch, d_h))
+        for t in reversed(range(length)):
+            dh += g[t]
+            n, z, r, hn = gates[:, t]
+            one_minus_z = 1.0 - z
+            dh_next = dh * z
+            np.multiply(dh * (hs[t] - n), z * one_minus_z, out=z)
+            np.multiply(dh * one_minus_z, 1.0 - n * n, out=n)
+            da_r = n * hn * (r * (1.0 - r))
+            np.multiply(n, r, out=hn)
+            r[...] = da_r
+            dh = dh_next + z @ u_z.T + r @ u_r.T + hn @ u_n.T
+        d_n, d_z, d_r, d_hn = gates.reshape(4, length * batch, d_h)
+        xs = x.data.reshape(length * batch, -1)
+        hs_prev = hs[1:-1].reshape(-1, d_h)  # h_{t-1} for t >= 1; h_0 = 0 adds nothing
+        grads = {"w_n": xs.T @ d_n, "w_z": xs.T @ d_z, "w_r": xs.T @ d_r,
+                 "u_z": hs_prev.T @ d_z[batch:], "u_r": hs_prev.T @ d_r[batch:],
+                 "u_n": hs_prev.T @ d_hn[batch:],
+                 "b_in": d_n.sum(axis=0), "b_z": d_z.sum(axis=0), "b_r": d_r.sum(axis=0),
+                 "b_hn": d_hn.sum(axis=0)}
+        for key, grad in grads.items():
+            if _tracked(p[key]):
+                p[key].accumulate(grad)
+        if _tracked(x):
+            x.accumulate((d_n @ w_n.T + d_z @ w_z.T + d_r @ w_r.T).reshape(x.data.shape))
+
+    return Tensor(hs[1:], parents=(x, *p.values()), backward_fn=bwd)
+
+
+def gru_stack(x, layers) -> Tensor:
+    """The top layer's (L, B, H) states from GRU layers over a time-major (L, B, D)
+    sequence, each fed the states of the one below, all from zero states. On a tape
+    it is gru_layer chained; under no_grad it is _gru_steps over all the layers at
+    once, keeping no gates, so the bits equal chained gru_layer's."""
+    if recording():
+        for params in layers:
+            x = gru_layer(x, params)
+        return _wrap(x)
+    return Tensor(_gru_steps(_wrap(x).data, layers)[1:])
 
 
 def take_step(seq, t: int) -> Tensor:

@@ -84,7 +84,7 @@ def unfused_forward_batch(model, x, training=False, rng=None):
     probs = []
     for t in range(length):
         h1 = nn.gru_cell(nn.Tensor(x[:, t, :]), h1, model.gru1)
-        h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, training, rng), h2, model.gru2)
+        h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, rng) if training else h1, h2, model.gru2)
         if not training or t == length - 1:
             probs.append(unfused_head(model, h2))
     return probs[-1] if training else stack(probs)

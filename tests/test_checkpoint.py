@@ -40,10 +40,27 @@ def test_bad_magic(tmp_path):
 
 def test_missing_and_mismatched_params(tmp_path):
     save_checkpoint([Parameter(np.zeros(2), "a")], tmp_path / "m.ckpt")
-    with pytest.raises(CheckpointError, match="missing"):
+    with pytest.raises(CheckpointError, match=r"missing \['b'\]"):
         restore_parameters([Parameter(np.zeros(2), "b")], tmp_path / "m.ckpt")
     with pytest.raises(CheckpointError, match="shape"):
         restore_parameters([Parameter(np.zeros(3), "a")], tmp_path / "m.ckpt")
+
+
+def test_extra_param_is_refused(tmp_path):
+    save_checkpoint([Parameter(np.zeros(2), "a"), Parameter(np.ones(3), "b")], tmp_path / "m.ckpt")
+    dst = [Parameter(np.full(2, 5.0), "a")]
+    with pytest.raises(CheckpointError, match=r"missing \[\], extra \['b'\]"):
+        restore_parameters(dst, tmp_path / "m.ckpt")
+    assert np.array_equal(dst[0].data, np.full(2, 5.0))  # nothing restored
+
+
+@pytest.mark.parametrize("junk", [b"\x00", b"x" * 22])
+def test_bytes_after_the_last_record_are_refused(tmp_path, junk):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint([Parameter(np.ones((3, 4)), "weight"), Parameter(np.ones(2), "b")], path)
+    path.write_bytes(path.read_bytes() + junk)
+    with pytest.raises(CheckpointError, match=rf"m.ckpt: .*{len(junk)} bytes after the last record"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("cut", [3, 10, 14, 20, 22, 30, 40, 100, -8, -1])

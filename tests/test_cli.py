@@ -410,6 +410,16 @@ def test_overlong_field_is_a_data_error(tmp_path, capsys):
     assert "preprocess failed: line 3: field larger than field limit" in capsys.readouterr().err
 
 
+def test_signed_payload_byte_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "signed.csv"
+    log.write_text("timestamp,arbitration_id,dlc,payload,label\n1.0,100,2,01 02,Normal\n"
+                   "1.1,100,2,-1 02,Normal\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"input_log = {log}\nwork_dir = {tmp_path / 'w'}\n")
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_DATA
+    assert "preprocess failed: line 3: payload byte '-1' outside 0x00..0xFF" in capsys.readouterr().err
+
+
 def test_non_finite_timestamp_is_a_data_error(synth_log, tmp_path, capsys):
     _, log = synth_log
     lines = log.read_text().splitlines(keepends=True)

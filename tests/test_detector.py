@@ -150,6 +150,25 @@ class TestForward:
             probs = model.forward_batch(x)
         assert np.array_equal(model.forward_batch(x, training=True).data, probs.data[-1])
 
+    def test_one_gru_time_loop_serves_training_and_inference(self, monkeypatch):
+        """Both forwards run the one shared time loop: a training step once per layer,
+        the inference forward once for the whole stack."""
+        calls, steps = [], nn.ops._gru_steps
+
+        def counted(x, layers, gates=None):
+            calls.append(len(layers))
+            return steps(x, layers, gates)
+
+        monkeypatch.setattr(nn.ops, "_gru_steps", counted)
+        model = DetectorModel(seed=0)
+        x = np.random.default_rng(0).normal(size=(4, 5, 32))
+        nn.bce_loss(model.forward_batch(x, training=True, rng=np.random.default_rng(0)),
+                    nn.Tensor(np.ones((4, 1)))).backward()
+        assert calls == [1, 1]
+        with nn.no_grad():
+            model.forward_batch(x)
+        assert calls == [1, 1, 2]
+
 
 class TestTraining:
     def separable_sequences(self, n=20, length=3):

@@ -94,6 +94,12 @@ class TestParseLog:
         with pytest.raises(ParseError, match=rf"^line 3: timestamp '{ts}' is not finite$"):
             parse_log(path)
 
+    @pytest.mark.parametrize("payload, byte", [("-1 02", "-1"), ('"01,-2"', "-2"), ("01 -0x2", "-0x2")])
+    def test_signed_payload_byte_names_line(self, tmp_path, payload, byte):
+        path = write_csv(tmp_path, ["1.0,100,2,01 02,Normal", f"1.1,100,2,{payload},Normal"])
+        with pytest.raises(ParseError, match=rf"^line 3: payload byte '{byte}' outside 0x00..0xFF$"):
+            parse_log(path)
+
     def test_dlc_out_of_range(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,100,9,00,Normal"])
         with pytest.raises(ParseError, match="dlc"):
@@ -174,8 +180,8 @@ def _oracle_payload(text, line_no):
     out = []
     for p in parts:
         v = _oracle_hex(p, "payload byte", line_no)
-        if v > 0xFF:
-            raise ParseError(line_no, f"payload byte {p!r} exceeds 0xFF")
+        if not 0 <= v <= 0xFF:
+            raise ParseError(line_no, f"payload byte {p!r} outside 0x00..0xFF")
         out.append(v)
     if len(out) > 8:
         raise ParseError(line_no, f"payload has {len(out)} bytes, max is 8")
@@ -263,7 +269,7 @@ def log_rows(draw, rate):
     n_bytes = draw(st.just(min(max(dlc, 0), 8)) | st.integers(0, 8))
     data = draw(st.lists(st.integers(0, 255), min_size=n_bytes, max_size=n_bytes))
     payload = field(_hex_byte_forms(data),
-                    st.sampled_from(["ABC", "é1 02", "ZZ", "100,01", "1G",
+                    st.sampled_from(["ABC", "é1 02", "ZZ", "100,01", "1G", "-1 02", "01,-2",
                                      " ".join(["0A"] * 9), "01 02 03 04 05 06 07 08 09 0A"]))
     label = field(st.sampled_from(["Normal", "Normal", "Fuzzing", " replay", "SPOOFING",
                                    "Flooding", ""]),

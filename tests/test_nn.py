@@ -92,14 +92,13 @@ class TestForwardValues:
 
 
 class TestDropout:
-    def test_p_zero_and_inference_identity(self, rng):
+    def test_p_zero_is_identity(self, rng):
         x = rng.normal(size=(5, 5))
-        assert nn.dropout(Tensor(x), 0.0, True, rng).data == pytest.approx(x)
-        assert nn.dropout(Tensor(x), 0.3, False, rng).data == pytest.approx(x)
+        assert nn.dropout(Tensor(x), 0.0, rng).data == pytest.approx(x)
 
     def test_statistics(self, rng):
         x = np.ones(10 ** 6)
-        out = nn.dropout(Tensor(x), 0.3, True, rng).data
+        out = nn.dropout(Tensor(x), 0.3, rng).data
         zero_frac = np.mean(out == 0.0)
         assert abs(zero_frac - 0.3) < 0.01
         assert out[out != 0].mean() == pytest.approx(1 / 0.7, rel=1e-9)
@@ -107,7 +106,7 @@ class TestDropout:
 
     def test_backward_uses_mask(self, rng):
         x = Parameter(np.ones(1000), "x")
-        loss = nn.mse_loss(nn.dropout(x, 0.5, True, rng), Tensor(np.zeros(1000)))
+        loss = nn.mse_loss(nn.dropout(x, 0.5, rng), Tensor(np.zeros(1000)))
         loss.backward()
         out_zero = x.grad == 0.0
         assert 300 < out_zero.sum() < 700  # dropped coordinates get no gradient

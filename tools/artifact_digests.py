@@ -1,0 +1,90 @@
+"""Digests of every file and every stdout the canids CLI writes, so two source
+trees can be checked for byte-identical output with one `diff`.
+
+    python tools/artifact_digests.py PATH/TO/OTHER/src > before.txt
+    python tools/artifact_digests.py src > after.txt
+    diff before.txt after.txt
+
+It imports canids from the given src/ directory and runs `synth`, `run`, a cached
+`run`, `entropy` and `evaluate` through `canids.cli.main` on three inputs: the
+criterion-7 config of tests/test_acceptance.py, perfbench's `fit` corpus (seed 1)
+and the acceptance corpus. Each input runs in its own directory under --out,
+removed first; --out defaults to one fixed path, since paths are written
+into the work dir: both trees must run with the same --out. BLAS runs on one
+thread, as in perfbench. Each output line is `<input> <command> exit=<code>
+stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves.
+"""
+from __future__ import annotations
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before numpy loads
+sys.dont_write_bytecode = True  # leaves no cache files in perfbench/ or tests/
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import shutil  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+INPUTS = ("criterion7", "fit", "acceptance")
+COMMANDS = ("synth", "run", "rerun", "entropy", "evaluate")
+
+
+def config_text(name: str, out_dir: Path) -> str:
+    """The config file of one input, its log and work dir under out_dir."""
+    import test_acceptance
+    import workloads
+
+    log, work = out_dir / "traffic.csv", out_dir / "work"
+    if name == "fit":
+        return workloads.corpus_text(1, out_dir)
+    if name == "criterion7":  # as test_criterion_7_determinism writes it
+        head = test_acceptance.DETERMINISM_CFG + "entropy_sizes = 10,20,50\n"
+    else:  # as corpus_config sets it
+        head = test_acceptance.CORPUS_CFG + "".join(
+            f"{key} = {value}\n" for key, value in test_acceptance.PIPELINE_KEYS.items())
+    return head + f"synth_output = {log}\ninput_log = {log}\nwork_dir = {work}\n"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest_lines(name: str, out_dir: Path) -> list:
+    from canids import cli
+
+    out_dir.mkdir(parents=True)
+    config = out_dir / "input.cfg"
+    config.write_text(config_text(name, out_dir))
+    lines = []
+    for command in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.main(["run" if command == "rerun" else command, "--config", str(config)])
+        lines.append(f"{name} {command} exit={code} stdout={sha256(stdout.getvalue().encode())}")
+    lines += [f"{name} {path.relative_to(out_dir)} {sha256(path.read_bytes())}"
+              for path in sorted(out_dir.rglob("*")) if path.is_file()]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", type=Path, help="the src/ directory to import canids from")
+    parser.add_argument("--out", type=Path, default=Path(tempfile.gettempdir()) / "canids-artifact-digests",
+                        help="where the inputs run, one directory each (default: %(default)s)")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    for name in INPUTS:
+        shutil.rmtree(args.out / name, ignore_errors=True)
+        for line in digest_lines(name, args.out / name):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
