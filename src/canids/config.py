@@ -130,8 +130,8 @@ class PipelineConfig:
         `key=value` line, taken whole: no `#` comment. A later line wins; the merged
         config is validated once. Errors name `path:line`, or `--set` for an override."""
         try:
-            text = "" if path is None else Path(path).read_text()
-        except OSError as e:
+            text = "" if path is None else Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {path}: {e}") from None
         lines = [(f"{path}:{n}", s) for n, line in enumerate(text.splitlines(), start=1)
                  if (s := line.split("#", 1)[0].strip())]

@@ -5,9 +5,9 @@ inter-layer dropout 0.3) with a 64->32->1 sigmoid head scores each timestep;
 the final timestep's score is the sequence probability. Window-level scores
 aggregate each window's per-occurrence probabilities by mean or max.
 
-In training each GRU layer is one `nn.gru_layer` op; at inference both are one
-`nn.gru_stack` op. Both run the same GRU time loop (see `nn.ops`). The head is
-one `nn.dense_stack` op; `nn.gru_cell`, `linear` and `relu` are only the tests'
+The GRU is `nn.gru_stack`: at inference one call for both layers, in training one
+call per layer with the dropout between them (see `nn.ops`). The head is one
+`nn.dense_stack` op; `nn.gru_cell`, `linear` and `relu` are only the tests'
 oracles. Training runs the head on the final timestep only, since the loss reads
 nothing else; inference runs it once over all timesteps.
 """
@@ -107,8 +107,8 @@ class DetectorModel(nn.Module):
         x = nn.Tensor(x.transpose(1, 0, 2))
         if not training:
             return nn.sigmoid(nn.dense_stack(nn.gru_stack(x, [self.gru1, self.gru2]), None, self.head))
-        h1 = nn.gru_layer(x, self.gru1)
-        h2 = nn.gru_layer(nn.dropout(h1, self.dropout_p, rng), self.gru2)
+        h1 = nn.gru_stack(x, [self.gru1])
+        h2 = nn.gru_stack(nn.dropout(h1, self.dropout_p, rng), [self.gru2])
         return nn.sigmoid(nn.dense_stack(nn.take_step(h2, -1), None, self.head))
 
 

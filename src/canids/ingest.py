@@ -289,7 +289,8 @@ def parse_log(path) -> FrameTable:
     with no label column is all Normal. Blank lines are skipped. A malformed row
     raises ParseError naming its physical line (1-based, header included); when
     several rows are bad, the first in file order is named, with the first failing
-    check of that row. Non-monotone timestamps produce a warning, not an error.
+    check of that row. A byte that is not UTF-8 (a BOM is skipped) is named when read,
+    maybe ahead of earlier bad rows. Non-monotone timestamps produce a warning, not an error.
 
     The file is read _BLOCK_ROWS lines at a time. A plain block (no '"', every line
     ending in "\n" or "\r\n", no blank line, and as many fields on every line as the
@@ -307,20 +308,26 @@ def parse_log(path) -> FrameTable:
     """
     path = Path(path)
     tables, block_lines = [], []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None) or []
-        except csv.Error as e:
-            raise ParseError(reader.line_num, str(e)) from None
-        # a repeated name maps to its last column, as in csv.DictReader
-        position = {name: i for i, name in enumerate(header)}
-        fields = [(position.get(name), default)
-                  for name, default in zip(COLUMNS, (None, None, None, "", ""))]
-        for columns, lines in _blocks(fh, len(header), fields, reader.line_num):
-            tables.append(_parse_block(columns, lines))
-            block_lines.append(lines)
-            del columns
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader, None) or []
+            except csv.Error as e:
+                raise ParseError(reader.line_num, str(e)) from None
+            # a repeated name maps to its last column, as in csv.DictReader
+            position = {name: i for i, name in enumerate(header)}
+            fields = [(position.get(name), default)
+                      for name, default in zip(COLUMNS, (None, None, None, "", ""))]
+            for columns, lines in _blocks(fh, len(header), fields, reader.line_num):
+                tables.append(_parse_block(columns, lines))
+                block_lines.append(lines)
+                del columns
+    except UnicodeDecodeError:  # at an offset into a read chunk: find the byte's line
+        with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+            line, bad = next((n, c) for n, text in enumerate(fh, 1) if not text.isascii()
+                             for c in text if "\udc80" <= c <= "\udcff")  # byte b: chr(0xDC00 + b)
+        raise ParseError(line, f"byte {ord(bad) - 0xDC00:#04x} is not UTF-8") from None
     table = FrameTable.concat(tables) if tables else _parse_block([[]] * len(COLUMNS), [])
     back = np.flatnonzero(table.timestamp[1:] < table.timestamp[:-1])
     if back.size:

@@ -2,12 +2,12 @@
 pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
 
 Both models' dense layers run as `dense_stack` ops, tested value for value against
-the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU's
-forward is one time loop, `_gru_steps`, a wavefront over a stack of layers.
-`gru_layer` runs it for one layer and keeps the gates its hand-written BPTT reads;
-the detector trains with it. At inference the detector runs `gru_stack`, which
-under no_grad runs the loop once for the whole stack. `gru_cell` is one step built
-from the elementwise ops, the oracle both are tested against value for value.
+the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU is one
+op, `gru_stack`, over one time loop, `_gru_steps`, a wavefront over a stack of
+layers. Under no_grad it runs the loop once for the whole stack and keeps no gates;
+on a tape each layer is one recorded op that keeps the gates its hand-written BPTT
+reads. `gru_cell` is one step built from the elementwise ops, the oracle the GRU is
+tested against value for value.
 """
 from __future__ import annotations
 
@@ -257,15 +257,10 @@ def _gru_steps(x: np.ndarray, layers, gates=None) -> np.ndarray:
     return hs
 
 
-def gru_layer(x, params: dict) -> Tensor:
-    """One GRU layer over a time-major (L, B, D) sequence from a zero state; returns
-    the (L, B, H) hidden states as one op.
-
-    The forward is _gru_steps over this one layer, keeping every step's gates, so the
-    values equal a stack of gru_cell steps bit for bit. The backward runs BPTT in
-    reverse t, then does the weight-gradient GEMMs for all L steps at once; it may
-    run only once, as it overwrites the kept gate values.
-    """
+def _gru_layer(x, params: dict) -> Tensor:
+    """gru_stack's recorded op for one layer: _gru_steps over it, keeping every step's
+    gates. The backward runs BPTT in reverse t, then does the weight-gradient GEMMs
+    for all L steps at once; it may run only once, as it overwrites the kept gates."""
     x = _wrap(x)
     p = {k: _wrap(params[k]) for k in _GRU_KEYS}
     w_z, u_z, w_r, u_r, w_n, u_n = (p[k].data for k in ("w_z", "u_z", "w_r", "u_r", "w_n", "u_n"))
@@ -274,8 +269,7 @@ def gru_layer(x, params: dict) -> Tensor:
     hs = _gru_steps(x.data, [p], gates)
 
     def bwd(g):
-        # BPTT overwrites each step's gate values with the gradients of a_n, a_z,
-        # a_r (the pre-activations) and of h U_n + b_hn.
+        # BPTT overwrites each step's gates with the gradients of a_n, a_z, a_r and h U_n + b_hn
         dh = np.zeros((batch, d_h))
         for t in reversed(range(length)):
             dh += g[t]
@@ -307,14 +301,14 @@ def gru_layer(x, params: dict) -> Tensor:
 
 def gru_stack(x, layers) -> Tensor:
     """The top layer's (L, B, H) states from GRU layers over a time-major (L, B, D)
-    sequence, each fed the states of the one below, all from zero states. On a tape
-    it is gru_layer chained; under no_grad it is _gru_steps over all the layers at
-    once, keeping no gates, so the bits equal chained gru_layer's."""
-    if recording():
-        for params in layers:
-            x = gru_layer(x, params)
-        return _wrap(x)
-    return Tensor(_gru_steps(_wrap(x).data, layers)[1:])
+    sequence, each fed the states of the one below, all from zero states, equal to a
+    gru_cell stack's bit for bit. Under no_grad it is _gru_steps over all the layers
+    at once, keeping no gates; on a tape, one recorded op per layer keeps its gates."""
+    if not recording():
+        return Tensor(_gru_steps(_wrap(x).data, layers)[1:])
+    for params in layers:
+        x = _gru_layer(x, params)
+    return _wrap(x)
 
 
 def take_step(seq, t: int) -> Tensor:

@@ -76,7 +76,7 @@ def stack(tensors):
 def unfused_forward_batch(model, x, training=False, rng=None):
     """DetectorModel.forward_batch built from one nn.gru_cell per layer and
     timestep, one (B, H) dropout draw per timestep and the unfused head on each
-    step: the oracle that the fused nn.gru_layer and nn.dense_stack path must
+    step: the oracle that the fused nn.gru_stack and nn.dense_stack path must
     reproduce. Returns forward_batch's contract: the (L, B, 1) stack of every
     step's probabilities, or in training the final step's (B, 1)."""
     b, length, _ = x.shape

@@ -224,8 +224,9 @@ def test_criterion_1_gradients(capfd):
                 lambda: nn.bce_loss(nn.take_step(det.forward_batch(xb, training=False), -1), yd),
                 det.parameters(), max_coords=3, rng=check_rng)
 
-            # gru_layer: finite differences, then the unfused gru_cell stack with the
-            # same parameters: equal values, gradients within 1e-12 relative
+            # a one-layer gru_stack, as training runs it: finite differences, then the
+            # unfused gru_cell stack with the same parameters: equal values, gradients
+            # within 1e-12 relative
             rl = np.random.default_rng(2000 + seed)
             pl = {k: Parameter(rl.normal(size=(5, 4)) * 0.5, k) for k in gru_keys_w}
             pl.update({k: Parameter(rl.normal(size=(4, 4)) * 0.5, k) for k in gru_keys_u})
@@ -233,7 +234,7 @@ def test_criterion_1_gradients(capfd):
             xl = Parameter(rl.normal(size=(3, 2, 5)), "xl")
             targets = [Tensor(rl.normal(size=(2, 4))) for _ in range(3)]
             assert_gradients_match(
-                lambda: nn.mse_loss(nn.gru_layer(xl, pl), Tensor(np.stack([t.data for t in targets]))),
+                lambda: nn.mse_loss(nn.gru_stack(xl, [pl]), Tensor(np.stack([t.data for t in targets]))),
                 list(pl.values()) + [xl])
 
             def cells():
@@ -249,11 +250,11 @@ def test_criterion_1_gradients(capfd):
                     loss = nn.add(loss, nn.mse_loss(h, target))
                 return loss
 
-            fused = nn.gru_layer(xl, pl)
+            fused = nn.gru_stack(xl, [pl])
             assert all(np.array_equal(fused.data[t], h.data) for t, h in enumerate(cells()))
             tensors = {**pl, "xl": xl}
             assert_close_gradients(
-                gradients(lambda: step_losses([nn.take_step(nn.gru_layer(xl, pl), t)
+                gradients(lambda: step_losses([nn.take_step(nn.gru_stack(xl, [pl]), t)
                                                for t in range(3)]), tensors),
                 gradients(lambda: step_losses(cells()), tensors))
 
@@ -296,12 +297,13 @@ def test_criterion_1_gradients(capfd):
 
         # the inference forward over L = 50 steps, its GRU layers one gru_stack op and
         # its head run once over all steps: every probability equal to the unfused
-        # head's run step by step on chained gru_layer states, and to the gru_cell stack's
+        # head's run step by step on the states of one-layer gru_stack calls chained,
+        # and to the gru_cell stack's
         det, rc = DetectorModel(seed=0), np.random.default_rng(5000)
         for batch in (1, 7, 8, 11, 29, 43, 61, 64, 215, 1455):
             xc = rc.normal(size=(batch, 50, 32))
             with nn.no_grad():
-                states = nn.gru_layer(nn.gru_layer(Tensor(xc.transpose(1, 0, 2)), det.gru1), det.gru2)
+                states = nn.gru_stack(nn.gru_stack(Tensor(xc.transpose(1, 0, 2)), [det.gru1]), [det.gru2])
                 per_step = np.stack([unfused_head(det, nn.take_step(states, t)).data for t in range(50)])
                 probs = det.forward_batch(xc).data
                 assert np.array_equal(probs, per_step)

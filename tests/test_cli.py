@@ -333,6 +333,14 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
 
 
+def test_config_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(f"work_dir = {tmp_path / 'w'}\n# caf\xe9\n".encode("latin-1"))
+    assert main(["run", "--config", str(bad)]) == EXIT_CONFIG
+    assert f"cannot read config {bad}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
 @pytest.mark.parametrize("spec", ["ecu2 = 0x200 ten 8 const",
                                   "ecu2 = 0x200 10 8 sine",
                                   "ecu2 = 0x200 inf 8 const",
@@ -418,6 +426,16 @@ def test_signed_payload_byte_is_a_data_error(tmp_path, capsys):
     cfg.write_text(f"input_log = {log}\nwork_dir = {tmp_path / 'w'}\n")
     assert main(["preprocess", "--config", str(cfg)]) == EXIT_DATA
     assert "preprocess failed: line 3: payload byte '-1' outside 0x00..0xFF" in capsys.readouterr().err
+
+
+def test_log_not_utf8_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "latin1.csv"
+    log.write_bytes(b"timestamp,arbitration_id,dlc,payload,label\n1.0,100,2,01 02,Normal\n"
+                    b"1.1,100,2,01 02,Normal \xa9\n")
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text(f"input_log = {log}\nwork_dir = {tmp_path / 'w'}\n")
+    assert main(["preprocess", "--config", str(cfg)]) == EXIT_DATA
+    assert "preprocess failed: line 3: byte 0xa9 is not UTF-8" in capsys.readouterr().err
 
 
 def test_non_finite_timestamp_is_a_data_error(synth_log, tmp_path, capsys):

@@ -100,6 +100,28 @@ class TestParseLog:
         with pytest.raises(ParseError, match=rf"^line 3: payload byte '{byte}' outside 0x00..0xFF$"):
             parse_log(path)
 
+    def test_leading_bom_is_skipped(self, tmp_path):
+        path = write_csv(tmp_path, ["1.0,100,2,01 02,Normal", "1.1,0x7FF,0,,Flooding"])
+        want = parse_log(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert_tables_equal(parse_log(path), want)
+
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad, byte", [(b"\xff", "0xff"), (b"\xe9t", "0xe9"), (b"\xc3", "0xc3")],
+                             ids=["invalid-start", "invalid-continuation", "truncated"])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, end, bad, byte):
+        """Wherever the byte falls, in the first read chunk or a later block, after a
+        BOM or not, its physical line is named, ahead of a malformed row after it."""
+        rows = [f"{i / 100},100,1,{i % 256:02X},Normal".encode() for i in range(2 * ingest._BLOCK_ROWS)]
+        path = tmp_path / "log.csv"
+        for bom, line in ((b"", 3), (b"\xef\xbb\xbf", 3), (b"", ingest._BLOCK_ROWS + 7)):
+            lines = [b",".join(c.encode() for c in COLUMNS)] + rows
+            lines[line - 1] = lines[line - 1].replace(b"Normal", b"Norm" + bad + b"al")
+            lines[line] = b"1.0,XYZ,8,00,Normal"
+            path.write_bytes(bom + end.join(lines) + end)
+            with pytest.raises(ParseError, match=rf"^line {line}: byte {byte} is not UTF-8$"):
+                parse_log(path)
+
     def test_dlc_out_of_range(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,100,9,00,Normal"])
         with pytest.raises(ParseError, match="dlc"):

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -250,7 +251,7 @@ def gru_params(r, d_in, d_h, scale):
 
 def chained_gru_layers(x, layers):
     for p in layers:
-        x = nn.gru_layer(x, p)
+        x = nn.gru_stack(x, [p])
     return x
 
 
@@ -258,8 +259,8 @@ class TestGruStack:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_grad_wavefront_equals_chained_layers_bit_for_bit(self, n):
         """Fed an (L, B, 32) sliding_window_view, as detect feeds the detector (its
-        steps overlap unless B or L is 1), the stack's top states equal chained
-        gru_layer's at every B and L."""
+        steps overlap unless B or L is 1), the stack's top states equal those of
+        one-layer gru_stack calls chained, at every B and L."""
         r = np.random.default_rng(n)
         for batch in (1, 2, 7, 8, 9, 11, 16, 29, 43, 61, 64, 215):
             for length in (1, 2, 3, 50):
@@ -283,6 +284,38 @@ class TestGruStack:
         assert all(np.array_equal(got[k], want[k]) for k in want)
         assert_gradients_match(lambda: nn.mse_loss(nn.gru_stack(x, layers), target),
                                list(tensors.values()))
+
+    def test_keeps_gates_only_on_a_tape(self, monkeypatch):
+        """The time loop gets a (4, L, B, H) gate buffer for each layer on a tape, and
+        none under no_grad; so two chained calls under no_grad at the acceptance
+        corpus's validation size hold little more than their states."""
+        assert [name for name in nn.__all__ if name.startswith("gru")] == ["gru_cell", "gru_stack"]
+        r, calls, steps = np.random.default_rng(3), [], nn.ops._gru_steps
+
+        def watched(x, layers, gates=None):
+            calls.append(None if gates is None else gates.shape)
+            return steps(x, layers, gates)
+
+        monkeypatch.setattr(nn.ops, "_gru_steps", watched)
+        layers = [gru_params(r, 5, 4, 1.0), gru_params(r, 4, 4, 1.0)]
+        x = Tensor(r.normal(size=(3, 2, 5)))
+        with nn.no_grad():
+            nn.gru_stack(x, layers[:1])
+            nn.gru_stack(x, layers)
+        assert calls == [None, None]
+        nn.gru_stack(x, layers)
+        assert calls[2:] == [(4, 3, 2, 4)] * 2
+
+        det = DetectorModel(seed=0)
+        x = Tensor(r.normal(size=(50, 1455, 32)))
+        tracemalloc.start()
+        try:
+            with nn.no_grad():
+                nn.gru_stack(nn.gru_stack(x, [det.gru1]), [det.gru2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * 2**20, peak / 2**20
 
 
 def module(**arrays):
