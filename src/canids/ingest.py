@@ -337,26 +337,52 @@ def parse_log(path) -> FrameTable:
 
 
 _HEX_TEXT = np.frombuffer(b"0123456789ABCDEF", np.uint8)
+_LABEL_TEXT = np.array([member.value for member in LABELS], "S")  # item c: label code c's text
+_DLC_NORM_TEXT = np.array([repr(k / MAX_DLC) for k in range(MAX_DLC + 1)], "S")  # item k: repr(k / 8)
+
+
+def _digits(values: np.ndarray, base: int, least: int) -> np.ndarray:
+    """Non-negative integers as at least `least` upper-case digits, NUL-padded on the left."""
+    powers = base ** np.arange(max(least, len(np.base_repr(int(values.max(initial=0)), base))))[::-1]
+    return np.where((values[:, None] < powers) & (powers >= base**least), 0,
+                    _HEX_TEXT[values[:, None] // powers % base])
+
+
+def _write_csv(path, header, table: FrameTable, cells) -> None:
+    """Write `header` and the rows of `table` as csv.writer would, through a temp file
+    and a rename. `cells(start, t)` gives block t's columns as NUL-padded bytes or uint8
+    text matrices, joined by "," and CRLF in one matrix whose padding one mask drops.
+    First raises ValueError naming the first row whose id, DLC or label has no text."""
+    arb, dlc, label = table.arbitration_id, table.dlc, table.label
+    bad = (arb < 0) | (arb >= MAX_ARBITRATION_ID) | (dlc > MAX_DLC) | (label < 0) | (label >= len(LABELS))
+    for i in np.flatnonzero(bad)[:1]:
+        raise ValueError(f"row {i}: arbitration id {int(arb[i]):#x}, dlc {dlc[i]} or label code {label[i]} "
+                         f"outside [0, {MAX_ARBITRATION_ID:#x}), [0, {MAX_DLC}] or [0, {len(LABELS)})")
+    with atomic_path(path) as tmp, tmp.open("wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            t = table[start : start + _BLOCK_ROWS]
+            comma = np.full((len(t), 1), ord(","), np.uint8)
+            parts = [part for c in cells(start, t) for part in (c.view(np.uint8).reshape(len(t), -1), comma)]
+            parts[-1] = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (len(t), 2))
+            text = np.concatenate(parts, axis=1)
+            fh.write(text[text != 0].tobytes())
 
 
 def write_log(table: FrameTable, path) -> None:
-    """Write a frame table in the CSV schema parse_log reads back (round-trip safe),
-    through a temp file and a rename. Columns are formatted a block of rows at a
-    time; a payload is its first dlc bytes as "HH HH ..."."""
-    label_text = np.array([member.value for member in LABELS])
-    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(COLUMNS)
-        for start in range(0, len(table), _BLOCK_ROWS):
-            t = table[start : start + _BLOCK_ROWS]
-            text = np.full((len(t), _CANONICAL_WIDTH + 1), ord(" "), np.uint8)
-            text[:, 0::3] = _HEX_TEXT[t.payload >> 4]
-            text[:, 1::3] = _HEX_TEXT[t.payload & 0xF]
-            # NUL out each row's tail: a bytes element of a numpy array drops trailing NULs
-            text[np.arange(_CANONICAL_WIDTH + 1) >= 3 * t.dlc[:, None].astype(np.int64) - 1] = 0
-            payload = text.view(f"S{_CANONICAL_WIDTH + 1}").ravel().astype(str)
-            w.writerows(zip(t.timestamp.tolist(), map("{:03X}".format, t.arbitration_id.tolist()),
-                            t.dlc.tolist(), payload.tolist(), label_text[t.label].tolist()))
+    """Write a frame table in the CSV schema parse_log reads back (round-trip safe), as
+    csv.writer would: the timestamp's repr (the only cell formatted one at a time), the
+    id in at least 3 hex digits, the DLC, the first dlc payload bytes as "HH HH ..." and
+    the label. An id outside [0, 2**29), a DLC above 8 or a label code outside LABELS
+    raises ValueError naming its row, and the previous file is kept."""
+    def cells(start, t):
+        payload = np.full((len(t), _CANONICAL_WIDTH), ord(" "), np.uint8)
+        payload[:, 0::3], payload[:, 1::3] = _HEX_TEXT[t.payload >> 4], _HEX_TEXT[t.payload & 0xF]
+        payload[np.arange(_CANONICAL_WIDTH) >= 3 * t.dlc[:, None].astype(np.int64) - 1] = 0
+        return [np.array(list(map(repr, t.timestamp.tolist())), "S"), _digits(t.arbitration_id, 16, 3),
+                (t.dlc + ord("0"))[:, None], payload, _LABEL_TEXT[t.label]]
+
+    _write_csv(path, COLUMNS, table, cells)
 
 
 def make_windows(table: FrameTable, window_size: int) -> list:
@@ -392,17 +418,20 @@ def split_dataset(windows, ratios=(0.6, 0.2, 0.2)):
 
 
 def write_windows_csv(windows, path) -> None:
-    """Dump a windowed dataset: one row per frame with its window index and features."""
-    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        header = ["window_index", "frame_ordinal", "dlc_norm"]
-        header += [f"byte_bin{i}" for i in range(1, 9)]
-        header += ["arbitration_id", "label"]
-        w.writerow(header)
-        for win in windows:
-            t = win.frames
-            rows = zip((t.dlc / MAX_DLC).tolist(), (t.payload > 0).astype(int).tolist(),
-                       t.arbitration_id.tolist(), t.label.tolist())
-            for j, (dlc_norm, byte_bin, arb, code) in enumerate(rows):
-                w.writerow([win.index, j, repr(dlc_norm)] + byte_bin
-                           + [f"{arb:03X}", LABELS[code].value])
+    """Dump a windowed dataset: one row per frame with its window index and features
+    (its ordinal in the window, repr(dlc / 8), the eight 0/1 byte bins, the id and the
+    label), written and checked as write_log writes and checks a log."""
+    sizes = np.array([len(w.frames) for w in windows], np.int64)
+    index = np.repeat(np.array([w.index for w in windows], np.int64), sizes)
+    ordinal = np.arange(len(index)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    table = FrameTable.concat([_parse_block([[]] * len(COLUMNS), []), *(w.frames for w in windows)])
+
+    def cells(start, t):
+        rows = slice(start, start + len(t))
+        bins = np.full((len(t), 2 * MAX_DLC - 1), ord(","), np.uint8)
+        bins[:, 0::2] = (t.payload > 0) + ord("0")
+        return [_digits(index[rows], 10, 1), _digits(ordinal[rows], 10, 1), _DLC_NORM_TEXT[t.dlc],
+                bins, _digits(t.arbitration_id, 16, 3), _LABEL_TEXT[t.label]]
+
+    _write_csv(path, ["window_index", "frame_ordinal", "dlc_norm", *(f"byte_bin{i}" for i in range(1, 9)),
+                      "arbitration_id", "label"], table, cells)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canids import ingest
-from canids.frames import LABELS, MAX_ARBITRATION_ID, FrameTable, Label
+from canids.frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, FrameTable, Label
 from canids.graph import ByteMode, build_graph
 from canids.ingest import (ParseError, make_windows, parse_log, split_dataset, write_log,
                            write_windows_csv)
+from canids.nn import atomic_path
 
 from conftest import make_frame, normal_frames, rows_of, table, windows_from
 
@@ -462,6 +463,97 @@ def test_id_forms_match_row_parser(tmp_path, text):
     assert_parses_like_row_parser(path)
 
 
+# --- the csv.writer writers this module replaced, kept as the oracles -------------
+# write_log and write_windows_csv as they were, with their own copy of the hex table.
+
+_ORACLE_HEX = np.frombuffer(b"0123456789ABCDEF", np.uint8)
+_ORACLE_WIDTH = 3 * MAX_DLC - 1  # "HH HH HH HH HH HH HH HH"
+
+
+def oracle_write_log(table: FrameTable, path) -> None:
+    label_text = np.array([member.value for member in LABELS])
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(COLUMNS)
+        for start in range(0, len(table), ingest._BLOCK_ROWS):
+            t = table[start : start + ingest._BLOCK_ROWS]
+            text = np.full((len(t), _ORACLE_WIDTH + 1), ord(" "), np.uint8)
+            text[:, 0::3] = _ORACLE_HEX[t.payload >> 4]
+            text[:, 1::3] = _ORACLE_HEX[t.payload & 0xF]
+            # NUL out each row's tail: a bytes element of a numpy array drops trailing NULs
+            text[np.arange(_ORACLE_WIDTH + 1) >= 3 * t.dlc[:, None].astype(np.int64) - 1] = 0
+            payload = text.view(f"S{_ORACLE_WIDTH + 1}").ravel().astype(str)
+            w.writerows(zip(t.timestamp.tolist(), map("{:03X}".format, t.arbitration_id.tolist()),
+                            t.dlc.tolist(), payload.tolist(), label_text[t.label].tolist()))
+
+
+def oracle_write_windows_csv(windows, path) -> None:
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        header = ["window_index", "frame_ordinal", "dlc_norm"]
+        header += [f"byte_bin{i}" for i in range(1, 9)]
+        header += ["arbitration_id", "label"]
+        w.writerow(header)
+        for win in windows:
+            t = win.frames
+            rows = zip((t.dlc / MAX_DLC).tolist(), (t.payload > 0).astype(int).tolist(),
+                       t.arbitration_id.tolist(), t.label.tolist())
+            for j, (dlc_norm, byte_bin, arb, code) in enumerate(rows):
+                w.writerow([win.index, j, repr(dlc_norm)] + byte_bin
+                           + [f"{arb:03X}", LABELS[code].value])
+
+
+@st.composite
+def writable_tables(draw):
+    """Tables as parse_log returns them, at and around one block of rows: every DLC
+    and label, the ids where the hex text widens, and timestamps whose repr takes
+    each form (signed zero, exponents, the smallest subnormal, negatives)."""
+    n = draw(st.sampled_from([0, 1, ingest._BLOCK_ROWS - 1, ingest._BLOCK_ROWS, ingest._BLOCK_ROWS + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    timestamps = [-0.0, 0.0, 1e-05, 1e-4, 1e16, 9999999999999998.0, 5e-324, -1.5, -3e-7, 0.1, 1234.5678]
+    timestamps += draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4))
+    ids = [0, 0xFFF, 0x1000, MAX_ARBITRATION_ID - 1]
+    ids += draw(st.lists(st.integers(0, MAX_ARBITRATION_ID - 1), max_size=4))
+    dlc = rng.integers(0, MAX_DLC + 1, n).astype(np.uint8)
+    payload = rng.integers(0, 256, (n, MAX_DLC)).astype(np.uint8)
+    payload[np.arange(MAX_DLC) >= dlc[:, None]] = 0
+    return FrameTable(rng.choice(np.array(timestamps), n), rng.choice(np.array(ids), n), dlc, payload,
+                      rng.integers(0, len(LABELS), n).astype(np.int8))
+
+
+@given(writable_tables(), st.sampled_from([1, 2, 11, 101]), st.integers(0, 12))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_writers_write_the_bytes_of_csv_writer(log_dir, t, window_size, skip):
+    """Window indices cross 9 -> 10 and 99 -> 100 at W = 1 and 2, ordinals at W = 11
+    and 101; `skip` drops the first windows, so the dump starts at any index."""
+    write_log(t, log_dir / "got.csv")
+    oracle_write_log(t, log_dir / "want.csv")
+    assert (log_dir / "got.csv").read_bytes() == (log_dir / "want.csv").read_bytes()
+    windows = make_windows(t, window_size)[skip:]
+    write_windows_csv(windows, log_dir / "got.csv")
+    oracle_write_windows_csv(windows, log_dir / "want.csv")
+    assert (log_dir / "got.csv").read_bytes() == (log_dir / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("column, value", [("arbitration_id", -1), ("arbitration_id", MAX_ARBITRATION_ID),
+                                           ("dlc", MAX_DLC + 1), ("label", -1), ("label", len(LABELS))])
+@pytest.mark.parametrize("write", [write_log, lambda t, path: write_windows_csv(make_windows(t, 3), path)],
+                         ids=["log", "windows"])
+def test_a_row_with_no_text_is_a_value_error(tmp_path, write, column, value):
+    """An id, DLC or label code that no text stands for, in rows 4 and 5: the error
+    names row 4, and the previous file is kept. (A label code of -1 was written as
+    Spoofing, and the others as logs that parse_log rejects.)"""
+    t = table(normal_frames(6))
+    out = tmp_path / "out.csv"
+    write(t, out)
+    before = out.read_bytes()
+    getattr(t, column)[4:] = value
+    with pytest.raises(ValueError, match=r"^row 4: arbitration id "):
+        write(t, out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 def node_features(frame, mode):
     """Feature row of `frame` as build_graph computes it in the given byte mode."""
     (window,) = windows_from([frame, frame], 2)
@@ -610,6 +702,6 @@ def test_failed_windows_csv_write_keeps_previous_file(tmp_path):
     write_windows_csv(windows, path)
     before = path.read_bytes()
     with pytest.raises(AttributeError):
-        write_windows_csv([windows[0], None], path)  # fails after the first window's rows
+        write_windows_csv([windows[0], None], path)  # the second window has no frames
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["w.csv"]

@@ -13,7 +13,7 @@ from canids.graph import WindowGraph
 from canids.nn.optim import BETA1, BETA2, EPS
 from canids.nn.tensor import Parameter, Tensor, seeded_init
 
-from gradcheck import assert_gradients_match, gradients
+from gradcheck import assert_close_gradients, assert_gradients_match, gradients, stack
 
 
 def param(data, name="p"):
@@ -274,14 +274,26 @@ class TestGruStack:
                 assert np.array_equal(got.data, want.data), (batch, length)
 
     def test_on_a_tape_it_is_the_chained_layers(self):
+        """On a tape the stack's states equal a two-layer stack of gru_cell steps bit
+        for bit, and its gradients equal theirs to 1e-12 relative and finite differences."""
         r = np.random.default_rng(7)
         layers = [gru_params(r, 5, 4, 1.0), gru_params(r, 4, 4, 1.0)]
         x = Parameter(r.normal(size=(3, 2, 5)), "x")
         target = Tensor(r.normal(size=(3, 2, 4)))
+
+        def cells():
+            hs, tops = [Tensor(np.zeros((2, 4))) for _ in layers], []
+            for t in range(3):
+                below = nn.take_step(x, t)
+                for j, p in enumerate(layers):
+                    hs[j] = below = nn.gru_cell(below, hs[j], p)
+                tops.append(below)
+            return stack(tops)
+
+        assert np.array_equal(nn.gru_stack(x, layers).data, cells().data)
         tensors = {f"{j}{k}": p for j, ps in enumerate(layers) for k, p in ps.items()} | {"x": x}
-        got = gradients(lambda: nn.mse_loss(nn.gru_stack(x, layers), target), tensors)
-        want = gradients(lambda: nn.mse_loss(chained_gru_layers(x, layers), target), tensors)
-        assert all(np.array_equal(got[k], want[k]) for k in want)
+        assert_close_gradients(gradients(lambda: nn.mse_loss(nn.gru_stack(x, layers), target), tensors),
+                               gradients(lambda: nn.mse_loss(cells(), target), tensors))
         assert_gradients_match(lambda: nn.mse_loss(nn.gru_stack(x, layers), target),
                                list(tensors.values()))
 

@@ -5,12 +5,13 @@ trees can be checked for byte-identical output with one `diff`.
     python tools/artifact_digests.py src > after.txt
     diff before.txt after.txt
 
-It imports canids from the given src/ directory and runs `synth`, `run`, a cached
-`run`, `entropy` and `evaluate` through `canids.cli.main` on three inputs: the
-criterion-7 config of tests/test_acceptance.py, perfbench's `fit` corpus (seed 1)
-and the acceptance corpus. Each input runs in its own directory under --out,
-removed first; --out defaults to one fixed path, since paths are written
-into the work dir: both trees must run with the same --out. BLAS runs on one
+It imports canids from the given src/ directory and runs `synth`, `preprocess`
+(which writes the windows_*.csv dumps), `run`, a cached `run`, `entropy` and
+`evaluate` through `canids.cli.main` on three inputs: the criterion-7 config of
+tests/test_acceptance.py, perfbench's `fit` corpus (seed 1) and the acceptance
+corpus. Each input runs in its own directory under --out, removed first; --out
+defaults to one fixed path, since paths are written into the work dir: both
+trees must run with the same --out. BLAS runs on one
 thread, as in perfbench. Each output line is `<input> <command> exit=<code>
 stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves.
 """
@@ -33,7 +34,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ("criterion7", "fit", "acceptance")
-COMMANDS = ("synth", "run", "rerun", "entropy", "evaluate")
+COMMANDS = ("synth", "preprocess", "run", "rerun", "entropy", "evaluate")
 
 
 def config_text(name: str, out_dir: Path) -> str:
