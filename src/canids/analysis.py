@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -91,10 +91,7 @@ def write_entropy_csv(stats, path) -> None:
     with nn.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_size", "mean", "median", "min", "max", "std", "growth_rate"])
-        for s in stats:
-            w.writerow([s.window_size, repr(s.mean), repr(s.median), repr(s.min),
-                        repr(s.max), repr(s.std),
-                        "" if s.growth_rate is None else repr(s.growth_rate)])
+        w.writerows(map(astuple, stats))
 
 
 def auc_score(scores, labels) -> Optional[float]:

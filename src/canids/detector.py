@@ -175,8 +175,7 @@ def write_report_csvs(report: DetectionReport, out_dir) -> None:
             w = csv.writer(fh)
             unit = "start_index" if view == "sequence" else "window_index"
             w.writerow([unit, "probability", "decision", "label"])
-            for row in report.view_rows(view):
-                w.writerow([row[0], repr(row[1]), row[2], row[3]])
+            w.writerows(report.view_rows(view))
 
 
 def read_report_csvs(out_dir, threshold: float) -> DetectionReport:

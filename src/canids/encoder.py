@@ -111,8 +111,7 @@ def write_embeddings_csv(embeddings, path) -> None:
     with nn.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["window_index", "label"] + [f"e{i}" for i in range(EMBED_DIM)])
-        for e in embeddings:
-            w.writerow([e.window_index, e.label] + [repr(float(v)) for v in e.vector])
+        w.writerows([e.window_index, e.label, *e.vector.tolist()] for e in embeddings)
 
 
 def read_embeddings_csv(path) -> list:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -65,50 +66,6 @@ def _parse_id(text: str) -> int:
     return _parse_hex(text, "arbitration id")
 
 
-def _convert(texts, convert, dtype, fast):
-    """(values, rejected) for one column. An all-valid column takes one C-level pass
-    over `fast` (None: no such pass); otherwise each cell is converted alone, a
-    rejected or missing (None) cell becomes 0, and an integer too large for `dtype`
-    becomes -1, which fails every range check."""
-    n = len(texts)
-    if fast is not None:
-        try:
-            return np.fromiter(fast, dtype, n), np.zeros(n, bool)
-        except (TypeError, ValueError, OverflowError):  # TypeError: a missing cell
-            pass
-    values = np.zeros(n, dtype)
-    rejected = np.zeros(n, bool)
-    for i, text in enumerate(texts):
-        if text is None:  # missing column
-            rejected[i] = True
-            continue
-        try:
-            values[i] = convert(text)
-        except ValueError:
-            rejected[i] = True
-        except OverflowError:
-            values[i] = -1
-    return values, rejected
-
-
-def _label_code(text: str) -> int:
-    """Index of a label text in LABELS: empty text is Normal, an unknown label -1."""
-    try:
-        return LABELS.index(Label.from_string(text)) if text else 0
-    except ValueError:
-        return -1
-
-
-def _reason(convert, text, missing: str = "") -> str:
-    """Why `convert` rejects `text` (None: the column is missing)."""
-    if text is None:
-        return missing
-    try:
-        convert(text)
-    except ValueError as e:
-        return str(e)
-
-
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _DIGIT = np.full(256, 255, np.uint8)  # ASCII code -> digit value; 255 for a non-digit
 _DIGIT[np.frombuffer(_HEX_DIGITS.encode(), np.uint8)] = [int(c, 16) for c in _HEX_DIGITS]
@@ -116,36 +73,32 @@ _MAX_WIDTH = {10: 18, 16: 15}  # the widest cells whose value always fits int64
 _CANONICAL_WIDTH = 3 * MAX_DLC - 1  # "HH HH HH HH HH HH HH HH"
 
 
-def _integers(texts, base: int, convert):
-    """(int64 values, rejected) of an integer column. A column whose cells are all
-    ASCII base-`base` digits of one width is decoded from one joined buffer through
-    _DIGIT, to the values int(text, base) gives; any other takes one pass of
-    int(text, base) or, failing that, `convert` cell by cell."""
+def _integers(texts, base: int) -> np.ndarray:
+    """The int64 values of an integer column: from one joined buffer through _DIGIT if
+    its cells are all ASCII base-`base` digits of one width, else from one pass of
+    int(text, base), which raises for a missing cell (None) or a rejected one. An
+    underscore raises ValueError: int(text, 16) reads "0x_1", which _parse_id rejects."""
     n = len(texts)
-    try:
-        joined = "".join(texts)
-        width = len(joined) // n if n else 0
-        one_width = (np.fromiter(map(len, texts), np.int64, n) == width).all()
-    except TypeError:  # a missing cell (None)
-        joined, width, one_width = "".join(filter(None, texts)), 0, False
-    if one_width and 0 < width <= _MAX_WIDTH[base] and joined.isascii():
+    joined = "".join(texts)
+    width = len(joined) // n if n else 0
+    if (0 < width <= _MAX_WIDTH[base] and joined.isascii()
+            and (np.fromiter(map(len, texts), np.int64, n) == width).all()):
         digits = _DIGIT[np.frombuffer(joined.encode(), np.uint8)].reshape(n, width)
         if (digits < base).all():
             values = np.zeros(n, np.int64)
             for column in digits.T:
                 values = values * base + column
-            return values, np.zeros(n, bool)
-    # int(text, 16) also reads "0x_1", which _parse_id rejects
-    fast = None if "_" in joined else map(int, texts, repeat(base))
-    return _convert(texts, convert, np.int64, fast)
+            return values
+    if "_" in joined:
+        raise ValueError("an underscore in an integer cell")
+    return np.fromiter(map(int, texts, repeat(base)), np.int64, n)
 
 
-def _decode_payloads(texts):
-    """(payload uint8[N, 8], rejected bool[N]).
-
-    The form write_log emits (two hex digits per byte, single spaces, at most 8
-    bytes, or empty) is decoded for all rows at once from their ASCII bytes through
-    _DIGIT; any other text goes through _parse_payload for that row alone."""
+def _decode_payloads(texts) -> np.ndarray:
+    """The uint8[N, 8] payloads of a column. The form write_log emits (two hex digits
+    per byte, single spaces, at most 8 bytes, or empty) is decoded for all rows at once
+    from their ASCII bytes through _DIGIT; any other text goes through _parse_payload
+    for that row alone, which raises ValueError for a cell it rejects."""
     n = len(texts)
     length = np.fromiter(map(len, texts), np.int64, n)
     try:  # one 3-byte slot per payload byte: two digits and a space, or the end
@@ -160,15 +113,36 @@ def _decode_payloads(texts):
     canonical &= ((slots[:, :-1, 2] == ord(" ")) | unused[:, 1:]).all(axis=1)
     payload = high << 4 | low
     payload[unused | ~canonical[:, None]] = 0
-    rejected = np.zeros(n, bool)
     for i in np.flatnonzero(~canonical):
-        try:
-            data = _parse_payload(texts[i])
-        except ValueError:
-            rejected[i] = True
-            continue
+        data = _parse_payload(texts[i])
         payload[i, : len(data)] = data
-    return payload, rejected
+    return payload
+
+
+def _cell(text, name: str) -> str:
+    if text is None:
+        raise ValueError(f"missing column {name!r}")
+    return text
+
+
+def _parse_row(ts, arb, dlc, payload, label):
+    """One row's (timestamp, id, DLC, payload bytes zero-padded to 8, label code),
+    from its five cells in COLUMNS order, where a missing column's cell is None.
+    Raises ValueError with the message of the row's first failing check, in this
+    order: the timestamp, its finiteness, the id, the DLC, its range, the payload,
+    the label and the id's range."""
+    timestamp = float(_cell(ts, "timestamp"))
+    if not math.isfinite(timestamp):
+        raise ValueError(f"timestamp {ts!r} is not finite")
+    arbitration_id = _parse_id(_cell(arb, "arbitration_id"))
+    length = int(_cell(dlc, "dlc"))
+    if not 0 <= length <= MAX_DLC:
+        raise ValueError(f"dlc {length} outside [0, {MAX_DLC}]")
+    data = _parse_payload(payload)
+    code = LABELS.index(Label.from_string(label)) if label else 0
+    if not 0 <= arbitration_id < MAX_ARBITRATION_ID:
+        raise ValueError(f"arbitration id {arbitration_id:#x} outside 29-bit range")
+    return timestamp, arbitration_id, length, data + [0] * (MAX_DLC - len(data)), code
 
 
 _BLOCK_ROWS = 4096  # lines read, or rows converted, at a time: bounds how much text is alive at once
@@ -176,34 +150,32 @@ _BLOCK_ROWS = 4096  # lines read, or rows converted, at a time: bounds how much 
 
 def _parse_block(columns, lines) -> FrameTable:
     """Convert and validate the five text columns (in COLUMNS order) of consecutive
-    non-blank rows; `lines[i]` is row i's physical line number. Raises ParseError
-    for the first bad row."""
+    non-blank rows; `lines[i]` is row i's physical line number. The block is converted
+    column by column; if a conversion raises or a value is out of range, it is parsed
+    again row by row through _parse_row, to a ParseError naming the first bad row, or
+    to the values of a block that only _parse_row reads (an id such as "0x 1a")."""
     ts_text, id_text, dlc_text, payload_text, label_text = columns
     n = len(ts_text)
-    timestamp, ts_bad = _convert(ts_text, float, np.float64, map(float, ts_text))
-    arb, id_bad = _integers(id_text, 16, _parse_id)
-    dlc, dlc_bad = _integers(dlc_text, 10, int)
-    payload, payload_bad = _decode_payloads(payload_text)
+    try:  # TypeError: a missing cell (None)
+        timestamp = np.fromiter(map(float, ts_text), np.float64, n)
+        arb, dlc = _integers(id_text, 16), _integers(dlc_text, 10)
+        payload = _decode_payloads(payload_text)
+        codes = {text: LABELS.index(Label.from_string(text)) if text else 0 for text in set(label_text)}
+        label = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
+        if not (np.isfinite(timestamp).all() and ((dlc >= 0) & (dlc <= MAX_DLC)).all()
+                and ((arb >= 0) & (arb < MAX_ARBITRATION_ID)).all()):
+            raise ValueError("a value out of range")
+    except (TypeError, ValueError, OverflowError):
+        rows = []
+        for line, row in zip(lines, zip(*columns)):
+            try:
+                rows.append(_parse_row(*row))
+            except ValueError as e:
+                raise ParseError(line, str(e)) from None
+        timestamp, arb, dlc, payload, label = (
+            np.array(column, dtype) for column, dtype in
+            zip(zip(*rows), (np.float64, np.int64, np.int64, np.uint8, np.int8)))
     payload[np.arange(MAX_DLC) >= dlc[:, None]] = 0  # the declared DLC wins
-    codes = {text: _label_code(text) for text in set(label_text)}
-    label = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
-
-    # in the order a row is checked, so a row's message is its first failure
-    checks = [
-        (ts_bad, lambda i: _reason(float, ts_text[i], "missing column 'timestamp'")),
-        (~np.isfinite(timestamp), lambda i: f"timestamp {ts_text[i]!r} is not finite"),
-        (id_bad, lambda i: _reason(_parse_id, id_text[i], "missing column 'arbitration_id'")),
-        (dlc_bad, lambda i: _reason(int, dlc_text[i], "missing column 'dlc'")),
-        ((dlc < 0) | (dlc > MAX_DLC), lambda i: f"dlc {int(dlc_text[i])} outside [0, {MAX_DLC}]"),
-        (payload_bad, lambda i: _reason(_parse_payload, payload_text[i])),
-        (label < 0, lambda i: _reason(Label.from_string, label_text[i])),
-        ((arb < 0) | (arb >= MAX_ARBITRATION_ID),
-         lambda i: f"arbitration id {_parse_id(id_text[i]):#x} outside 29-bit range"),
-    ]
-    failed = np.logical_or.reduce([mask for mask, _ in checks])
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise ParseError(lines[i], next(message(i) for mask, message in checks if mask[i]))
     return FrameTable(timestamp, arb, dlc.astype(np.uint8), payload, label)
 
 
@@ -299,12 +271,14 @@ def parse_log(path) -> FrameTable:
     through csv.reader a row at a time, since a quoted cell can span lines. Both
     paths hand the same text columns to the same conversions and checks, so the
     table, the error with its line number and the warning's line are the same
-    whichever path a row takes. Ids and DLCs whose cells are all ASCII digits of one
-    width, and payloads in the form write_log emits ("HH HH ..."), are decoded for a
-    whole block at once; "0x" prefixes, padding, comma-separated, contiguous
-    ("A1B2C3"), non-ASCII and single-digit forms are parsed cell by cell. Payloads
-    shorter than 8 bytes are zero-padded; a payload longer than the declared DLC is
-    truncated to it.
+    whichever path a row takes. A block is converted column by column: ids and DLCs
+    whose cells are all ASCII digits of one width, and payloads in the form write_log
+    emits ("HH HH ..."), are decoded at once; other ids and DLCs ("0x" prefixes,
+    padding) take one int() pass, and other payloads (comma-separated, contiguous
+    "A1B2C3", non-ASCII, single-digit) are parsed cell by cell. A block with a bad row,
+    or with an id that only _parse_id reads, is parsed again row by row through
+    _parse_row, the one place that orders a row's checks. Payloads shorter than 8
+    bytes are zero-padded; a payload longer than the declared DLC is truncated to it.
     """
     path = Path(path)
     tables, block_lines = [], []

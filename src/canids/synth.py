@@ -14,6 +14,7 @@ import numpy as np
 from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, FrameTable, Label
 
 STANDARD_ID_SPACE = 0x800  # 11-bit IDs for randomly fuzzed frames
+MAX_FRAMES = 10**7  # the most frames a profile, or one attack, may ask for: 27x the acceptance corpus
 
 
 MODELS = ("const", "counter", "walk", "mixed")
@@ -57,6 +58,9 @@ class TrafficProfile:
             raise ValueError(f"jitter must lie in [0, 0.5), got {self.jitter}")
         if not 0 < self.duration < np.inf:
             raise ValueError(f"duration must be finite and > 0, got {self.duration}")
+        frames = sum(self.duration * 1000 / spec.period_ms for spec in self.ecu_specs)
+        if not frames <= MAX_FRAMES:
+            raise ValueError(f"profile asks for {frames:.4g} frames, more than MAX_FRAMES = {MAX_FRAMES}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,9 @@ class AttackSpec:
                              f"got {self.start} and {self.duration}")
         if not 0 < self.rate < np.inf:
             raise ValueError(f"{self.kind.value.lower()} rate must be positive and finite")
+        if not self.rate * self.duration <= MAX_FRAMES:
+            raise ValueError(f"{self.kind.value.lower()} asks for {self.rate * self.duration:.4g} frames, "
+                             f"more than MAX_FRAMES = {MAX_FRAMES}")
         if not 0 <= self.target_id < MAX_ARBITRATION_ID:
             raise ValueError(f"attack target_id {self.target_id:#x} outside 29-bit range")
         if self.kind is Label.SPOOFING and not self.mutation:

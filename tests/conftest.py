@@ -56,3 +56,11 @@ def windows_from(frames, window_size):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def refuse(monkeypatch, *names):
+    """Make each named function of canids (`module.function`) raise if called."""
+    for name in names:
+        def call(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+        monkeypatch.setattr(f"canids.{name}", call)

@@ -203,7 +203,7 @@ class TestEntropySweep:
         path = tmp_path / "e.csv"
         write_entropy_csv(stats, path)
         before = path.read_bytes()
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             write_entropy_csv([stats[0], None], path)  # fails after the first row
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["e.csv"]

@@ -16,6 +16,9 @@ from canids import ingest, pipeline
 from canids.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK,
                         STAGE_COMMANDS, build_parser, main)
 from canids.detector import VIEWS
+from canids.synth import MAX_FRAMES
+
+from conftest import refuse
 
 SYNTH_CFG = """
 synth_duration = 6
@@ -164,14 +167,6 @@ def test_window_csvs_follow_a_window_size_change(synth_log, tmp_path):
         for cmd in commands:
             assert main([cmd, "--config", str(cfg)]) == EXIT_OK
         assert dumped_window_size() == size
-
-
-def refuse(monkeypatch, *names):
-    """Make each named function of canids (`module.function`) raise if called."""
-    for name in names:
-        def call(*args, _name=name, **kwargs):
-            raise AssertionError(f"{_name} was called")
-        monkeypatch.setattr(f"canids.{name}", call)
 
 
 def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, capsys):
@@ -370,6 +365,26 @@ def test_bad_traffic_profile_is_config_error(tmp_path, capsys, override, message
     cfg.write_text(f"synth_output = {out}\necu1 = 0x100 10 8 const\n")
     assert main(["synth", "--config", str(cfg), "--set", override]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec, override, count", [
+    ("", "synth_duration=1e308", "inf"),      # an OverflowError in int(duration / period)
+    ("", "synth_duration=1e13", "5e+15"),     # an array too large to allocate
+    ("attack1 = flooding 0.1 0.5 rate=1e12", None, "5e+11"),
+    ("attack1 = fuzzing 0.1 0.5 rate=1e9", None, "5e+08"),  # a loop of 5e8 draws
+])
+def test_synth_beyond_the_frame_bound_is_config_error(tmp_path, spec, override, count):
+    out = tmp_path / "traffic.csv"
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"synth_output = {out}\necu1 = 0x100 2 8 counter\n{spec}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(canids.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "canids.cli", "synth", "--config", str(cfg),
+                             *(["--set", override] if override else [])],
+                            capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == EXIT_CONFIG
+    assert "Traceback" not in result.stderr
+    assert f"asks for {count} frames, more than MAX_FRAMES = {MAX_FRAMES}" in result.stderr
     assert not out.exists()
 
 

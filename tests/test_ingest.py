@@ -15,7 +15,7 @@ from canids.ingest import (ParseError, make_windows, parse_log, split_dataset, w
                            write_windows_csv)
 from canids.nn import atomic_path
 
-from conftest import make_frame, normal_frames, rows_of, table, windows_from
+from conftest import make_frame, normal_frames, refuse, rows_of, table, windows_from
 
 
 COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")
@@ -380,19 +380,48 @@ def mixed_frames(n):
 
 def test_a_written_log_takes_only_plain_blocks(tmp_path, monkeypatch, caplog):
     """write_log's output is plain, block after block, so no row of it goes through
-    the csv row path; line numbers still count from the header."""
+    the csv row path, and every block converts column-wise, so none is parsed row by
+    row; line numbers still count from the header."""
     frames, back = mixed_frames(2 * ingest._BLOCK_ROWS + 5)
     path = tmp_path / "log.csv"
     write_log(table(frames), path)
-
-    def refuse(*args):
-        raise AssertionError("a row of a plain block went through the csv row path")
-
-    monkeypatch.setattr(ingest, "_row_columns", refuse)
+    refuse(monkeypatch, "ingest._row_columns", "ingest._parse_row")
     with caplog.at_level("WARNING"):
         assert_tables_equal(parse_log(path), table(frames))
     assert [r.message for r in caplog.records] == [
         f"{path}: non-monotone timestamp at line {back + 2} (kept in file order)"]
+
+
+# parse_log's valid forms other than write_log's, each as a rewrite of one of its rows
+OTHER_FORMS = {
+    "0x-ids": lambda row: [row[0], "0x" + row[1], *row[2:]],
+    "padded-ids": lambda row: [row[0], f" {row[1]} ", *row[2:]],
+    "comma-payloads": lambda row: [*row[:3], ",".join(row[3].split()), row[4]],
+    "contiguous-payloads": lambda row: [*row[:3], row[3].replace(" ", ""), row[4]],
+    # a lone byte keeps both digits: one digit alone is an odd-length contiguous payload
+    "single-digit-bytes": lambda row: [*row[:3], " ".join(f"{int(b, 16):X}" for b in row[3].split())
+                                       if " " in row[3] else row[3], row[4]],
+    "no-label": lambda row: row[:4],
+}
+
+
+@pytest.mark.parametrize("form", OTHER_FORMS)
+def test_other_valid_forms_convert_column_wise(tmp_path, monkeypatch, form):
+    """A valid log in another documented form parses to the same table as write_log's
+    form, and no block of it is parsed row by row."""
+    frames, _ = mixed_frames(2 * ingest._BLOCK_ROWS + 5)
+    path = tmp_path / "log.csv"
+    write_log(table(frames), path)
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    rows = [OTHER_FORMS[form](row) for row in rows]
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header[: len(rows[0])], *rows])
+    want = table(frames)
+    if form == "no-label":
+        want = FrameTable(want.timestamp, want.arbitration_id, want.dlc, want.payload, 0 * want.label)
+    refuse(monkeypatch, "ingest._parse_row")
+    assert_tables_equal(parse_log(path), want)
 
 
 def test_a_quoted_cell_hands_the_rest_to_csv_on_the_same_lines(tmp_path, caplog):
@@ -456,9 +485,11 @@ def test_an_overlong_field_fails_as_in_csv_reader(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["0x_1F", "1_0", "0x0x10", "0X1a", " 7ff ", "-0x1", "0x",
-                                  "20000000", "1" * 20, "\uff11\uff10", "\uff11\uff10\uff10"])
+                                  "20000000", "1" * 20, "\uff11\uff10", "\uff11\uff10\uff10",
+                                  "0x 1a", "0x+1a"])
 def test_id_forms_match_row_parser(tmp_path, text):
-    # "0x_1F" is read by int(text, 16) but rejected by the row parser
+    # "0x_1F" is read by int(text, 16) but rejected by the row parser; "0x 1a" and
+    # "0x+1a" are read by the row parser only, so their block is valid row by row
     path = write_csv(tmp_path, ["1.0,100,0,,Normal", f"1.1,{text},0,,Normal"])
     assert_parses_like_row_parser(path)
 

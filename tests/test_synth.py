@@ -7,7 +7,7 @@ from scipy import stats
 
 from canids.frames import LABELS, FrameTable, Label
 from canids.ingest import write_log
-from canids.synth import MODELS, AttackSpec, EcuSpec, TrafficProfile, generate_normal, inject
+from canids.synth import MAX_FRAMES, MODELS, AttackSpec, EcuSpec, TrafficProfile, generate_normal, inject
 
 from conftest import rows_of
 
@@ -198,6 +198,23 @@ def test_out_of_range_specs_rejected_before_generation(make):
     or give an empty log or jittered frames out of their ECU's order."""
     with pytest.raises(ValueError):
         make()
+
+
+def test_frame_count_bound():
+    """A profile may ask for MAX_FRAMES frames over all its ECUs, and an attack for
+    MAX_FRAMES at its rate; one more frame, or an infinite count, is refused."""
+    seconds = MAX_FRAMES / 1000
+    TrafficProfile((simple_ecu(period_ms=1.0), simple_ecu(0x200, 1.0)), seconds / 2)
+    AttackSpec(Label.FLOODING, 0.0, 1.0, rate=MAX_FRAMES)
+    for make, count in [
+        (lambda: TrafficProfile((simple_ecu(period_ms=1.0), simple_ecu(0x200, 1.0)),
+                                (seconds + 0.001) / 2), r"1e\+07"),
+        (lambda: TrafficProfile((simple_ecu(period_ms=1.0),), 1e308), "inf"),
+        (lambda: AttackSpec(Label.FUZZING, 0.0, 1.0, rate=MAX_FRAMES + 1), r"1e\+07"),
+        (lambda: AttackSpec(Label.REPLAY, 0.0, 2.0, rate=1e308), "inf"),
+    ]:
+        with pytest.raises(ValueError, match=rf"asks for {count} frames, more than MAX_FRAMES = {MAX_FRAMES}$"):
+            make()
 
 
 def test_spoofing_copies_last_victim_payload_and_extends_dlc():

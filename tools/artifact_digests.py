@@ -9,7 +9,11 @@ It imports canids from the given src/ directory and runs `synth`, `preprocess`
 (which writes the windows_*.csv dumps), `run`, a cached `run`, `entropy` and
 `evaluate` through `canids.cli.main` on three inputs: the criterion-7 config of
 tests/test_acceptance.py, perfbench's `fit` corpus (seed 1) and the acceptance
-corpus. Each input runs in its own directory under --out, removed first; --out
+corpus. A fourth input runs `synth`, `preprocess` and `run` on the criterion-7
+config with its log rewritten in another form parse_log reads ("0x" ids,
+comma-separated payloads); every file of its work dir but the manifest, which
+hashes the log, must equal the criterion-7 input's, or the script exits 1.
+Each input runs in its own directory under --out, removed first; --out
 defaults to one fixed path, since paths are written into the work dir: both
 trees must run with the same --out. BLAS runs on one
 thread, as in perfbench. Each output line is `<input> <command> exit=<code>
@@ -26,6 +30,7 @@ sys.dont_write_bytecode = True  # leaves no cache files in perfbench/ or tests/
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import shutil  # noqa: E402
@@ -33,7 +38,8 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-INPUTS = ("criterion7", "fit", "acceptance")
+REWRITTEN = "criterion7-rewritten"
+INPUTS = ("criterion7", "fit", "acceptance", REWRITTEN)
 COMMANDS = ("synth", "preprocess", "run", "rerun", "entropy", "evaluate")
 
 
@@ -45,12 +51,22 @@ def config_text(name: str, out_dir: Path) -> str:
     log, work = out_dir / "traffic.csv", out_dir / "work"
     if name == "fit":
         return workloads.corpus_text(1, out_dir)
-    if name == "criterion7":  # as test_criterion_7_determinism writes it
+    if name in ("criterion7", REWRITTEN):  # as test_criterion_7_determinism writes it
         head = test_acceptance.DETERMINISM_CFG + "entropy_sizes = 10,20,50\n"
     else:  # as corpus_config sets it
         head = test_acceptance.CORPUS_CFG + "".join(
             f"{key} = {value}\n" for key, value in test_acceptance.PIPELINE_KEYS.items())
-    return head + f"synth_output = {log}\ninput_log = {log}\nwork_dir = {work}\n"
+    source = out_dir / "rewritten.csv" if name == REWRITTEN else log
+    return head + f"synth_output = {log}\ninput_log = {source}\nwork_dir = {work}\n"
+
+
+def rewrite_log(source: Path, target: Path) -> None:
+    """Write the log `source` again with "0x" ids and comma-separated, so quoted, payloads."""
+    with source.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    with target.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *([ts, "0x" + arb, dlc, ",".join(payload.split()), label]
+                                           for ts, arb, dlc, payload, label in rows)])
 
 
 def sha256(data: bytes) -> str:
@@ -64,10 +80,12 @@ def digest_lines(name: str, out_dir: Path) -> list:
     config = out_dir / "input.cfg"
     config.write_text(config_text(name, out_dir))
     lines = []
-    for command in COMMANDS:
+    for command in COMMANDS[:3] if name == REWRITTEN else COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
             code = cli.main(["run" if command == "rerun" else command, "--config", str(config)])
         lines.append(f"{name} {command} exit={code} stdout={sha256(stdout.getvalue().encode())}")
+        if name == REWRITTEN and command == "synth":
+            rewrite_log(out_dir / "traffic.csv", out_dir / "rewritten.csv")
     lines += [f"{name} {path.relative_to(out_dir)} {sha256(path.read_bytes())}"
               for path in sorted(out_dir.rglob("*")) if path.is_file()]
     return lines
@@ -80,10 +98,18 @@ def main(argv=None) -> int:
                         help="where the inputs run, one directory each (default: %(default)s)")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench"), str(ROOT / "tests")]
+    files = {}  # input -> {file: sha256}
     for name in INPUTS:
         shutil.rmtree(args.out / name, ignore_errors=True)
         for line in digest_lines(name, args.out / name):
             print(line, flush=True)
+            if len(parts := line.split(" ")) == 3:
+                files.setdefault(name, {})[parts[1]] = parts[2]
+    compared = [path for path in files[REWRITTEN] if path.startswith("work/") and path != "work/manifest.json"]
+    differ = [path for path in compared if files[REWRITTEN][path] != files["criterion7"].get(path)]
+    if differ or not compared:
+        print(f"{REWRITTEN}: {differ or 'no work dir files'} differ from criterion7's", file=sys.stderr)
+        return 1
     return 0
 
 
