@@ -17,34 +17,47 @@ def _parse_int_list(s: str):
     return [int(v) for v in s.split(",") if v.strip()]  # "10 20" is one bad entry
 
 
-# key -> (caster, default)
+def _at_least(low):
+    return (lambda v: v >= low), f">= {low}"
+
+
+def _entries_at_least(low):
+    return (lambda v: bool(v) and min(v) >= low), f"non-empty, each entry >= {low}"
+
+
+_POSITIVE = (lambda v: v > 0), "> 0"
+
+# key -> (caster, default, bound): a bound is (test, meaning), and `validate` refuses a
+# value, NaN included, unless test(value) holds; None leaves the key unchecked.
 KEY_SPECS = {
-    "input_log": (str, ""),
-    "work_dir": (str, "work"),
-    "window_size": (int, 50),
-    "sequence_length": (int, 50),
-    "byte_mode": (str, "binarized"),
-    "train_ratio": (float, 0.6),
-    "val_ratio": (float, 0.2),
-    "test_ratio": (float, 0.2),
-    "threshold": (float, 0.5),
-    "grad_clip": (float, 5.0),
-    "encoder_epochs": (int, 100),
-    "encoder_lr": (float, 1e-3),
-    "encoder_patience": (int, 20),
-    "encoder_seed": (int, 0),
-    "detector_epochs": (int, 100),
-    "detector_lr": (float, 1e-3),
-    "detector_batch": (int, 32),
-    "detector_patience": (int, 20),
-    "detector_seed": (int, 0),
-    "entropy_sizes": (_parse_int_list, list(range(10, 401, 10))),
-    "sweep_window_sizes": (_parse_int_list, [50, 75, 100, 125, 150]),
-    "sweep_sequence_lengths": (_parse_int_list, [30, 50, 100, 120, 150]),
-    "synth_output": (str, "synthetic.csv"),
-    "synth_duration": (float, 60.0),
-    "synth_jitter": (float, 0.1),
-    "synth_seed": (int, 0),
+    "input_log": (str, "", None),
+    "work_dir": (str, "work", None),
+    "window_size": (int, 50, _at_least(2)),
+    "sequence_length": (int, 50, _at_least(1)),
+    "byte_mode": (str, "binarized", ((lambda v: v in ("binarized", "normalized")), "binarized or normalized")),
+    "train_ratio": (float, 0.6, _POSITIVE),
+    "val_ratio": (float, 0.2, _POSITIVE),
+    "test_ratio": (float, 0.2, _POSITIVE),
+    "threshold": (float, 0.5, ((lambda v: 0.0 < v < 1.0), "in (0, 1)")),
+    "grad_clip": (float, 5.0, _at_least(0)),
+    "encoder_epochs": (int, 100, _at_least(1)),
+    "encoder_lr": (float, 1e-3, _POSITIVE),
+    "encoder_patience": (int, 20, _at_least(0)),
+    "encoder_seed": (int, 0, _at_least(0)),
+    "detector_epochs": (int, 100, _at_least(1)),
+    "detector_lr": (float, 1e-3, _POSITIVE),
+    "detector_batch": (int, 32, _at_least(1)),
+    "detector_patience": (int, 20, _at_least(0)),
+    "detector_seed": (int, 0, _at_least(0)),
+    "entropy_sizes": (_parse_int_list, list(range(10, 401, 10)),
+                      ((lambda v: bool(v) and min(v) >= 1 and all(a < b for a, b in zip(v, v[1:]))),
+                       "non-empty, >= 1, strictly increasing")),
+    "sweep_window_sizes": (_parse_int_list, [50, 75, 100, 125, 150], _entries_at_least(2)),
+    "sweep_sequence_lengths": (_parse_int_list, [30, 50, 100, 120, 150], _entries_at_least(1)),
+    "synth_output": (str, "synthetic.csv", None),
+    "synth_duration": (float, 60.0, None),
+    "synth_jitter": (float, 0.1, None),
+    "synth_seed": (int, 0, _at_least(0)),
 }
 
 _ECU_RE = re.compile(r"^ecu(\d+)$")
@@ -58,7 +71,7 @@ class PipelineConfig:
     attacks: dict = field(default_factory=dict)  # ordinal -> AttackSpec
 
     def __post_init__(self):
-        for key, (_, default) in KEY_SPECS.items():
+        for key, (_, default, _) in KEY_SPECS.items():
             self.values.setdefault(key, default)
 
     def __getattr__(self, name):
@@ -78,37 +91,16 @@ class PipelineConfig:
             elif attack:
                 self.attacks[int(attack.group(1))] = _parse_attack(raw)
             else:
-                caster, _ = KEY_SPECS[key]
-                self.values[key] = caster(raw.strip())
+                self.values[key] = KEY_SPECS[key][0](raw.strip())
         except ValueError as e:  # a failed cast, a spec parser's ConfigError, a spec out of range
             raise ConfigError(f"bad value for {key!r}: {e}") from None
 
     def validate(self) -> None:
-        if self.window_size < 2:
-            raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
-        if self.sequence_length < 1:
-            raise ConfigError(f"sequence_length must be >= 1, got {self.sequence_length}")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {self.threshold}")
-        ratios = (self.train_ratio, self.val_ratio, self.test_ratio)
-        if any(not r > 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-            raise ConfigError(f"split ratios must be positive and sum to 1, got {ratios}")
-        if self.byte_mode not in ("binarized", "normalized"):
-            raise ConfigError(f"byte_mode must be binarized or normalized, got {self.byte_mode!r}")
-        for key, low in (("encoder_epochs", 1), ("detector_epochs", 1), ("detector_batch", 1),
-                         ("grad_clip", 0), ("encoder_patience", 0), ("detector_patience", 0),
-                         ("encoder_seed", 0), ("detector_seed", 0), ("synth_seed", 0)):
-            if not self.values[key] >= low:
-                raise ConfigError(f"{key} must be >= {low}, got {self.values[key]}")
-        for key in ("encoder_lr", "detector_lr"):
-            if not self.values[key] > 0:
-                raise ConfigError(f"{key} must be > 0, got {self.values[key]}")
-        sizes = self.entropy_sizes
-        if not sizes or min(sizes) < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-            raise ConfigError(f"entropy_sizes must be non-empty, >= 1, strictly increasing; got {sizes}")
-        for key, low in (("sweep_window_sizes", 2), ("sweep_sequence_lengths", 1)):
-            if not self.values[key] or min(self.values[key]) < low:
-                raise ConfigError(f"{key} must be non-empty, each entry >= {low}; got {self.values[key]}")
+        for key, (_, _, bound) in KEY_SPECS.items():
+            if bound and not bound[0](self.values[key]):
+                raise ConfigError(f"{key} must be {bound[1]}, got {self.values[key]!r}")
+        if abs(sum(self.ratios()) - 1.0) > 1e-9:
+            raise ConfigError(f"split ratios must sum to 1, got {self.ratios()}")
 
     def ratios(self):
         return (self.train_ratio, self.val_ratio, self.test_ratio)

@@ -47,8 +47,8 @@ def _parse_payload(text: str) -> list:
     elif " " in t:
         parts = t.split()
     else:
-        # one contiguous hex string, two digits per byte
-        if len(t) % 2 != 0:
+        # one contiguous hex string, two digits per byte; one digit alone is one byte
+        if len(t) % 2 and len(t) > 1:
             raise ValueError(f"odd-length contiguous hex payload {text!r}")
         parts = [t[i : i + 2] for i in range(0, len(t), 2)]
     out = []

@@ -1,10 +1,10 @@
 """Stage orchestration: wiring ingest -> graph -> encoder -> detector -> analysis.
 
-Every stage in `STAGES` writes its artifacts into the work dir (each through a temp
-file and a rename) and records its input hash, and the sha256 of every file it
-writes, checkpoints and training logs included, in manifest.json. A stage is
-skipped on rerun only when its input hash matches and those outputs still have
-their recorded digests, so stale or truncated artifacts are rebuilt.
+Every stage in `STAGES` runs through `_stage`. On a miss it writes its artifacts into
+the work dir (each through a temp file and a rename) and records its input hash and
+the sha256 of every file it writes in manifest.json. A rerun skips it only when that
+hash matches and those files keep their digests, so stale or truncated artifacts are
+rebuilt. Hit or miss, a later stage reads the stage's product from those files.
 """
 from __future__ import annotations
 
@@ -149,15 +149,22 @@ def prepare_splits(config: PipelineConfig):
     return {"train": train, "val": val, "test": test}
 
 
-def stage_preprocess(ws: Workspace):
-    """Record the preprocess digest and return the splits as a cached call, so that
-    they are made only if a later stage misses. The digest covers the log's bytes and
-    the window and split keys; it does not validate the log, which is parsed (and
-    rejected if missing or empty) only when a stage needs frames."""
-    digest, hit = ws.check("preprocess")
+def _stage(ws: Workspace, stage: str, write, read):
+    """The one cache rule. On a miss, `write()` writes the stage's outputs, which are
+    then marked; hit or miss, the product is `read()` of those outputs, run once on
+    the first call, so a later stage reads what this one recorded."""
+    digest, hit = ws.check(stage)
     if not hit:
-        ws.mark("preprocess", digest)
-    return functools.cache(lambda: prepare_splits(ws.config))
+        write()
+        ws.mark(stage, digest, STAGES[stage].outputs)
+    return functools.cache(read)
+
+
+def stage_preprocess(ws: Workspace):
+    """The splits, made only if a later stage misses. The digest covers the log's bytes
+    and the window and split keys; it does not validate the log, which is parsed (and
+    rejected if missing or empty) only when a stage needs frames."""
+    return _stage(ws, "preprocess", lambda: None, lambda: prepare_splits(ws.config))
 
 
 def _graphs_for(split_windows, config: PipelineConfig):
@@ -166,45 +173,39 @@ def _graphs_for(split_windows, config: PipelineConfig):
 
 
 def _train_stage(ws: Workspace, stage: str, model, train):
-    """Return the stage's model as a call. On a hit, the call loads the checkpoint into
-    `model`, once and only if a later stage misses. Otherwise `train()` returns (model,
-    record); save that model and its per-epoch history, the stage's two outputs."""
-    digest, hit = ws.check(stage)
-    outputs = STAGES[stage].outputs
-    ckpt, history = map(ws.path, outputs)
-    if hit:
-        return functools.cache(lambda: model.load(ckpt) or model)
-    model, record = train()
-    model.save(ckpt)
-    rows = record["history"]
-    text = ",".join(rows[0]) + "\n" + "".join(",".join(map(repr, r.values())) + "\n" for r in rows)
-    nn.write_atomic(history, text.encode())
-    ws.mark(stage, digest, outputs)
-    return lambda: model
+    """On a miss, save the (model, record) that `train()` returns as the stage's two
+    outputs, the checkpoint and its per-epoch history. The model handed on is that
+    checkpoint loaded into `model`, once and only if a later stage misses."""
+    ckpt, history = map(ws.path, STAGES[stage].outputs)
+
+    def write():
+        trained, record = train()
+        trained.save(ckpt)
+        rows = record["history"]
+        text = ",".join(rows[0]) + "\n" + "".join(",".join(map(repr, r.values())) + "\n" for r in rows)
+        nn.write_atomic(history, text.encode())
+
+    return _stage(ws, stage, write, lambda: model.load(ckpt) or model)
 
 
 def stage_train_encoder(ws: Workspace, splits):
     cfg = ws.config
 
     def train():
-        normal_graphs = _graphs_for([w for w in splits()["train"] if w.label == 0], cfg)
-        return train_encoder(normal_graphs, cfg)
+        return train_encoder(_graphs_for([w for w in splits()["train"] if w.label == 0], cfg), cfg)
 
     return _train_stage(ws, "train-encoder", EncoderModel(seed=cfg.encoder_seed), train)
 
 
 def stage_embed(ws: Workspace, splits, model):
-    digest, hit = ws.check("embed")
-    outputs = STAGES["embed"].outputs
-    if hit:
-        return functools.cache(lambda: {s: read_embeddings_csv(ws.path(o))
-                                        for s, o in zip(SPLITS, outputs)})
-    encoder, embeddings = model(), {}
-    for s, name in zip(SPLITS, outputs):
-        embeddings[s] = [embed(encoder, g) for g in _graphs_for(splits()[s], ws.config)]
-        write_embeddings_csv(embeddings[s], ws.path(name))
-    ws.mark("embed", digest, outputs)
-    return lambda: embeddings
+    paths = [ws.path(o) for o in STAGES["embed"].outputs]
+
+    def write():
+        encoder = model()
+        for s, path in zip(SPLITS, paths):
+            write_embeddings_csv([embed(encoder, g) for g in _graphs_for(splits()[s], ws.config)], path)
+
+    return _stage(ws, "embed", write, lambda: {s: read_embeddings_csv(p) for s, p in zip(SPLITS, paths)})
 
 
 def stage_train_detector(ws: Workspace, embeddings):
@@ -212,24 +213,22 @@ def stage_train_detector(ws: Workspace, embeddings):
     model = DetectorModel(seed=cfg.detector_seed)
 
     def train():
-        train_seqs = make_sequences(embeddings()["train"], cfg.sequence_length)
-        val_seqs = make_sequences(embeddings()["val"], cfg.sequence_length)
-        return train_detector(model, train_seqs, val_seqs, cfg)
+        seqs = [make_sequences(embeddings()[s], cfg.sequence_length) for s in ("train", "val")]
+        return train_detector(model, *seqs, cfg)
 
     return _train_stage(ws, "train-detector", model, train)
 
 
 def stage_detect(ws: Workspace, embeddings, model):
     cfg = ws.config
-    digest, hit = ws.check("detect")
-    if hit:
-        return read_report_csvs(ws.dir, cfg.threshold)
-    report = detect(model(), embeddings()["test"], cfg.sequence_length, cfg.threshold)
-    write_report_csvs(report, ws.dir)
-    text = summary_table(report, cfg.window_size, cfg.sequence_length)
-    nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())
-    ws.mark("detect", digest, STAGES["detect"].outputs)
-    return report
+
+    def write():
+        report = detect(model(), embeddings()["test"], cfg.sequence_length, cfg.threshold)
+        write_report_csvs(report, ws.dir)
+        text = summary_table(report, cfg.window_size, cfg.sequence_length)
+        nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())
+
+    return _stage(ws, "detect", write, lambda: read_report_csvs(ws.dir, cfg.threshold))()
 
 
 def current_report(config: PipelineConfig):
@@ -271,11 +270,11 @@ def run_pipeline(config: PipelineConfig, through: str = "detect"):
     ws = Workspace(config)
     splits = stage_preprocess(ws)
     if through == "preprocess":
-        digest, hit = ws.check("windows")
-        if not hit:
+        def write():
             for s, name in zip(SPLITS, STAGES["windows"].outputs):
                 ingest.write_windows_csv(splits()[s], ws.path(name))
-            ws.mark("windows", digest, STAGES["windows"].outputs)
+
+        _stage(ws, "windows", write, lambda: None)
         return None, ws
     enc = stage_train_encoder(ws, splits)
     if through == "train-encoder":

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from canids.config import ConfigError, PipelineConfig
+from canids.config import KEY_SPECS, ConfigError, PipelineConfig
 from canids.frames import Label
 from canids.synth import EcuSpec
 
@@ -82,6 +82,19 @@ def test_bad_value_reports_line(tmp_path):
 def test_validation_failures(tmp_path, text):
     with pytest.raises(ConfigError):
         PipelineConfig.from_file(write_cfg(tmp_path, text))
+
+
+@pytest.mark.parametrize("key", [k for k, (caster, _, bound) in KEY_SPECS.items()
+                                 if caster is float and bound])
+def test_a_bounded_key_refuses_nan_naming_its_bound(key):
+    bound = re.escape(KEY_SPECS[key][2][1])
+    with pytest.raises(ConfigError, match=rf"^{key} must be {bound}, got nan$"):
+        PipelineConfig.from_file(None, [f"{key}=nan"])
+
+
+def test_split_ratios_must_sum_to_1():
+    with pytest.raises(ConfigError, match=r"^split ratios must sum to 1, got \(0\.5, 0\.2, 0\.2\)$"):
+        PipelineConfig.from_file(None, ["train_ratio=0.5"])
 
 
 def test_overrides_are_read_after_the_file_and_validated_once(tmp_path):

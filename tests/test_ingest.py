@@ -62,6 +62,12 @@ class TestParseLog:
         t = parse_log(path)
         assert t.payload[0, :3].tolist() == [0xA1, 0xB2, 0xC3]
 
+    def test_a_lone_digit_is_one_byte_and_a_longer_odd_cell_is_an_error(self, tmp_path):
+        t = parse_log(write_csv(tmp_path, ["1.0,0x1,1,9,Normal", "2.0,0x1,2,9 A,Normal"]))
+        assert t.payload[:, :2].tolist() == [[9, 0], [9, 0xA]]
+        with pytest.raises(ParseError, match=r"^line 2: odd-length contiguous hex payload 'ABC'$"):
+            parse_log(write_csv(tmp_path, ["1.0,0x1,2,ABC,Normal"]))
+
     def test_comma_payload_without_label_column(self, tmp_path):
         path = write_csv(tmp_path, ['0.5,7FF,2,"01,02"'],
                          header="timestamp,arbitration_id,dlc,payload")
@@ -197,7 +203,7 @@ def _oracle_payload(text, line_no):
     elif " " in t:
         parts = t.split()
     else:
-        if len(t) % 2 != 0:
+        if len(t) % 2 and len(t) > 1:
             raise ParseError(line_no, f"odd-length contiguous hex payload {text!r}")
         parts = [t[i : i + 2] for i in range(0, len(t), 2)]
     out = []
@@ -398,9 +404,8 @@ OTHER_FORMS = {
     "padded-ids": lambda row: [row[0], f" {row[1]} ", *row[2:]],
     "comma-payloads": lambda row: [*row[:3], ",".join(row[3].split()), row[4]],
     "contiguous-payloads": lambda row: [*row[:3], row[3].replace(" ", ""), row[4]],
-    # a lone byte keeps both digits: one digit alone is an odd-length contiguous payload
-    "single-digit-bytes": lambda row: [*row[:3], " ".join(f"{int(b, 16):X}" for b in row[3].split())
-                                       if " " in row[3] else row[3], row[4]],
+    "single-digit-bytes": lambda row: [*row[:3], " ".join(f"{int(b, 16):X}" for b in row[3].split()),
+                                       row[4]],
     "no-label": lambda row: row[:4],
 }
 

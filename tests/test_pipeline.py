@@ -1,11 +1,18 @@
+import contextlib
+import dataclasses
 import hashlib
+import io
 import logging
+import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from canids import pipeline
+from canids import cli, pipeline
 from canids.analysis import compute_metrics
 from canids.config import KEY_SPECS, PipelineConfig
 from canids.detector import DetectionReport, DetectorModel, train_detector
@@ -142,6 +149,93 @@ def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys, artifact):
     assert len(pipeline.Workspace(cfg).path("detect_mean.csv").read_text().splitlines()) == 33
     assert ws.manifest_path.read_bytes() == manifest
     assert not list(ws.dir.glob("*.tmp"))
+
+
+# 3 s of traffic from 3 ECUs (about 3,100 frames, 155 windows), one epoch per trainer.
+TINY_CFG = """
+synth_duration = 3
+synth_seed = 5
+ecu1 = 0x100 2 8 counter
+ecu2 = 0x1A0 4 6 mixed
+ecu3 = 0x090 10 8 const
+attack1 = flooding 0.8 0.2 rate=2000
+attack2 = fuzzing 1.8 0.3 rate=600
+window_size = 20
+sequence_length = 5
+encoder_epochs = 1
+encoder_patience = 1
+detector_epochs = 1
+detector_patience = 1
+"""
+
+
+def tiny_config(root: Path, work: str = "work", extra: str = "") -> Path:
+    path = root / f"{work}.cfg"
+    path.write_text(TINY_CFG + extra + f"synth_output = {root / 'traffic.csv'}\n"
+                    f"input_log = {root / 'traffic.csv'}\nwork_dir = {root / work}\n")
+    return path
+
+
+def test_a_fresh_run_hands_on_the_embeddings_it_wrote(tmp_path, monkeypatch):
+    """The detector trains on the embeddings read back from their files, so a fresh run
+    writes the checkpoint a rebuild of that stage alone writes, even from a writer that
+    does not round-trip its values."""
+    write = pipeline.write_embeddings_csv
+    monkeypatch.setattr(pipeline, "write_embeddings_csv", lambda embeddings, path: write(
+        [dataclasses.replace(e, vector=np.round(e.vector, 3)) for e in embeddings], path))
+    cfg = PipelineConfig.from_file(tiny_config(tmp_path))
+    pipeline.run_synth(cfg)
+    _, ws = pipeline.run_pipeline(cfg)
+    fresh = ws.path("detector.ckpt").read_bytes()
+    ws.path("detector.ckpt").unlink()
+    pipeline.run_pipeline(cfg)
+    assert ws.path("detector.ckpt").read_bytes() == fresh
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A tiny config after `preprocess` and `run`, the bytes of every file in its work
+    dir, and a detector.ckpt trained with another detector_seed on the same log."""
+    root = tmp_path_factory.mktemp("finished")
+    config, other = tiny_config(root), tiny_config(root, "other", "detector_seed = 1\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        pipeline.run_synth(PipelineConfig.from_file(config))
+        assert [cli.main([c, "--config", str(config)]) for c in ("preprocess", "run")] == [0, 0]
+    pipeline.run_pipeline(PipelineConfig.from_file(other), through="train-detector")
+    work, other_ckpt = root / "work", root / "other" / "detector.ckpt"
+    assert other_ckpt.read_bytes() != (work / "detector.ckpt").read_bytes()
+    return SimpleNamespace(config=str(config), work=work, other_ckpt=other_ckpt,
+                           files={p.name: p.read_bytes() for p in work.iterdir()})
+
+
+STAGE_OF = {name: stage for stage, spec in pipeline.STAGES.items() for name in spec.outputs}
+OTHER_SEED = "detector.ckpt of detector_seed 1"
+
+
+@pytest.mark.parametrize("change", [*STAGE_OF, OTHER_SEED])
+@given(data=st.data())
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_a_changed_stage_output_is_rebuilt_and_never_reused(finished_run, change, data):
+    """One byte of a stage output changed, or another seed's detector.ckpt copied in: the
+    next command through that stage rebuilds it to the finished run's bytes, every other
+    file unchanged, or exits 3."""
+    work = finished_run.work
+    shutil.rmtree(work)
+    work.mkdir()
+    for name, blob in finished_run.files.items():
+        (work / name).write_bytes(blob)
+    if change == OTHER_SEED:
+        shutil.copyfile(finished_run.other_ckpt, work / "detector.ckpt")
+    else:
+        blob = bytearray(finished_run.files[change])
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        (work / change).write_bytes(blob)
+    command = "preprocess" if STAGE_OF.get(change) == "windows" else "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([command, "--config", finished_run.config])
+    assert code in (0, 3)
+    if code == 0:
+        assert {p.name: p.read_bytes() for p in work.iterdir()} == finished_run.files
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not an object"])
