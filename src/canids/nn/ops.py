@@ -99,7 +99,8 @@ def relu(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):  # exp(-x) = inf gives 0, the rounded value
+        s = 1.0 / (1.0 + np.exp(-x.data))
 
     def bwd(g):
         if _tracked(x):
@@ -236,24 +237,29 @@ def _gru_steps(x: np.ndarray, layers, gates=None) -> np.ndarray:
     bias = np.repeat(stacked(("b_z", "b_r", "b_in", "b_hn")).transpose(1, 0, 2)[:, :, None], batch, 2)
     hs = np.zeros((length + 1, batch, d_h))
     gates_in, gates_rec = np.empty((2, 3, n, batch, d_h))  # x W and h U per gate
-    for k in range(length + n - 1):
-        lo, hi = max(0, k - length + 1), min(n - 1, k)  # the active layers, in rows a:b
-        a, b = n - 1 - hi, n - lo
-        h, h_below = hs[k - hi : k - lo + 1], hs[k - hi + 1 : k - lo + 2]
-        inp, rec = gates_in[:, a:b], gates_rec[:, a:b]
-        if above := min(b, n - 1) - a:  # active layers above layer 0 read h_below
-            np.matmul(h_below[:above, None], w_in[a : a + above], out=inp[:, :above].transpose(1, 0, 2, 3))
-        if not lo:
-            np.matmul(x[k], w0, out=inp[:, -1])
-        np.matmul(h[:, None], u[a:b], out=rec.transpose(1, 0, 2, 3))
-        # the outputs of (z, r), h U_n + b_hn and n: new arrays, or the step's kept gates
-        kept = (None,) * 3 if gates is None else (gates[1:3, k, None], gates[3, k, None], gates[0, k, None])
-        zr = np.add(inp[:2], rec[:2], out=kept[0])
-        zr += bias[:2, a:b]
-        np.divide(1.0, 1.0 + np.exp(-zr), out=zr)
-        hn = np.add(rec[2], bias[3, a:b], out=kept[1])
-        n_gate = np.tanh(inp[2] + bias[2, a:b] + zr[1] * hn, out=kept[2])
-        np.add((1.0 - zr[0]) * n_gate, zr[0] * h, out=h_below)
+    # within nn.optim.PARAMETER_BOUND only exp(-zr) can overflow, and its inf gives a gate
+    # of 0, the rounded value
+    with np.errstate(over="ignore"):
+        for k in range(length + n - 1):
+            lo, hi = max(0, k - length + 1), min(n - 1, k)  # the active layers, in rows a:b
+            a, b = n - 1 - hi, n - lo
+            h, h_below = hs[k - hi : k - lo + 1], hs[k - hi + 1 : k - lo + 2]
+            inp, rec = gates_in[:, a:b], gates_rec[:, a:b]
+            if above := min(b, n - 1) - a:  # active layers above layer 0 read h_below
+                np.matmul(h_below[:above, None], w_in[a : a + above],
+                          out=inp[:, :above].transpose(1, 0, 2, 3))
+            if not lo:
+                np.matmul(x[k], w0, out=inp[:, -1])
+            np.matmul(h[:, None], u[a:b], out=rec.transpose(1, 0, 2, 3))
+            # the outputs of (z, r), h U_n + b_hn and n: new arrays, or the step's kept gates
+            kept = ((None,) * 3 if gates is None
+                    else (gates[1:3, k, None], gates[3, k, None], gates[0, k, None]))
+            zr = np.add(inp[:2], rec[:2], out=kept[0])
+            zr += bias[:2, a:b]
+            np.divide(1.0, 1.0 + np.exp(-zr), out=zr)
+            hn = np.add(rec[2], bias[3, a:b], out=kept[1])
+            n_gate = np.tanh(inp[2] + bias[2, a:b] + zr[1] * hn, out=kept[2])
+            np.add((1.0 - zr[0]) * n_gate, zr[0] * h, out=h_below)
     return hs
 
 

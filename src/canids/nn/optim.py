@@ -8,6 +8,9 @@ import numpy as np
 from .. import nn  # fit steps through the package, where perfbench traces adam_step and clipping
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# The acceptance corpus trains weights under 5. Within this bound no forward overflows
+# but in a sigmoid's exp, where inf gives the rounded 0; beyond it fit reports divergence.
+PARAMETER_BOUND = 1e6
 
 
 def clip_global_norm(model, max_norm: float) -> float:
@@ -53,7 +56,8 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
     from `config`: `<name>_epochs`, `<name>_lr`, `<name>_patience` and `grad_clip`.
     Each epoch takes one Adam step at `<name>_lr` per (loss, weight) pair `steps()`
     yields, clipping the gradients' global norm to `grad_clip` when it is > 0.
-    A non-finite step loss, or train loss (the weighted mean), raises FloatingPointError.
+    A non-finite step loss, or train loss (the weighted mean), raises FloatingPointError,
+    as does an epoch that leaves a parameter non-finite or beyond +-PARAMETER_BOUND.
     `validate()` runs on no tape and returns (score, value); `value` goes to the
     history under `metric[0]` and to the INFO line as `metric[1] % value`. The best
     epoch is the first with the highest score. Training stops after the first epoch
@@ -81,6 +85,9 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
         train_loss = total / weights
         if not np.isfinite(train_loss):  # a sum of finite losses can still overflow
             raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
+        if not np.abs(model.data).max() <= PARAMETER_BOUND:  # before a forward off the errstate
+            raise FloatingPointError(f"{name} training diverged at epoch {epoch}: "
+                                     f"a parameter is beyond +-{PARAMETER_BOUND:g}")
         with nn.no_grad():
             score, value = validate()
         history.append({"epoch": epoch, "train_loss": train_loss, column: value})

@@ -3,10 +3,17 @@
 Generation and injection build FrameTables column by column. Every spec is
 checked when it is constructed, before any frame is generated, because a value
 out of range would wrap silently in a uint8 column.
+
+The walk, fuzzing and spoofing draws are read in arrays from the raw PCG64
+stream, with the values and the final generator state of numpy's scalar
+`uniform` and `integers` calls made frame by frame. Numpy documents neither
+stream: the scalar loops in tests/test_synth.py are the oracle that catches a
+numpy upgrade that changes them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Tuple
 
 import numpy as np
@@ -15,6 +22,8 @@ from .frames import LABELS, MAX_ARBITRATION_ID, MAX_DLC, FrameTable, Label
 
 STANDARD_ID_SPACE = 0x800  # 11-bit IDs for randomly fuzzed frames
 MAX_FRAMES = 10**7  # the most frames a profile, or one attack, may ask for: 27x the acceptance corpus
+CHUNK = 1 << 12  # frames per block of array draws, so a MAX_FRAMES attack holds about 3 MB of draws
+WORD = 2**64 - 1  # the inclusive top of a draw that reads one whole PCG64 word, as `uniform` does
 
 
 MODELS = ("const", "counter", "walk", "mixed")
@@ -110,21 +119,91 @@ def _ecu_frames(spec: EcuSpec, profile: TrafficProfile, idx: int) -> FrameTable:
         payload[:, 0] = k & 0xFF
     walk = {"walk": 0, "mixed": 1}.get(spec.model, dlc)  # the walking byte, if < dlc
     jitter = profile.jitter
-    if walk >= dlc:
-        u = rng.uniform(-jitter, jitter, size=n) if jitter > 0 else None
-    else:
-        # a frame's jitter draw comes before its walk step, so draw frame by frame
-        u = np.empty(n)
-        value = 127
-        for i in range(n):
-            if jitter > 0:
-                u[i] = rng.uniform(-jitter, jitter)
-            value = payload[i, walk] = max(0, min(255, value + int(rng.integers(-5, 6))))
+    if walk < dlc:
+        u, payload[:, walk] = _walk(rng, n, jitter)
+    elif jitter > 0:
+        u = rng.uniform(-jitter, jitter, size=n)
     ts = k * period
     if jitter > 0:
         ts = np.maximum(ts + u * period, 0.0)
     return FrameTable(ts, np.full(n, spec.arbitration_id, np.int64),
                       np.full(n, dlc, np.uint8), payload, np.zeros(n, np.int8))
+
+
+def _draws(rng: np.random.Generator, tops: Tuple[int, ...], count: int):
+    """Yield (rows, draws) for `count` frames, CHUNK frames at a time; draws is
+    (frames, len(tops)) uint64. Each frame draws once per top, in order: WORD
+    reads a whole word, as `uniform` does, and any other top t is
+    `integers(0, t + 1)`, which reads nothing for t = 0. Given one top per draw,
+    `integers` makes these scalar draws in order in C, Lemire rejections and
+    the buffered half-word included, so the generator ends where they would."""
+    block = np.tile(np.array(tops, np.uint64), min(count, CHUNK))
+    for at in range(0, count, CHUNK):
+        rows = slice(at, min(at + CHUNK, count))
+        draws = rng.integers(0, block[:len(tops) * (rows.stop - at)], endpoint=True, dtype=np.uint64)
+        yield rows, draws.reshape(-1, len(tops))
+
+
+def _walk(rng: np.random.Generator, n: int, jitter: float) -> Tuple[np.ndarray, np.ndarray]:
+    """n frames' `rng.uniform(-jitter, jitter)` values (zeros for jitter 0) and
+    walking bytes: from 127, each frame's step `rng.integers(-5, 6)`, drawn
+    after its jitter, clamped to [0, 255]."""
+    u, walk, value = np.zeros(n), np.empty(n, np.uint8), 127
+    for rows, draws in _draws(rng, (WORD, 10) if jitter > 0 else (10,), n):
+        if jitter > 0:  # uniform's low + (high - low) * double, double = (word >> 11) * 2**-53
+            u[rows] = -jitter + 2 * jitter * ((draws[:, 0] >> 11) * 2.0**-53)
+        steps = (draws[:, -1].astype(np.int64) - 5).tolist()
+        values = list(accumulate(steps, lambda v, step: max(0, min(255, v + step)), initial=value))
+        walk[rows], value = values[1:], values[-1]
+    return u, walk
+
+
+def _fuzzing(rng: np.random.Generator, count: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids, DLCs and payloads of `count` fuzzing frames, with the values and
+    the generator state of the scalar loop `integers(0, 0x800)`, `integers(0,
+    9)`, `integers(0, 256, size=dlc)` per frame. Each draw reads a 32-bit
+    half-word h, mapped by Lemire's method: an id is h * 0x800 >> 32, a byte
+    h * 256 >> 32, and a DLC h * 9 >> 32 unless h * 9 mod 2**32 < 4, when the
+    next half is drawn. A chase finds the frames that fit in a block of peeked
+    halves; the generator is then set back and moved past just their halves. A
+    block too short for one frame is peeked again twice as long."""
+    arb, dlc = np.empty(count, np.int64), np.empty(count, np.uint8)
+    payload = np.zeros((count, MAX_DLC), np.uint8)
+    bg, done, spare = rng.bit_generator, 0, 1
+    while done < count:
+        want = min(count - done, CHUNK)
+        state = bg.state
+        halves = rng.integers(0, 2**32, size=(MAX_DLC + 2) * (want + spare))  # room for rejections
+        scaled, n = halves * (MAX_DLC + 1), len(halves)
+        # at[q]: the half a DLC drawn from half q on reads, the first one Lemire accepts (n if none)
+        at = np.append(np.where(scaled % 2**32 >= 2**32 % (MAX_DLC + 1), np.arange(n), n), n)
+        at = np.minimum.accumulate(at[::-1])[::-1]
+        # ends[p]: where a frame that starts at half p ends; the chase reads a few of them,
+        # so a memoryview gives those as ints without a list of them all
+        ends = memoryview(at[1:] + 1 + np.append(scaled >> 32, n)[at[1:]])
+        starts, p = [], 0
+        while len(starts) < want and p < n and ends[p] <= n:
+            starts.append(p)
+            p = ends[p]
+        bg.state = state
+        rng.integers(0, 2**32, size=p)  # the halves those frames read, and no more
+        spare = 1 if starts else 2 * spare
+        rows, starts = slice(done, done + len(starts)), np.array(starts, np.int64)
+        dlc_at = at[starts + 1]
+        arb[rows] = halves[starts] * STANDARD_ID_SPACE >> 32
+        dlc[rows] = sizes = scaled[dlc_at] >> 32
+        byte_at = np.minimum(dlc_at[:, None] + 1 + np.arange(MAX_DLC), n - 1)
+        payload[rows] = np.where(np.arange(MAX_DLC) < sizes[:, None], halves[byte_at] * 256 >> 32, 0)
+        done = rows.stop
+    return arb, dlc, payload
+
+
+def _spoofing(rng: np.random.Generator, payload: np.ndarray, mutation) -> None:
+    """Set each row's mutated bytes in order, as `row[index] = rng.integers(lo,
+    hi + 1)` for each (index, lo, hi) of `mutation` would, row by row."""
+    for rows, draws in _draws(rng, tuple(hi - lo for _, lo, hi in mutation), len(payload)):
+        for (index, lo, _), column in zip(mutation, draws.T):  # in order: a repeated index keeps its last draw
+            payload[rows, index] = lo + column
 
 
 def generate_normal(profile: TrafficProfile) -> FrameTable:
@@ -161,10 +240,7 @@ def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
 
     if spec.kind is Label.FUZZING:
         ts = np.sort(rng.uniform(spec.start, end, size=count))
-        for i in range(count):
-            arb[i] = rng.integers(0, STANDARD_ID_SPACE)
-            dlc[i] = n = rng.integers(0, MAX_DLC + 1)
-            payload[i, :n] = rng.integers(0, 256, size=n)
+        arb, dlc, payload = _fuzzing(rng, count)
     elif spec.kind is Label.REPLAY:
         lo, hi = spec.replay_span
         source = table[(lo <= table.timestamp) & (table.timestamp < hi)]
@@ -180,9 +256,7 @@ def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
         dlc[seen] = table.dlc[victim[last[seen]]]
         payload[seen] = table.payload[victim[last[seen]]]
         dlc = np.maximum(dlc, max(index for index, _, _ in spec.mutation) + 1)
-        for row in payload:
-            for index, lo, hi in spec.mutation:
-                row[index] = rng.integers(lo, hi + 1)
+        _spoofing(rng, payload, spec.mutation)
 
     injected = FrameTable(ts, arb, dlc, payload,
                           np.full(len(ts), LABELS.index(spec.kind), np.int8))

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -7,9 +9,13 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import canids
 from canids import ingest, pipeline
@@ -540,6 +546,22 @@ def test_diverged_training_exit_code(synth_log, tmp_path, capsys):
     assert "train-encoder" not in json.loads((work / "manifest.json").read_text())
 
 
+@pytest.mark.parametrize("setting", ["detector_lr=1e300", "detector_lr=1e10", "encoder_lr=1e10"])
+def test_a_parameter_thrown_past_the_bound_is_a_diverged_exit(synth_log, tmp_path, capsys, setting):
+    """A step that throws the weights far out, with a loss that stays finite, ends in
+    exit 4 before any forward outside training: no overflow warning, no checkpoint."""
+    root, log = synth_log
+    cfg = tmp_path / "x.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--set", setting]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    model = setting.split("_")[0]
+    assert f"training diverged: {model} training diverged at epoch 0: a parameter is beyond +-1e+06" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "work" / f"{model}.ckpt").exists()
+
+
 def test_ctrl_c_is_a_typed_exit_and_finished_stages_stay_cached(synth_log, tmp_path):
     root, log = synth_log
     cfg = tmp_path / "c.cfg"
@@ -691,3 +713,73 @@ def test_training_config_error_exits_before_any_stage(synth_log, tmp_path, overr
     assert main(["run", "--config", str(cfg), "--set", f"work_dir={work}",
                  "--set", override]) == EXIT_CONFIG
     assert not work.exists()
+
+
+# The CLI's input contract, fuzzed: a log of the CLI test corpus with one mutation,
+# run with one-epoch trainers and up to two config values from a pool, ends in a
+# typed exit, with no traceback and no RuntimeWarning.
+CELL_VALUES = [
+    "nan", "inf", "-inf", "-1", "1e400", "1e-400", "-0", "é", "٣", "１", "\0", "", "0x", "0x-1",
+    "1_0", "+5", "1" * 20, "F" * 20, " ", '"', "9", "GG", "00 01 02 03 04 05 06 07 08",
+    "1FFFFFFF", "20000000", "0x1FFFFFFF", "0x20000000", "NORMAL", "flooding", "Normal,Normal",
+]
+KEY_POOL = [
+    ("window_size=2",), ("window_size=7",), ("window_size=1000000",), ("window_size=1",),
+    ("sequence_length=1",), ("sequence_length=1000000",), ("byte_mode=normalized",),
+    ("threshold=1e-300",), ("threshold=0.999999",), ("threshold=1",),
+    ("train_ratio=0.9", "val_ratio=0.05", "test_ratio=0.05"), ("train_ratio=0.9",),
+    ("detector_batch=1",), ("detector_batch=1000000",), ("encoder_patience=0",), ("grad_clip=0",),
+    ("entropy_sizes=1",), ("encoder_lr=1e300",), ("encoder_lr=1e10",), ("encoder_lr=1e3",),
+    ("detector_lr=1e300",), ("detector_lr=1e10",), ("detector_lr=1e3",), ("detector_lr=1e-300",),
+]
+TINY_EPOCHS = ("encoder_epochs=1", "encoder_patience=0", "detector_epochs=1", "detector_patience=0")
+
+
+@st.composite
+def mutated_logs(draw, lines):
+    """The log's lines with one mutation: a cut at a byte, a line dropped, doubled or
+    swapped with the next, a header cell renamed, or one cell set to a CELL_VALUES value."""
+    lines = list(lines)
+    kind = draw(st.sampled_from(["cut", "drop", "double", "swap", "header", "cell"]))
+    at = draw(st.integers(1, len(lines) - 2))
+    if kind == "cut":
+        text = "".join(lines)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "drop":
+        del lines[at]
+    elif kind == "double":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    else:
+        row = 0 if kind == "header" else at
+        cells = lines[row].rstrip("\r\n").split(",")
+        column = draw(st.integers(0, len(cells) - 1))
+        cells[column] = cells[column] + "_x" if kind == "header" else draw(st.sampled_from(CELL_VALUES))
+        lines[row] = ",".join(cells) + "\r\n"
+    return "".join(lines)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+def test_a_mutated_log_or_config_value_ends_in_a_typed_exit(synth_log, data):
+    """`run` exits 0, 2, 3 or 4, with no traceback on stderr and no RuntimeWarning; after
+    0, `evaluate` prints summary.txt."""
+    text = data.draw(mutated_logs(synth_log[1].read_bytes().decode().splitlines(keepends=True)))
+    keys = [s for entry in data.draw(st.lists(st.sampled_from(KEY_POOL), max_size=2)) for s in entry]
+    with tempfile.TemporaryDirectory(dir=synth_log[0]) as root:
+        log, work = Path(root) / "traffic.csv", Path(root) / "work"
+        log.write_text(text, encoding="utf-8", newline="")
+        args = ["--config", str(run_cfg(Path(root), log)), "--set", f"work_dir={work}",
+                *(f"--set={s}" for s in (*TINY_EPOCHS, *keys))]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", *args])
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_DIVERGED), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == EXIT_OK:
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(["evaluate", *args]) == EXIT_OK
+                assert out.getvalue() == (work / "summary.txt").read_text()

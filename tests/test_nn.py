@@ -10,7 +10,7 @@ from canids import nn
 from canids.detector import DetectorModel
 from canids.encoder import EncoderModel
 from canids.graph import WindowGraph
-from canids.nn.optim import BETA1, BETA2, EPS
+from canids.nn.optim import BETA1, BETA2, EPS, PARAMETER_BOUND
 from canids.nn.tensor import Parameter, Tensor, seeded_init
 
 from gradcheck import assert_close_gradients, assert_gradients_match, gradients, stack
@@ -273,6 +273,19 @@ class TestGruStack:
                 assert got.data.shape == (length, batch, 64)
                 assert np.array_equal(got.data, want.data), (batch, length)
 
+    def test_a_saturated_gate_is_exactly_0_or_1_without_a_warning(self):
+        """exp(-z) overflows to inf for z < -709.8, and 1 / (1 + inf) is 0, the
+        sigmoid's rounded value: pyproject makes any RuntimeWarning fail this test."""
+        r = np.random.default_rng(3)
+        layers = [gru_params(r, 3, 4, 1.0)]
+        x = np.full((2, 1, 3), 1e6) * np.array([1.0, -1.0])[:, None, None]
+        with nn.no_grad():
+            states = nn.gru_stack(x, layers).data
+        assert np.all(np.isfinite(states))
+        tape = nn.gru_stack(Parameter(x, "x"), layers)
+        assert np.array_equal(tape.data, states)
+        assert nn.sigmoid(Tensor(np.array([-1e6, 0.0, 1e6]))).data.tolist() == [0.0, 0.5, 1.0]
+
     def test_on_a_tape_it_is_the_chained_layers(self):
         """On a tape the stack's states equal a two-layer stack of gru_cell steps bit
         for bit, and its gradients equal theirs to 1e-12 relative and finite differences."""
@@ -482,6 +495,20 @@ class TestFit:
         with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 0$"):
             fit_toy(model, lambda: ((loss, 1) for loss in losses), lambda: (0.0, 0.0))
         assert model.adam_t == 1
+
+    @pytest.mark.parametrize("far", [1e7, -1e300])
+    def test_a_parameter_beyond_the_bound_ends_the_epoch_before_validation(self, far):
+        """An epoch with finite losses that leaves a parameter past PARAMETER_BOUND is
+        divergence: no validation forward runs on it."""
+        model = module(w=-PARAMETER_BOUND)  # a zero gradient: Adam leaves w where it is
+        assert fit_toy(model, lambda: [(constant_loss(model, 1.0), 1)], lambda: (0.0, 0.0),
+                       epochs=1)["epochs_run"] == 1
+        model, validated = module(w=far), []
+        with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 0: a parameter "
+                                                     r"is beyond \+-1e\+06$"):
+            fit_toy(model, lambda: [(constant_loss(model, 1.0), 1)],
+                    lambda: validated.append(1) or (0.0, 0.0))
+        assert not validated
 
 
 class TestModule:

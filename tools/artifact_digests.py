@@ -13,11 +13,15 @@ corpus. A fourth input runs `synth`, `preprocess` and `run` on the criterion-7
 config with its log rewritten in another form parse_log reads ("0x" ids,
 comma-separated payloads); every file of its work dir but the manifest, which
 hashes the log, must equal the criterion-7 input's, or the script exits 1.
+A fifth input runs `synth` on each of the 25 held-out captures that every
+`score` set-up of perfbench writes for seed 1, with an attack near the end of
+each odd capture, their configs built from perfbench/workloads.py's constants.
 Each input runs in its own directory under --out, removed first; --out
 defaults to one fixed path, since paths are written into the work dir: both
 trees must run with the same --out. BLAS runs on one
 thread, as in perfbench. Each output line is `<input> <command> exit=<code>
-stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves.
+stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves;
+the captures input gives one `synth` line and one log line per capture.
 """
 from __future__ import annotations
 
@@ -39,7 +43,8 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REWRITTEN = "criterion7-rewritten"
-INPUTS = ("criterion7", "fit", "acceptance", REWRITTEN)
+CAPTURES = "captures"
+INPUTS = ("criterion7", "fit", "acceptance", REWRITTEN, CAPTURES)
 COMMANDS = ("synth", "preprocess", "run", "rerun", "entropy", "evaluate")
 
 
@@ -60,6 +65,19 @@ def config_text(name: str, out_dir: Path) -> str:
     return head + f"synth_output = {log}\ninput_log = {source}\nwork_dir = {work}\n"
 
 
+def capture_text(index: int, log: Path) -> str:
+    """The config of `score`'s capture `index` for seed 1, as Score.setup writes it."""
+    import workloads
+
+    text = (f"{workloads.ECUS}{workloads.PIPELINE}synth_duration = {workloads.CAPTURE_SECONDS}\n"
+            f"synth_seed = {workloads.capture_seed(1, index)}\n"
+            f"synth_output = {log}\ninput_log = {log}\n")
+    if index % 2:
+        attacks = workloads.CAPTURE_ATTACKS
+        text += f"attack1 = {attacks[(index // 2) % len(attacks)]}\n"
+    return text
+
+
 def rewrite_log(source: Path, target: Path) -> None:
     """Write the log `source` again with "0x" ids and comma-separated, so quoted, payloads."""
     with source.open(newline="") as fh:
@@ -73,17 +91,42 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_lines(name: str, out_dir: Path) -> list:
+def run_cli(command: str, config: Path):
+    """(exit code, sha256 of stdout) of one canids command."""
     from canids import cli
 
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main([command, "--config", str(config)])
+    return code, sha256(stdout.getvalue().encode())
+
+
+def capture_lines(out_dir: Path) -> list:
+    """`synth` on each `score` capture: its exit code and stdout, and its log's sha256."""
+    import workloads
+
+    lines = []
+    for index in range(workloads.CAPTURES):
+        capture = out_dir / f"capture{index:02d}"
+        capture.mkdir(parents=True)
+        config, log = capture / "capture.cfg", capture / "capture.csv"
+        config.write_text(capture_text(index, log))
+        code, stdout = run_cli("synth", config)
+        lines.append(f"{CAPTURES} {capture.name}/synth exit={code} stdout={stdout}")
+        digest = sha256(log.read_bytes()) if log.exists() else "missing"
+        lines.append(f"{CAPTURES} {log.relative_to(out_dir)} {digest}")
+    return lines
+
+
+def digest_lines(name: str, out_dir: Path) -> list:
+    if name == CAPTURES:
+        return capture_lines(out_dir)
     out_dir.mkdir(parents=True)
     config = out_dir / "input.cfg"
     config.write_text(config_text(name, out_dir))
     lines = []
     for command in COMMANDS[:3] if name == REWRITTEN else COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            code = cli.main(["run" if command == "rerun" else command, "--config", str(config)])
-        lines.append(f"{name} {command} exit={code} stdout={sha256(stdout.getvalue().encode())}")
+        code, stdout = run_cli("run" if command == "rerun" else command, config)
+        lines.append(f"{name} {command} exit={code} stdout={stdout}")
         if name == REWRITTEN and command == "synth":
             rewrite_log(out_dir / "traffic.csv", out_dir / "rewritten.csv")
     lines += [f"{name} {path.relative_to(out_dir)} {sha256(path.read_bytes())}"
