@@ -40,8 +40,8 @@ def load_config(args) -> PipelineConfig:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    """Print the summary table recomputed from a report that is current for the config."""
-    report = pipeline.current_report(cfg)
+    """Print the summary table of the report that `run`'s stage walk, read-only, finds current."""
+    report, _ = pipeline.run_pipeline(cfg, read_only=True)
     print(summary_table(report, cfg.window_size, cfg.sequence_length))
 
 

@@ -42,5 +42,6 @@ class Module:
     def save(self, path) -> None:
         nn.save_checkpoint(self.parameters(), path)
 
-    def load(self, path) -> None:
+    def load(self, path) -> Module:
         nn.restore_parameters(self.parameters(), path)
+        return self

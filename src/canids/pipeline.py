@@ -1,10 +1,10 @@
 """Stage orchestration: wiring ingest -> graph -> encoder -> detector -> analysis.
 
-Every stage in `STAGES` runs through `_stage`. On a miss it writes its artifacts into
-the work dir (each through a temp file and a rename) and records its input hash and
-the sha256 of every file it writes in manifest.json. A rerun skips it only when that
-hash matches and those files keep their digests, so stale or truncated artifacts are
-rebuilt. Hit or miss, a later stage reads the stage's product from those files.
+Every stage in `STAGES` runs through `_stage`. A miss writes the stage's files (each
+through a temp file and a rename) and records in manifest.json their sha256 and its
+input hash, which covers the recorded sha256 of what it reads; a stale or truncated
+file is a miss. A later stage reads the product from those files, and `evaluate`
+walks the same chain read-only, raising where `run` would rebuild.
 """
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ log = logging.getLogger(__name__)
 
 SPLITS = ("train", "val", "test")
 
-# A stage's digest covers its config `keys`, its `upstream` stages' digests and, for
-# `preprocess`, the log's bytes. The manifest records the sha256 of its `outputs`,
-# which are every file the stage writes.
-Stage = namedtuple("Stage", "keys upstream outputs", defaults=((),))
+# A stage's digest covers its config `keys`, its code `version` (bump it when the code
+# changes the bytes it writes), the manifest entries of its `upstream` (the files it reads
+# or the `preprocess` digest) and, for `preprocess`, the log's bytes. `outputs` are its files.
+Stage = namedtuple("Stage", "keys upstream outputs version", defaults=((), 1))
 
 # Every stage in run order; `windows` is the dump only `canids preprocess` writes.
 STAGES = {
@@ -42,21 +42,37 @@ STAGES = {
     "train-encoder": Stage(("byte_mode", "encoder_epochs", "encoder_lr", "encoder_patience",
                             "encoder_seed", "grad_clip"), ("preprocess",),
                            ("encoder.ckpt", "encoder_log.csv")),
-    "embed": Stage(("byte_mode",), ("train-encoder",),
+    "embed": Stage(("byte_mode",), ("preprocess", "encoder.ckpt"),
                    tuple(f"embeddings_{s}.csv" for s in SPLITS)),
     "train-detector": Stage(("sequence_length", "detector_epochs", "detector_lr",
-                             "detector_batch", "detector_patience", "detector_seed",
-                             "grad_clip"), ("embed",), ("detector.ckpt", "detector_log.csv")),
-    "detect": Stage(("sequence_length", "threshold"), ("train-detector",),
+                             "detector_batch", "detector_patience", "detector_seed", "grad_clip"),
+                            ("embeddings_train.csv", "embeddings_val.csv"),
+                            ("detector.ckpt", "detector_log.csv")),
+    "detect": Stage(("sequence_length", "threshold"), ("embeddings_test.csv", "detector.ckpt"),
                     tuple(f"detect_{v}.csv" for v in VIEWS) + ("summary.txt",)),
 }
 
 
+def file_sha256(path) -> str:
+    """The file's sha256, read in chunks rather than held whole."""
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
+def log_path(config: PipelineConfig) -> Path:
+    """The input log, which must exist."""
+    if not Path(config.input_log).is_file():
+        raise FileNotFoundError(f"input log not found: {config.input_log!r}")
+    return Path(config.input_log)
+
+
 class Workspace:
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, read_only: bool = False):
         self.config = config
-        self.dir = Path(config.work_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
+        self.dir, self.read_only = Path(config.work_dir), read_only
+        if read_only and not self.dir.is_dir():
+            raise FileNotFoundError(f"missing {self.dir}; run detect first")
+        self.dir.mkdir(parents=True, exist_ok=True)  # a read-only dir exists already
         self.manifest_path = self.dir / "manifest.json"
         self.manifest = self._read_manifest()
 
@@ -83,18 +99,15 @@ class Workspace:
     def stage_hash(self, stage: str) -> str:
         spec = STAGES[stage]
         blob = {k: self.config.values[k] for k in spec.keys}
+        blob["_version"] = spec.version
         blob["_upstream"] = [self.manifest.get(u, "") for u in spec.upstream]
         if stage == "preprocess":
-            p = Path(self.config.input_log)
-            blob["_input"] = hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else ""
+            blob["_input"] = file_sha256(log_path(self.config))
         return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
-
-    def _sha256(self, name: str) -> str:
-        return hashlib.sha256(self.path(name).read_bytes()).hexdigest()
 
     def intact(self, name: str) -> bool:
         """Whether the output file exists and still has the sha256 recorded by `mark`."""
-        return self.path(name).exists() and self.manifest.get(name) == self._sha256(name)
+        return self.path(name).exists() and self.manifest.get(name) == file_sha256(self.path(name))
 
     def fresh(self, stage: str, digest: str, outputs=()) -> bool:
         """Whether the stage ran on these inputs and its outputs are intact."""
@@ -103,14 +116,9 @@ class Workspace:
     def mark(self, stage: str, digest: str, outputs=()) -> None:
         """Record the stage's input hash and each output file's sha256."""
         self.manifest[stage] = digest
-        self.manifest.update({o: self._sha256(o) for o in outputs})
+        self.manifest.update({o: file_sha256(self.path(o)) for o in outputs})
         text = json.dumps(self.manifest, indent=1, sort_keys=True)
         nn.write_atomic(self.manifest_path, text.encode())
-
-    def check(self, stage: str):
-        """(digest, hit): the stage's digest for this config, and whether it is fresh."""
-        digest = self.stage_hash(stage)
-        return digest, self.fresh(stage, digest, STAGES[stage].outputs)
 
 
 def run_synth(config: PipelineConfig) -> Path:
@@ -134,9 +142,7 @@ def run_synth(config: PipelineConfig) -> Path:
 
 def load_frames(config: PipelineConfig) -> FrameTable:
     """Parse the input log into one frame table."""
-    if not Path(config.input_log).is_file():
-        raise FileNotFoundError(f"input log not found: {config.input_log!r}")
-    table = ingest.parse_log(config.input_log)
+    table = ingest.parse_log(log_path(config))
     if not len(table):
         raise ValueError(f"input log {config.input_log} is empty")
     return table
@@ -150,20 +156,26 @@ def prepare_splits(config: PipelineConfig):
 
 
 def _stage(ws: Workspace, stage: str, write, read):
-    """The one cache rule. On a miss, `write()` writes the stage's outputs, which are
-    then marked; hit or miss, the product is `read()` of those outputs, run once on
-    the first call, so a later stage reads what this one recorded."""
-    digest, hit = ws.check(stage)
-    if not hit:
+    """The one cache rule. On a miss, `write()` writes the stage's outputs, which are then
+    marked (a read-only `ws` raises instead); hit or miss, the product is `read()` of those
+    outputs, run once on the first call, so a later stage reads what this one recorded."""
+    outputs = STAGES[stage].outputs
+    digest = ws.stage_hash(stage)
+    if not ws.fresh(stage, digest, outputs):
+        if ws.read_only:
+            broken = [o for o in outputs if not ws.intact(o)] if ws.manifest.get(stage) == digest else []
+            raise ValueError(f"{ws.path(broken[0])} is missing or does not match its sha256 in "
+                             f"manifest.json; rerun {stage}" if broken else
+                             f"stage {stage} is out of date for this config; rerun detect")
         write()
-        ws.mark(stage, digest, STAGES[stage].outputs)
+        ws.mark(stage, digest, outputs)
     return functools.cache(read)
 
 
 def stage_preprocess(ws: Workspace):
     """The splits, made only if a later stage misses. The digest covers the log's bytes
-    and the window and split keys; it does not validate the log, which is parsed (and
-    rejected if missing or empty) only when a stage needs frames."""
+    (a missing log is rejected here) and the window and split keys; the log is parsed,
+    and rejected if empty or malformed, only when a stage needs frames."""
     return _stage(ws, "preprocess", lambda: None, lambda: prepare_splits(ws.config))
 
 
@@ -172,10 +184,10 @@ def _graphs_for(split_windows, config: PipelineConfig):
     return [build_graph(w, mode) for w in split_windows]
 
 
-def _train_stage(ws: Workspace, stage: str, model, train):
+def _train_stage(ws: Workspace, stage: str, new_model, train):
     """On a miss, save the (model, record) that `train()` returns as the stage's two
     outputs, the checkpoint and its per-epoch history. The model handed on is that
-    checkpoint loaded into `model`, once and only if a later stage misses."""
+    checkpoint loaded into `new_model()`, once and only if a later stage misses."""
     ckpt, history = map(ws.path, STAGES[stage].outputs)
 
     def write():
@@ -185,16 +197,14 @@ def _train_stage(ws: Workspace, stage: str, model, train):
         text = ",".join(rows[0]) + "\n" + "".join(",".join(map(repr, r.values())) + "\n" for r in rows)
         nn.write_atomic(history, text.encode())
 
-    return _stage(ws, stage, write, lambda: model.load(ckpt) or model)
+    return _stage(ws, stage, write, lambda: new_model().load(ckpt))
 
 
 def stage_train_encoder(ws: Workspace, splits):
     cfg = ws.config
-
-    def train():
-        return train_encoder(_graphs_for([w for w in splits()["train"] if w.label == 0], cfg), cfg)
-
-    return _train_stage(ws, "train-encoder", EncoderModel(seed=cfg.encoder_seed), train)
+    return _train_stage(ws, "train-encoder", functools.partial(EncoderModel, seed=cfg.encoder_seed),
+                        lambda: train_encoder(_graphs_for(
+                            [w for w in splits()["train"] if w.label == 0], cfg), cfg))
 
 
 def stage_embed(ws: Workspace, splits, model):
@@ -210,13 +220,13 @@ def stage_embed(ws: Workspace, splits, model):
 
 def stage_train_detector(ws: Workspace, embeddings):
     cfg = ws.config
-    model = DetectorModel(seed=cfg.detector_seed)
+    new_model = functools.partial(DetectorModel, seed=cfg.detector_seed)
 
     def train():
         seqs = [make_sequences(embeddings()[s], cfg.sequence_length) for s in ("train", "val")]
-        return train_detector(model, *seqs, cfg)
+        return train_detector(new_model(), *seqs, cfg)
 
-    return _train_stage(ws, "train-detector", model, train)
+    return _train_stage(ws, "train-detector", new_model, train)
 
 
 def stage_detect(ws: Workspace, embeddings, model):
@@ -231,27 +241,6 @@ def stage_detect(ws: Workspace, embeddings, model):
     return _stage(ws, "detect", write, lambda: read_report_csvs(ws.dir, cfg.threshold))()
 
 
-def current_report(config: PipelineConfig):
-    """The recorded report, read once every stage but `windows` is fresh for
-    `config`, the log's digest included. Otherwise raises, naming the first stage
-    that is not fresh, or its output that fails its sha256. Writes nothing."""
-    if not Path(config.work_dir).is_dir():
-        raise FileNotFoundError(f"missing {config.work_dir}; run detect first")
-    ws = Workspace(config)
-    for stage, spec in STAGES.items():
-        if stage == "windows":
-            continue
-        digest, hit = ws.check(stage)
-        if hit:
-            continue
-        broken = [o for o in spec.outputs if not ws.intact(o)]
-        if broken and ws.manifest.get(stage) == digest:
-            raise ValueError(f"{ws.path(broken[0])} is missing or does not match its sha256 "
-                             f"in manifest.json; rerun {stage}")
-        raise ValueError(f"stage {stage} is out of date for this config; rerun detect")
-    return read_report_csvs(ws.dir, config.threshold)
-
-
 def run_entropy(config: PipelineConfig) -> Path:
     frames = load_frames(config)
     stats = analysis.entropy_sweep(frames, config.entropy_sizes)
@@ -264,10 +253,11 @@ def run_entropy(config: PipelineConfig) -> Path:
     return path
 
 
-def run_pipeline(config: PipelineConfig, through: str = "detect"):
+def run_pipeline(config: PipelineConfig, through: str = "detect", read_only: bool = False):
     """Run the stages in order through the stage command `through` (`preprocess` also
-    writes the windowed splits); returns (DetectionReport or None, Workspace)."""
-    ws = Workspace(config)
+    writes the windowed splits); returns (DetectionReport or None, Workspace). With
+    `read_only`, the first stage that is not fresh raises, and nothing is written."""
+    ws = Workspace(config, read_only)
     splits = stage_preprocess(ws)
     if through == "preprocess":
         def write():

@@ -678,6 +678,22 @@ def test_evaluate_on_a_missing_work_dir_creates_nothing(synth_log, tmp_path, cap
     assert [p.name for p in tmp_path.iterdir()] == ["m.cfg"]
 
 
+def test_evaluate_names_a_missing_input_log(synth_log, tmp_path, capsys):
+    _, log = synth_log
+    copy = tmp_path / "traffic.csv"
+    copy.write_bytes(log.read_bytes())
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text(PIPELINE_KEYS + f"input_log = {copy}\nwork_dir = {tmp_path / 'work'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    copy.rename(tmp_path / "moved.csv")
+    files = {p.name: p.read_bytes() for p in (tmp_path / "work").iterdir()}
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(cfg)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"evaluate failed: input log not found: {str(copy)!r}\n"
+    assert {p.name: p.read_bytes() for p in (tmp_path / "work").iterdir()} == files
+
+
 @pytest.mark.parametrize("command, chain", [
     ("preprocess", ["preprocess", "windows"]),
     ("train-encoder", ["preprocess", "train-encoder"]),

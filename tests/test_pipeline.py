@@ -4,6 +4,7 @@ import hashlib
 import io
 import logging
 import shutil
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -208,6 +209,20 @@ def finished_run(tmp_path_factory):
                            files={p.name: p.read_bytes() for p in work.iterdir()})
 
 
+def restore(finished_run) -> Path:
+    """The finished run's work dir, every file back to its bytes and no other file."""
+    work = finished_run.work
+    shutil.rmtree(work)
+    work.mkdir()
+    for name, blob in finished_run.files.items():
+        (work / name).write_bytes(blob)
+    return work
+
+
+def files_of(work: Path) -> dict:
+    return {p.name: p.read_bytes() for p in work.iterdir()}
+
+
 STAGE_OF = {name: stage for stage, spec in pipeline.STAGES.items() for name in spec.outputs}
 OTHER_SEED = "detector.ckpt of detector_seed 1"
 
@@ -219,11 +234,7 @@ def test_a_changed_stage_output_is_rebuilt_and_never_reused(finished_run, change
     """One byte of a stage output changed, or another seed's detector.ckpt copied in: the
     next command through that stage rebuilds it to the finished run's bytes, every other
     file unchanged, or exits 3."""
-    work = finished_run.work
-    shutil.rmtree(work)
-    work.mkdir()
-    for name, blob in finished_run.files.items():
-        (work / name).write_bytes(blob)
+    work = restore(finished_run)
     if change == OTHER_SEED:
         shutil.copyfile(finished_run.other_ckpt, work / "detector.ckpt")
     else:
@@ -236,6 +247,116 @@ def test_a_changed_stage_output_is_rebuilt_and_never_reused(finished_run, change
     assert code in (0, 3)
     if code == 0:
         assert {p.name: p.read_bytes() for p in work.iterdir()} == finished_run.files
+
+
+def record_marks(monkeypatch) -> list:
+    """The stages that run from now on, in order: each marks its outputs once."""
+    marked, mark = [], pipeline.Workspace.mark
+    monkeypatch.setattr(pipeline.Workspace, "mark",
+                        lambda ws, stage, *args: marked.append(stage) or mark(ws, stage, *args))
+    return marked
+
+
+def fresh_work(finished_run, tmp_path) -> dict:
+    """The files of a fresh `preprocess` and `run` of the finished run's config in a new
+    work dir."""
+    cfg = PipelineConfig.from_file(finished_run.config, [f"work_dir={tmp_path / 'fresh'}"])
+    pipeline.run_pipeline(cfg, through="preprocess")
+    _, ws = pipeline.run_pipeline(cfg)
+    return files_of(ws.dir)
+
+
+@pytest.mark.parametrize("rerun", ["an output deleted", "a version bump"])
+def test_embeddings_rebuilt_with_other_bytes_rerun_the_stages_that_read_them(
+        finished_run, tmp_path, monkeypatch, rerun):
+    """`embed` reruns with a writer that rounds to 2 decimals. `train-detector` and
+    `detect` chain on the sha256 recorded for the embeddings they read, so every later
+    artifact is what a fresh run of that code writes."""
+    work = restore(finished_run)
+    write = pipeline.write_embeddings_csv
+    monkeypatch.setattr(pipeline, "write_embeddings_csv", lambda embeddings, path: write(
+        [dataclasses.replace(e, vector=np.round(e.vector, 2)) for e in embeddings], path))
+    if rerun == "a version bump":
+        monkeypatch.setitem(pipeline.STAGES, "embed", pipeline.STAGES["embed"]._replace(version=2))
+    else:
+        (work / "embeddings_test.csv").unlink()
+    marked = record_marks(monkeypatch)
+    pipeline.run_pipeline(PipelineConfig.from_file(finished_run.config))
+    assert marked == ["embed", "train-detector", "detect"]
+    assert files_of(work) == fresh_work(finished_run, tmp_path)
+    assert files_of(work)["detector.ckpt"] != finished_run.files["detector.ckpt"]
+
+
+@pytest.mark.parametrize("stage", [s for s, spec in pipeline.STAGES.items() if spec.outputs])
+def test_a_version_bump_that_keeps_the_bytes_reruns_only_its_stage(finished_run, monkeypatch, stage):
+    """Early cutoff: the stage reruns, and the stages after it, whose inputs kept their
+    sha256, stay hits."""
+    work = restore(finished_run)
+    monkeypatch.setitem(pipeline.STAGES, stage, pipeline.STAGES[stage]._replace(version=2))
+    marked = record_marks(monkeypatch)
+    command = "preprocess" if stage == "windows" else "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, "--config", finished_run.config]) == 0
+    assert marked == [stage]
+    after = files_of(work)
+    assert after.pop("manifest.json") != finished_run.files["manifest.json"]
+    assert after == {n: b for n, b in finished_run.files.items() if n != "manifest.json"}
+
+
+# Overrides for a finished run: each touches one or more stages' keys, or none.
+SETTINGS = [("window_size=25",), ("train_ratio=0.5", "val_ratio=0.3"), ("byte_mode=normalized",),
+            ("encoder_lr=0.002",), ("encoder_seed=3",), ("detector_batch=16",),
+            ("detector_seed=2",), ("sequence_length=4",), ("threshold=0.3",), ("threshold=0.5",),
+            ("synth_seed=9",), ("entropy_sizes=5",)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_evaluate_passes_exactly_when_run_would_change_nothing(finished_run, data):
+    """`evaluate` exits 0 exactly when the next `run` with the same overrides leaves every
+    file of the work dir as it is; either way it writes nothing."""
+    work = restore(finished_run)
+    log = Path(PipelineConfig.from_file(finished_run.config).input_log)
+    text = log.read_bytes()
+    kind = data.draw(st.sampled_from(["set", "flip", "delete", "drop last line"]))
+    overrides = []
+    if kind == "set":
+        overrides = [f"--set={s}" for s in data.draw(st.sampled_from(SETTINGS))]
+    elif kind == "drop last line":
+        log.write_bytes(b"".join(text.splitlines(keepends=True)[:-1]))
+    else:
+        path = work / data.draw(st.sampled_from(sorted(STAGE_OF)))
+        if kind == "delete":
+            path.unlink()
+        else:
+            blob = bytearray(path.read_bytes())
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+            path.write_bytes(blob)
+    before = files_of(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["evaluate", "--config", finished_run.config, *overrides])
+            assert code in (0, 3)
+            assert files_of(work) == before
+            assert cli.main(["run", "--config", finished_run.config, *overrides]) == 0
+        assert (code == 0) == (files_of(work) == before)
+    finally:
+        log.write_bytes(text)
+
+
+def test_a_file_is_hashed_in_chunks(tmp_path):
+    """Hashing a 50 MB file holds under 1 MB, not the whole file."""
+    path = tmp_path / "big.bin"
+    with path.open("wb") as fh:
+        fh.truncate(50 * 2**20)
+    tracemalloc.start()
+    try:
+        digest = pipeline.file_sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert digest == hashlib.sha256(bytes(50 * 2**20)).hexdigest()
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not an object"])
@@ -278,15 +399,17 @@ def test_manifest_records_output_digests(tmp_path):
     assert not ws.fresh("stage", "h", ["out.csv"])
 
 
-# Digests of every stage for the config and log below, each chained on the one
-# before. Any change to how a digest is formed invalidates every cached work dir.
+# Digests of every stage for the config and log below, each chained on the manifest
+# entries of what it reads: the `preprocess` digest or the fixed sha256s recorded for
+# the upstream outputs. Any change to how a digest is formed invalidates every cached
+# work dir.
 PINNED_DIGESTS = {
-    "preprocess": "5ad302e75819166b11a42aec3f69cdcaaee934ad8ab73f8b624d27106af04cc9",
-    "windows": "d96a84736d91e3348f9e57d7c84c5b7db2f70f960e608c7e3365ed8c4eed6172",
-    "train-encoder": "0978b5c325bd67f2889ec78349b99a0ed5ebf303f46f9c0b6bfee0eb80dc9771",
-    "embed": "1a30e1f1c2f0543a8bebb24f2ecb519440d8785cf2aca19c4c22b14b33d77094",
-    "train-detector": "aa751f511dadae535079b05d18947d57d9cb5b45be1ea5565a22fac5895a7d1e",
-    "detect": "86e2720ee04b828e8460f170168a952ddb543c457b00d8391fa9c3f89afe4857",
+    "preprocess": "41f076eae2ae51711bf17fa10d86e54907c5033b96d0a0fb78f0a80ee44b11ad",
+    "windows": "ddd335f550da49170ce8941c9de9e443ec77109ccfb2048f871ce17c9ad9c8ef",
+    "train-encoder": "2f83b70c7ec87842afb901055310f62d3d596f5038328f66a236f7d200d72887",
+    "embed": "2f97fe79503cdc0579b982ef362ba6ee6f49c3a402ce6c29fb262b3f26e5c0ba",
+    "train-detector": "4b725410aa16d9ac9a691d8fcee77a44041cafb35080d8a7f4a519008d7be9bb",
+    "detect": "ad0d74ce1e07f8d0fc4f23c871b1885ac378537b1c21de9e95e8e3e299a3952f",
 }
 
 
@@ -301,6 +424,8 @@ def test_stage_digests_are_pinned(tmp_path, monkeypatch):
     cfg.set("input_log", "traffic.csv")
     cfg.set("work_dir", "work")
     ws = pipeline.Workspace(cfg)
+    ws.manifest = {o: hashlib.sha256(o.encode()).hexdigest()
+                   for spec in pipeline.STAGES.values() for o in spec.outputs}
     for stage in pipeline.STAGES:
         ws.manifest[stage] = ws.stage_hash(stage)
     assert {s: ws.manifest[s] for s in pipeline.STAGES} == PINNED_DIGESTS

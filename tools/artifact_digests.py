@@ -12,7 +12,9 @@ tests/test_acceptance.py, perfbench's `fit` corpus (seed 1) and the acceptance
 corpus. A fourth input runs `synth`, `preprocess` and `run` on the criterion-7
 config with its log rewritten in another form parse_log reads ("0x" ids,
 comma-separated payloads); every file of its work dir but the manifest, which
-hashes the log, must equal the criterion-7 input's, or the script exits 1.
+hashes the log, and every output sha256 the manifest records must equal the
+criterion-7 input's, or the script exits 1. Its stage digests, which chain on
+the log's bytes, are not compared.
 A fifth input runs `synth` on each of the 25 held-out captures that every
 `score` set-up of perfbench writes for seed 1, with an attack near the end of
 each odd capture, their configs built from perfbench/workloads.py's constants.
@@ -20,8 +22,11 @@ Each input runs in its own directory under --out, removed first; --out
 defaults to one fixed path, since paths are written into the work dir: both
 trees must run with the same --out. BLAS runs on one
 thread, as in perfbench. Each output line is `<input> <command> exit=<code>
-stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves;
-the captures input gives one `synth` line and one log line per capture.
+stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves,
+or `<input> work/manifest.json:<key> <value>`, for every entry of the manifest,
+so a change to how stage digests are formed shows as changed stage-digest lines
+while every recorded output sha256 stays equal; the captures input gives one
+`synth` line and one log line per capture.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ import contextlib  # noqa: E402
 import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import shutil  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -131,7 +137,8 @@ def digest_lines(name: str, out_dir: Path) -> list:
             rewrite_log(out_dir / "traffic.csv", out_dir / "rewritten.csv")
     lines += [f"{name} {path.relative_to(out_dir)} {sha256(path.read_bytes())}"
               for path in sorted(out_dir.rglob("*")) if path.is_file()]
-    return lines
+    manifest = json.loads((out_dir / "work" / "manifest.json").read_text())
+    return lines + [f"{name} work/manifest.json:{key} {value}" for key, value in sorted(manifest.items())]
 
 
 def main(argv=None) -> int:
@@ -148,7 +155,10 @@ def main(argv=None) -> int:
             print(line, flush=True)
             if len(parts := line.split(" ")) == 3:
                 files.setdefault(name, {})[parts[1]] = parts[2]
-    compared = [path for path in files[REWRITTEN] if path.startswith("work/") and path != "work/manifest.json"]
+    from canids.pipeline import STAGES
+
+    stage_digests = {f"work/manifest.json:{stage}" for stage in STAGES} | {"work/manifest.json"}
+    compared = [path for path in files[REWRITTEN] if path.startswith("work/") and path not in stage_digests]
     differ = [path for path in compared if files[REWRITTEN][path] != files["criterion7"].get(path)]
     if differ or not compared:
         print(f"{REWRITTEN}: {differ or 'no work dir files'} differ from criterion7's", file=sys.stderr)
