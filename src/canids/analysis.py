@@ -1,7 +1,6 @@
 """Shannon-entropy window-size analysis and binary classification metrics."""
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -88,10 +87,8 @@ def entropy_sweep(table, sizes) -> list:
 
 
 def write_entropy_csv(stats, path) -> None:
-    with nn.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_size", "mean", "median", "min", "max", "std", "growth_rate"])
-        w.writerows(map(astuple, stats))
+    nn.write_csv(path, ["window_size", "mean", "median", "min", "max", "std", "growth_rate"],
+                 map(astuple, stats))
 
 
 def auc_score(scores, labels) -> Optional[float]:

@@ -8,7 +8,6 @@ import sys
 from . import pipeline
 from .analysis import compute_metrics  # noqa: F401 -- perfbench's tracer patches it here
 from .config import ConfigError, PipelineConfig
-from .detector import summary_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,9 +39,9 @@ def load_config(args) -> PipelineConfig:
 
 
 def cmd_evaluate(cfg: PipelineConfig) -> None:
-    """Print the summary table of the report that `run`'s stage walk, read-only, finds current."""
-    report, _ = pipeline.run_pipeline(cfg, read_only=True)
-    print(summary_table(report, cfg.window_size, cfg.sequence_length))
+    """Print summary.txt once `run`'s stage walk, read-only, finds every stage current."""
+    _, ws = pipeline.run_pipeline(cfg, read_only=True)
+    print(ws.path("summary.txt").read_text(), end="")
 
 
 def dispatch(command: str, cfg: PipelineConfig) -> None:

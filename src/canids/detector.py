@@ -13,7 +13,6 @@ nothing else; inference runs it once over all timesteps.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -169,23 +168,16 @@ def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5
 
 
 def write_report_csvs(report: DetectionReport, out_dir) -> None:
-    out_dir = Path(out_dir)
     for view in VIEWS:
-        with nn.atomic_path(out_dir / f"detect_{view}.csv") as tmp, tmp.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            unit = "start_index" if view == "sequence" else "window_index"
-            w.writerow([unit, "probability", "decision", "label"])
-            w.writerows(report.view_rows(view))
+        unit = "start_index" if view == "sequence" else "window_index"
+        nn.write_csv(Path(out_dir) / f"detect_{view}.csv", [unit, "probability", "decision", "label"],
+                     report.view_rows(view))
 
 
 def read_report_csvs(out_dir, threshold: float) -> DetectionReport:
     """The report write_report_csvs wrote, rows bit for bit, metrics recomputed from them."""
-    rows = []
-    for view in VIEWS:
-        with (Path(out_dir) / f"detect_{view}.csv").open(newline="") as fh:
-            reader = csv.reader(fh)
-            next(reader)  # header
-            rows.append([(int(r[0]), float(r[1]), int(r[2]), int(r[3])) for r in reader])
+    paths = (Path(out_dir) / f"detect_{view}.csv" for view in VIEWS)
+    rows = [[(int(i), p, int(d), int(y)) for i, p, d, y in nn.read_csv(f).tolist()] for f in paths]
     return DetectionReport.from_rows(threshold, *rows)
 
 

@@ -5,9 +5,7 @@ then embeds arbitrary graphs into 1x32 vectors via global mean pooling.
 """
 from __future__ import annotations
 
-import csv
 import logging
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,15 +106,11 @@ def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:
 
 def write_embeddings_csv(embeddings, path) -> None:
     """Embedding export: one row per window (window_index, label, 32 values)."""
-    with nn.atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["window_index", "label"] + [f"e{i}" for i in range(EMBED_DIM)])
-        w.writerows([e.window_index, e.label, *e.vector.tolist()] for e in embeddings)
+    nn.write_csv(path, ["window_index", "label"] + [f"e{i}" for i in range(EMBED_DIM)],
+                 ([e.window_index, e.label, *e.vector.tolist()] for e in embeddings))
 
 
 def read_embeddings_csv(path) -> list:
     """The embeddings that write_embeddings_csv wrote, values bit for bit."""
-    with warnings.catch_warnings():  # a split with no windows leaves only the header
-        warnings.simplefilter("ignore", UserWarning)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return [GraphEmbedding(vector=r[2:], window_index=int(r[0]), label=int(r[1])) for r in rows]
+    return [GraphEmbedding(vector=r[2:], window_index=int(r[0]), label=int(r[1]))
+            for r in nn.read_csv(path)]

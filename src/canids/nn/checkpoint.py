@@ -1,4 +1,4 @@
-"""Binary model checkpoints: versioned header + per-parameter records.
+"""Binary model checkpoints (versioned header + per-parameter records), atomic writes, csv tables.
 
 Record layout (little-endian): u32 name length, utf-8 name, u32 rank,
 u32 dims..., then raw float64 data. Round trips are bit exact.
@@ -6,9 +6,11 @@ u32 dims..., then raw float64 data. Round trips are bit exact.
 from __future__ import annotations
 
 import contextlib
+import csv
 import math
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,19 @@ def atomic_path(path):
 def write_atomic(path, data: bytes) -> None:
     with atomic_path(path) as tmp:
         tmp.write_bytes(data)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header` and `rows` as csv.writer does, through atomic_path."""
+    with atomic_path(path) as tmp, tmp.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def read_csv(path) -> np.ndarray:
+    """The float64 matrix below a numeric table's header, bit for bit; no rows below a bare header."""
+    with warnings.catch_warnings():  # np.loadtxt warns on a file with no rows
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def save_checkpoint(params, path) -> None:

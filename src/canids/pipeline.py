@@ -36,18 +36,17 @@ Stage = namedtuple("Stage", "keys upstream outputs version", defaults=((), 1))
 
 # Every stage in run order; `windows` is the dump only `canids preprocess` writes.
 STAGES = {
-    "preprocess": Stage(("input_log", "window_size", "train_ratio", "val_ratio",
-                         "test_ratio"), ()),
+    "preprocess": Stage(("window_size", "train_ratio", "val_ratio", "test_ratio"), ()),
     "windows": Stage((), ("preprocess",), tuple(f"windows_{s}.csv" for s in SPLITS)),
     "train-encoder": Stage(("byte_mode", "encoder_epochs", "encoder_lr", "encoder_patience",
                             "encoder_seed", "grad_clip"), ("preprocess",),
-                           ("encoder.ckpt", "encoder_log.csv")),
+                           ("encoder.ckpt", "encoder_log.csv"), 2),
     "embed": Stage(("byte_mode",), ("preprocess", "encoder.ckpt"),
                    tuple(f"embeddings_{s}.csv" for s in SPLITS)),
     "train-detector": Stage(("sequence_length", "detector_epochs", "detector_lr",
                              "detector_batch", "detector_patience", "detector_seed", "grad_clip"),
                             ("embeddings_train.csv", "embeddings_val.csv"),
-                            ("detector.ckpt", "detector_log.csv")),
+                            ("detector.ckpt", "detector_log.csv"), 2),
     "detect": Stage(("sequence_length", "threshold"), ("embeddings_test.csv", "detector.ckpt"),
                     tuple(f"detect_{v}.csv" for v in VIEWS) + ("summary.txt",)),
 }
@@ -77,8 +76,8 @@ class Workspace:
         self.manifest = self._read_manifest()
 
     def _read_manifest(self) -> dict:
-        """The recorded manifest; {} when there is none or it is unreadable, so that
-        every stage misses and the run rebuilds."""
+        """The recorded manifest; {} when there is none, or, outside a read-only walk, when it
+        is unreadable, so that every stage misses and the run rebuilds."""
         if not self.manifest_path.exists():
             return {}
         try:
@@ -89,6 +88,8 @@ class Workspace:
             if isinstance(manifest, dict):
                 return manifest
             reason = f"a JSON {type(manifest).__name__}, not an object"
+        if self.read_only:
+            raise ValueError(f"{self.manifest_path} is unreadable ({reason}); rerun detect")
         log.warning("%s is unreadable (%s); treating it as empty, so every stage reruns",
                     self.manifest_path, reason)
         return {}
@@ -193,9 +194,7 @@ def _train_stage(ws: Workspace, stage: str, new_model, train):
     def write():
         trained, record = train()
         trained.save(ckpt)
-        rows = record["history"]
-        text = ",".join(rows[0]) + "\n" + "".join(",".join(map(repr, r.values())) + "\n" for r in rows)
-        nn.write_atomic(history, text.encode())
+        nn.write_csv(history, record["history"][0], (r.values() for r in record["history"]))
 
     return _stage(ws, stage, write, lambda: new_model().load(ckpt))
 
@@ -285,26 +284,23 @@ def run_sweep(config: PipelineConfig) -> Path:
     base_dir.mkdir(parents=True, exist_ok=True)
     out = base_dir / "sweep_summary.csv"
     cells = [(w, l) for w in config.sweep_window_sizes for l in config.sweep_sequence_lengths]
-    skipped = []
-    with nn.atomic_path(out) as tmp, tmp.open("w") as fh:
-        fh.write("window_size,sequence_length,type,accuracy,precision,recall,f1,auc\n")
-        for w, l in cells:
-            sub = PipelineConfig(values=dict(config.values, window_size=w, sequence_length=l,
-                                             work_dir=str(base_dir / f"w{w}_l{l}")),
-                                 ecus=dict(config.ecus), attacks=dict(config.attacks))
-            try:
-                report, _ = run_pipeline(sub)
-            except ingest.ParseError:
-                raise  # the log is bad for every cell
-            except (ValueError, FloatingPointError) as e:
-                log.warning("sweep cell (w=%d, l=%d) skipped: %s", w, l, e)
-                skipped.append(f"(w={w}, l={l}): {e}")
-                continue
-            for view in VIEWS:
-                mb = report.metrics[view]
-                auc = "" if mb.auc is None else repr(mb.auc)
-                fh.write(f"{w},{l},{view},{mb.accuracy!r},{mb.precision!r},"
-                         f"{mb.recall!r},{mb.f1!r},{auc}\n")
-        if cells and len(skipped) == len(cells):
-            raise ValueError(f"every sweep cell was skipped, the first {skipped[0]}")
+    rows, skipped = [], []
+    for w, l in cells:
+        sub = PipelineConfig(values=dict(config.values, window_size=w, sequence_length=l,
+                                         work_dir=str(base_dir / f"w{w}_l{l}")),
+                             ecus=dict(config.ecus), attacks=dict(config.attacks))
+        try:
+            report, _ = run_pipeline(sub)
+        except ingest.ParseError:
+            raise  # the log is bad for every cell
+        except (ValueError, FloatingPointError) as e:
+            log.warning("sweep cell (w=%d, l=%d) skipped: %s", w, l, e)
+            skipped.append(f"(w={w}, l={l}): {e}")
+            continue
+        for view in VIEWS:
+            mb = report.metrics[view]
+            rows.append((w, l, view, mb.accuracy, mb.precision, mb.recall, mb.f1, mb.auc))
+    if cells and len(skipped) == len(cells):
+        raise ValueError(f"every sweep cell was skipped, the first {skipped[0]}")
+    nn.write_csv(out, "window_size,sequence_length,type,accuracy,precision,recall,f1,auc".split(","), rows)
     return out

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from canids import nn
 from canids.analysis import compute_metrics
 from canids.config import PipelineConfig
-from canids.detector import (DetectorModel, detect, make_sequences, summary_table,
-                             train_detector, write_report_csvs)
+from canids.detector import (DetectorModel, detect, make_sequences, read_report_csvs,
+                             summary_table, train_detector, write_report_csvs)
 from canids.encoder import GraphEmbedding
 
 from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
@@ -337,6 +337,12 @@ class TestDetect:
             assert len(lines) == 1 + len(report.view_rows(view))
             # Python scalars, so the CSV holds repr(float) text
             assert all(type(r[1]) is float and type(r[3]) is int for r in report.view_rows(view))
+        read = read_report_csvs(tmp_path, report.threshold)  # rows bit for bit, in Python types
+        for view in ("sequence", "mean", "max"):
+            rows = read.view_rows(view)
+            assert rows == report.view_rows(view)
+            assert {tuple(map(type, r)) for r in rows} == {(int, float, int, int)}
+        assert read.metrics == report.metrics
         text = summary_table(report, 50, 5)
         assert text.count("\n") == 3  # header + one row per view
         for col in ("Accuracy", "Precision", "Recall", "F1-score", "AUC"):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -277,7 +278,8 @@ def test_embeddings_rebuilt_with_other_bytes_rerun_the_stages_that_read_them(
     monkeypatch.setattr(pipeline, "write_embeddings_csv", lambda embeddings, path: write(
         [dataclasses.replace(e, vector=np.round(e.vector, 2)) for e in embeddings], path))
     if rerun == "a version bump":
-        monkeypatch.setitem(pipeline.STAGES, "embed", pipeline.STAGES["embed"]._replace(version=2))
+        spec = pipeline.STAGES["embed"]
+        monkeypatch.setitem(pipeline.STAGES, "embed", spec._replace(version=spec.version + 1))
     else:
         (work / "embeddings_test.csv").unlink()
     marked = record_marks(monkeypatch)
@@ -292,7 +294,8 @@ def test_a_version_bump_that_keeps_the_bytes_reruns_only_its_stage(finished_run,
     """Early cutoff: the stage reruns, and the stages after it, whose inputs kept their
     sha256, stay hits."""
     work = restore(finished_run)
-    monkeypatch.setitem(pipeline.STAGES, stage, pipeline.STAGES[stage]._replace(version=2))
+    spec = pipeline.STAGES[stage]
+    monkeypatch.setitem(pipeline.STAGES, stage, spec._replace(version=spec.version + 1))
     marked = record_marks(monkeypatch)
     command = "preprocess" if stage == "windows" else "run"
     with contextlib.redirect_stdout(io.StringIO()):
@@ -301,6 +304,54 @@ def test_a_version_bump_that_keeps_the_bytes_reruns_only_its_stage(finished_run,
     after = files_of(work)
     assert after.pop("manifest.json") != finished_run.files["manifest.json"]
     assert after == {n: b for n, b in finished_run.files.items() if n != "manifest.json"}
+
+
+def test_the_same_log_bytes_under_another_path_rerun_nothing(finished_run, tmp_path):
+    """`preprocess` covers the log's bytes, not its path: a byte-identical copy of the log
+    leaves every stage a hit, and `evaluate` with it passes."""
+    work = restore(finished_run)
+    copy = tmp_path / "copy.csv"
+    shutil.copyfile(PipelineConfig.from_file(finished_run.config).input_log, copy)
+    args = ["--config", finished_run.config, "--set", f"input_log={copy}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", *args]) == 0
+        assert files_of(work) == finished_run.files
+        assert cli.main(["evaluate", *args]) == 0
+
+
+def test_evaluate_names_an_unreadable_manifest(finished_run, capsys, caplog):
+    """Read-only, an unreadable manifest is the error, exit 3, where `run` warns and rebuilds."""
+    work = restore(finished_run)
+    (work / "manifest.json").write_text("{")
+    before = files_of(work)
+    with caplog.at_level(logging.WARNING):
+        assert cli.main(["evaluate", "--config", finished_run.config]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"evaluate failed: {work / 'manifest.json'} is unreadable (")
+    assert err.endswith("); rerun detect\n")
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert files_of(work) == before
+
+
+def test_every_table_is_written_in_csv_writers_dialect(finished_run):
+    """Every csv file that `preprocess`, `run`, `entropy` and `sweep` leave in the work dir
+    holds the bytes csv.writer writes for its own rows."""
+    work = restore(finished_run)
+    args = ["--config", finished_run.config, "--set", "sweep_window_sizes=20",
+            "--set", "sweep_sequence_lengths=4,5"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main([c, *args]) for c in ("entropy", "sweep")] == [0, 0]
+    tables = sorted(work.rglob("*.csv"))
+    outputs = {n for n in STAGE_OF if n.endswith(".csv")}
+    cells = {f"w20_l{l}/{n}" for l in (4, 5) for n in outputs if not n.startswith("windows_")}
+    assert {p.relative_to(work).as_posix() for p in tables} == (
+        outputs | cells | {"entropy_sweep.csv", "sweep_summary.csv"})
+    for path in tables:
+        text = path.read_bytes().decode()
+        out = io.StringIO()
+        csv.writer(out).writerows(csv.reader(io.StringIO(text, newline="")))
+        assert out.getvalue() == text, path
 
 
 # Overrides for a finished run: each touches one or more stages' keys, or none.
@@ -404,11 +455,11 @@ def test_manifest_records_output_digests(tmp_path):
 # the upstream outputs. Any change to how a digest is formed invalidates every cached
 # work dir.
 PINNED_DIGESTS = {
-    "preprocess": "41f076eae2ae51711bf17fa10d86e54907c5033b96d0a0fb78f0a80ee44b11ad",
-    "windows": "ddd335f550da49170ce8941c9de9e443ec77109ccfb2048f871ce17c9ad9c8ef",
-    "train-encoder": "2f83b70c7ec87842afb901055310f62d3d596f5038328f66a236f7d200d72887",
-    "embed": "2f97fe79503cdc0579b982ef362ba6ee6f49c3a402ce6c29fb262b3f26e5c0ba",
-    "train-detector": "4b725410aa16d9ac9a691d8fcee77a44041cafb35080d8a7f4a519008d7be9bb",
+    "preprocess": "21b1596ccb715b4831364da561d7eff8db9a88122443f3ebe6983ed2dcb1206d",
+    "windows": "ef5ae5bcbc6bddb4e6e7a659bb2ae248f7374f0966d7914215ad589a8b99562a",
+    "train-encoder": "701a90fe8b430cc8077f447907d2ef2234b93f2b37f4bbc6f96542159967535b",
+    "embed": "64708ea7d5a93b3afe88e598505bba57db1ca61ef52a01aa9886327406a2b923",
+    "train-detector": "08ad2f6e0afde93e4f4d251b206f1fe35c9aa90c441cce6936c2eec358e5534f",
     "detect": "ad0d74ce1e07f8d0fc4f23c871b1885ac378537b1c21de9e95e8e3e299a3952f",
 }
 
@@ -431,10 +482,11 @@ def test_stage_digests_are_pinned(tmp_path, monkeypatch):
     assert {s: ws.manifest[s] for s in pipeline.STAGES} == PINNED_DIGESTS
 
 
-# Keys that no stage's digest covers: where the work dir and the synthetic log go, the
-# generator's own settings, and the entropy and sweep grids, which write no stage artifact.
-NO_STAGE_KEYS = {"work_dir", "synth_output", "synth_duration", "synth_jitter", "synth_seed",
-                 "entropy_sizes", "sweep_window_sizes", "sweep_sequence_lengths"}
+# Keys that no stage's digest covers: where the work dir, the synthetic log and the input
+# log are (`preprocess` covers the log's bytes), the generator's own settings, and the
+# entropy and sweep grids, which write no stage artifact.
+NO_STAGE_KEYS = {"work_dir", "synth_output", "input_log", "synth_duration", "synth_jitter",
+                 "synth_seed", "entropy_sizes", "sweep_window_sizes", "sweep_sequence_lengths"}
 
 
 def test_every_key_reaches_a_digest_or_no_stage():

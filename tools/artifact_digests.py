@@ -9,7 +9,9 @@ It imports canids from the given src/ directory and runs `synth`, `preprocess`
 (which writes the windows_*.csv dumps), `run`, a cached `run`, `entropy` and
 `evaluate` through `canids.cli.main` on three inputs: the criterion-7 config of
 tests/test_acceptance.py, perfbench's `fit` corpus (seed 1) and the acceptance
-corpus. A fourth input runs `synth`, `preprocess` and `run` on the criterion-7
+corpus. The criterion-7 input then runs `sweep` over window size 50 and sequence
+lengths 5 and 10, so sweep_summary.csv and every file of its two cells are
+compared too. A fourth input runs `synth`, `preprocess` and `run` on the criterion-7
 config with its log rewritten in another form parse_log reads ("0x" ids,
 comma-separated payloads); every file of its work dir but the manifest, which
 hashes the log, and every output sha256 the manifest records must equal the
@@ -52,6 +54,7 @@ REWRITTEN = "criterion7-rewritten"
 CAPTURES = "captures"
 INPUTS = ("criterion7", "fit", "acceptance", REWRITTEN, CAPTURES)
 COMMANDS = ("synth", "preprocess", "run", "rerun", "entropy", "evaluate")
+SWEEP = "sweep_window_sizes = 50\nsweep_sequence_lengths = 5,10\n"
 
 
 def config_text(name: str, out_dir: Path) -> str:
@@ -63,7 +66,7 @@ def config_text(name: str, out_dir: Path) -> str:
     if name == "fit":
         return workloads.corpus_text(1, out_dir)
     if name in ("criterion7", REWRITTEN):  # as test_criterion_7_determinism writes it
-        head = test_acceptance.DETERMINISM_CFG + "entropy_sizes = 10,20,50\n"
+        head = test_acceptance.DETERMINISM_CFG + "entropy_sizes = 10,20,50\n" + SWEEP
     else:  # as corpus_config sets it
         head = test_acceptance.CORPUS_CFG + "".join(
             f"{key} = {value}\n" for key, value in test_acceptance.PIPELINE_KEYS.items())
@@ -130,7 +133,7 @@ def digest_lines(name: str, out_dir: Path) -> list:
     config = out_dir / "input.cfg"
     config.write_text(config_text(name, out_dir))
     lines = []
-    for command in COMMANDS[:3] if name == REWRITTEN else COMMANDS:
+    for command in {REWRITTEN: COMMANDS[:3], "criterion7": COMMANDS + ("sweep",)}.get(name, COMMANDS):
         code, stdout = run_cli("run" if command == "rerun" else command, config)
         lines.append(f"{name} {command} exit={code} stdout={stdout}")
         if name == REWRITTEN and command == "synth":
