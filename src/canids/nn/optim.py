@@ -1,6 +1,8 @@
 """Adam, global-norm gradient clipping and the epoch loop both models train through."""
 from __future__ import annotations
 
+import ctypes
+import functools
 import time
 
 import numpy as np
@@ -11,6 +13,16 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 # The acceptance corpus trains weights under 5. Within this bound no forward overflows
 # but in a sigmoid's exp, where inf gives the rounded 0; beyond it fit reports divergence.
 PARAMETER_BOUND = 1e6
+
+
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Keep the heap that training frees mapped, not trimmed and faulted back in each step
+    (see README). Both settings are needed: either alone ends glibc's dynamic thresholds, and
+    the trim one alone makes every array above 128 KiB a fresh mmap. Not glibc: a no-op."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda param, value: 0)
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit ceiling
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD, far above one step's churn
 
 
 def clip_global_norm(model, max_norm: float) -> float:
@@ -64,6 +76,7 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
     more than `<name>_patience` epochs past it, so up to patience + 1 epochs without
     improvement can run; the parameters saved after it are then restored.
     """
+    _keep_heap_mapped()
     epochs, lr, patience = (getattr(config, f"{name}_{k}") for k in ("epochs", "lr", "patience"))
     column, shown = metric
     history = []

@@ -8,10 +8,13 @@ walks the same chain read-only, raising where `run` would rebuild.
 """
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import hashlib
 import json
 import logging
+import os
 from collections import namedtuple
 from pathlib import Path
 
@@ -237,7 +240,7 @@ def stage_detect(ws: Workspace, embeddings, model):
         text = summary_table(report, cfg.window_size, cfg.sequence_length)
         nn.write_atomic(ws.path("summary.txt"), (text + "\n").encode())
 
-    return _stage(ws, "detect", write, lambda: read_report_csvs(ws.dir, cfg.threshold))()
+    return _stage(ws, "detect", write, lambda: read_report_csvs(ws.dir, cfg.threshold))
 
 
 def run_entropy(config: PipelineConfig) -> Path:
@@ -252,29 +255,43 @@ def run_entropy(config: PipelineConfig) -> Path:
     return path
 
 
-def run_pipeline(config: PipelineConfig, through: str = "detect", read_only: bool = False):
-    """Run the stages in order through the stage command `through` (`preprocess` also
-    writes the windowed splits); returns (DetectionReport or None, Workspace). With
-    `read_only`, the first stage that is not fresh raises, and nothing is written."""
-    ws = Workspace(config, read_only)
-    splits = stage_preprocess(ws)
-    if through == "preprocess":
-        def write():
-            for s, name in zip(SPLITS, STAGES["windows"].outputs):
-                ingest.write_windows_csv(splits()[s], ws.path(name))
+@contextlib.contextmanager
+def _one_writer(work_dir: Path):
+    """Hold an exclusive flock on `work_dir/.lock`, made once and never written, for the block.
+    A held lock is an OSError, not a ValueError, so that a sweep stops rather than skip a cell."""
+    with open(os.open(work_dir / ".lock", os.O_RDWR | os.O_CREAT, 0o666)) as lock:  # closing unlocks
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise BlockingIOError(f"{work_dir} is in use by another canids command") from None
+        yield
 
-        _stage(ws, "windows", write, lambda: None)
-        return None, ws
-    enc = stage_train_encoder(ws, splits)
-    if through == "train-encoder":
-        return None, ws
-    embeddings = stage_embed(ws, splits, enc)
-    if through == "embed":
-        return None, ws
-    det = stage_train_detector(ws, embeddings)
-    if through == "train-detector":
-        return None, ws
-    return stage_detect(ws, embeddings, det), ws
+
+def run_pipeline(config: PipelineConfig, through: str = "detect", read_only: bool = False):
+    """Run the stages in order through the stage command `through` (`preprocess` also writes
+    the windowed splits) under the work dir's lock; returns (report, Workspace), `report` None
+    before `detect`, else a call reading the report back. With `read_only`, the first stale
+    stage raises, and nothing is locked or written."""
+    ws = Workspace(config, read_only)
+    with contextlib.nullcontext() if read_only else _one_writer(ws.dir):
+        splits = stage_preprocess(ws)
+        if through == "preprocess":
+            def write():
+                for s, name in zip(SPLITS, STAGES["windows"].outputs):
+                    ingest.write_windows_csv(splits()[s], ws.path(name))
+
+            _stage(ws, "windows", write, lambda: None)
+            return None, ws
+        enc = stage_train_encoder(ws, splits)
+        if through == "train-encoder":
+            return None, ws
+        embeddings = stage_embed(ws, splits, enc)
+        if through == "embed":
+            return None, ws
+        det = stage_train_detector(ws, embeddings)
+        if through == "train-detector":
+            return None, ws
+        return stage_detect(ws, embeddings, det), ws
 
 
 def run_sweep(config: PipelineConfig) -> Path:
@@ -290,7 +307,7 @@ def run_sweep(config: PipelineConfig) -> Path:
                                          work_dir=str(base_dir / f"w{w}_l{l}")),
                              ecus=dict(config.ecus), attacks=dict(config.attacks))
         try:
-            report, _ = run_pipeline(sub)
+            report = run_pipeline(sub)[0]()
         except ingest.ParseError:
             raise  # the log is bad for every cell
         except (ValueError, FloatingPointError) as e:

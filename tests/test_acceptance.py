@@ -133,7 +133,7 @@ def end_to_end(tmp_path_factory):
     cfg = corpus_config(tmp_dir)
     t0 = time.monotonic()
     run_synth(cfg)
-    report, ws = run_pipeline(cfg)
+    report = run_pipeline(cfg)[0]()
     elapsed = time.monotonic() - t0
     splits = prepare_splits(cfg)
     return cfg, report, splits, elapsed
@@ -556,7 +556,7 @@ def test_criterion_8_official_dataset(tmp_path, capfd):
         cfg.set("window_size", "50")
         cfg.set("sequence_length", "50")
         cfg.validate()
-        report, _ = run_pipeline(cfg)
+        report = run_pipeline(cfg)[0]()
         seq = report.metrics["sequence"]
         mean = report.metrics["mean"]
         assert seq.auc is not None and seq.auc >= 0.95

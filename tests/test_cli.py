@@ -176,8 +176,9 @@ def test_window_csvs_follow_a_window_size_change(synth_log, tmp_path):
 
 
 def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, capsys):
-    """A fully cached run hashes the log and the recorded outputs and reads the report:
-    it parses no log, loads no checkpoint, reads no embeddings and runs no detector."""
+    """A fully cached run hashes the log and the recorded outputs: it parses no log, loads
+    no checkpoint, reads no embeddings and runs no detector. The report it hands back reads
+    the same rows and metrics as the fresh run's."""
     _, log = synth_log
     cfg = tmp_path / "p.cfg"
     cfg.write_text(PIPELINE_KEYS + f"input_log = {log}\nwork_dir = {tmp_path / 'work'}\n")
@@ -187,7 +188,7 @@ def test_cached_run_does_not_parse_the_log(synth_log, tmp_path, monkeypatch, cap
 
     def keep_report(config):
         report, ws = run_pipeline(config)
-        reports.append(report)
+        reports.append(report())
         return report, ws
 
     monkeypatch.setattr(pipeline, "run_pipeline", keep_report)
@@ -525,7 +526,7 @@ def test_every_file_in_the_work_dir_is_a_recorded_output(synth_log, tmp_path):
     for command in ("preprocess", "run"):
         assert main([command, "--config", str(cfg)]) == EXIT_OK
     manifest = json.loads((work / "manifest.json").read_text())
-    files = {p.name for p in work.iterdir()} - {"manifest.json"}
+    files = {p.name for p in work.iterdir()} - {"manifest.json", ".lock"}  # the lock holds no bytes
     assert files == {o for stage in pipeline.STAGES.values() for o in stage.outputs}
     assert {n: manifest.get(n) for n in files} == {
         n: hashlib.sha256((work / n).read_bytes()).hexdigest() for n in files}

@@ -1,11 +1,17 @@
+import ctypes
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canids
 from canids import nn
 from canids.analysis import compute_metrics
 from canids.config import PipelineConfig
@@ -234,6 +240,33 @@ class TestTraining:
             assert line.startswith(f"detector epoch {epoch}: train loss ")
             assert f"{row['train_loss']:.6g}" in line and f"val F1 {row['val_f1']:.4f}" in line
             assert line.endswith(" s")
+
+    def test_repeated_training_faults_in_no_heap_pages(self):
+        """nn.fit keeps freed heap pages mapped, so training with the same shapes again
+        reuses them. Without that, glibc trims the heap after each step, and the next
+        step faults thousands of pages back in (about 12,000 minor faults a call here).
+        The first two calls grow the heap to its high-water mark; the second still adds
+        about 400 pages, once, as freed blocks are reused in another order. A fresh
+        interpreter starts from glibc's default thresholds."""
+        if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("this libc has no mallopt, so nn.fit leaves the allocator as it is")
+        code = (
+            "import resource\nimport numpy as np\n"
+            "from canids.config import PipelineConfig\n"
+            "from canids.detector import DetectorModel, train_detector\n"
+            "rng = np.random.default_rng(0)\n"
+            "seqs = rng.standard_normal((150, 50, 32)), rng.integers(0, 2, 150)\n"
+            "cfg = PipelineConfig(values=dict(detector_batch=64, detector_epochs=2))\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    train_detector(DetectorModel(seed=0), seqs, seqs, cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(canids.__file__).parents[1])}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 1000
 
     def test_single_class_rejected(self):
         seqs = make_sequences(embeddings_from_labels([0] * 6), 2)

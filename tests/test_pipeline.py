@@ -1,9 +1,11 @@
 import contextlib
 import csv
 import dataclasses
+import fcntl
 import hashlib
 import io
 import logging
+import os
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -32,7 +34,7 @@ def test_sweep_skips_diverged_cell(tmp_path, monkeypatch, caplog):
     def run_pipeline(cfg):
         if (cfg.window_size, cfg.sequence_length) == (20, 5):
             raise FloatingPointError("detector training diverged at epoch 0")
-        return fake_report(), None
+        return fake_report, None
 
     monkeypatch.setattr(pipeline, "run_pipeline", run_pipeline)
     cfg = PipelineConfig()
@@ -51,7 +53,7 @@ def test_sweep_with_every_cell_skipped_fails_and_keeps_previous_summary(tmp_path
     cfg.set("work_dir", str(tmp_path))
     cfg.set("sweep_window_sizes", "10,20")
     cfg.set("sweep_sequence_lengths", "5")
-    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: (fake_report(), None))
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: (fake_report, None))
     before = pipeline.run_sweep(cfg).read_bytes()
 
     def too_short(cfg):
@@ -70,14 +72,14 @@ def test_failed_sweep_write_keeps_previous_summary(tmp_path, monkeypatch):
     cfg.set("work_dir", str(tmp_path))
     cfg.set("sweep_window_sizes", "10,20")
     cfg.set("sweep_sequence_lengths", "5")
-    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: (fake_report(), None))
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: (fake_report, None))
     out = pipeline.run_sweep(cfg)
     before = out.read_bytes()
 
     def crash_on_second_cell(cfg):
         if cfg.window_size == 20:
             raise KeyboardInterrupt
-        return fake_report(), None
+        return fake_report, None
 
     monkeypatch.setattr(pipeline, "run_pipeline", crash_on_second_cell)
     with pytest.raises(KeyboardInterrupt):
@@ -139,13 +141,14 @@ def test_truncated_csv_artifact_is_rebuilt(tmp_path, capsys, artifact):
     cfg = PipelineConfig.from_file(tmp_path / "run.cfg")
     pipeline.run_synth(cfg)
     report, ws = pipeline.run_pipeline(cfg)
-    assert len(report.mean_rows) == 32
+    assert len(report().mean_rows) == 32
     manifest = ws.manifest_path.read_bytes()
     path = ws.path(artifact)
     full = path.read_bytes()
     path.write_bytes(full[: len(full) // 2])
 
     report, ws = pipeline.run_pipeline(cfg)
+    report = report()
     assert path.read_bytes() == full  # the stage that wrote it ran again
     assert len(report.mean_rows) == len(report.max_rows) == 32
     assert len(pipeline.Workspace(cfg).path("detect_mean.csv").read_text().splitlines()) == 33
@@ -332,6 +335,60 @@ def test_evaluate_names_an_unreadable_manifest(finished_run, capsys, caplog):
     assert err.endswith("); rerun detect\n")
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert files_of(work) == before
+
+
+def test_a_locked_work_dir_is_refused_and_left_as_it_is(finished_run, capsys):
+    """A writing command holds the work dir's lock only while it runs, so two runs in one
+    process both pass. While another holder keeps it, `run` exits 3 naming the dir and
+    writes nothing, and `evaluate`, which only reads, takes no lock and passes."""
+    work = restore(finished_run)
+    assert [cli.main(["run", "--config", finished_run.config]) for _ in range(2)] == [0, 0]
+    assert files_of(work) == finished_run.files
+    capsys.readouterr()
+    fd = os.open(work / ".lock", os.O_RDWR)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert cli.main(["run", "--config", finished_run.config]) == 3
+        assert capsys.readouterr().err == f"run failed: {work} is in use by another canids command\n"
+        assert cli.main(["evaluate", "--config", finished_run.config]) == 0
+        assert capsys.readouterr().out == finished_run.files["summary.txt"].decode()
+    finally:
+        os.close(fd)
+    assert files_of(work) == finished_run.files
+
+
+def test_a_locked_sweep_cell_stops_the_sweep(finished_run, tmp_path, capsys):
+    """A cell in use is no cell that fails on its data: the sweep exits 3, writing no summary."""
+    cell = tmp_path / "w20_l5"
+    cell.mkdir()
+    with open(cell / ".lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert cli.main(["sweep", "--config", finished_run.config, "--set", f"work_dir={tmp_path}",
+                         "--set", "sweep_window_sizes=20", "--set", "sweep_sequence_lengths=5"]) == 3
+    assert capsys.readouterr().err == f"sweep failed: {cell} is in use by another canids command\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [".lock", "w20_l5"]
+
+
+def test_evaluate_takes_no_lock(finished_run):
+    work = restore(finished_run)
+    (work / ".lock").unlink()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["evaluate", "--config", finished_run.config]) == 0
+    assert not (work / ".lock").exists()
+
+
+def test_only_a_sweep_reads_the_report_back(finished_run, tmp_path, monkeypatch):
+    """`run` and `evaluate` print summary.txt, so a fresh run, a cached run and `evaluate`
+    read no report CSV back; a sweep reads each cell's report once for its summary."""
+    read, calls = pipeline.read_report_csvs, []
+    monkeypatch.setattr(pipeline, "read_report_csvs", lambda *a: calls.append(a) or read(*a))
+    args = ["--config", finished_run.config, "--set", f"work_dir={tmp_path / 'fresh'}"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [cli.main([c, *args]) for c in ("run", "run", "evaluate")] == [0, 0, 0]
+        assert calls == []
+        assert cli.main(["sweep", *args, "--set", "sweep_window_sizes=20",
+                         "--set", "sweep_sequence_lengths=4,5"]) == 0
+    assert [Path(c[0]).name for c in calls] == ["w20_l4", "w20_l5"]
 
 
 def test_every_table_is_written_in_csv_writers_dialect(finished_run):
