@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .frames import Label
-from .synth import AttackSpec, EcuSpec, TrafficProfile
+from .synth import ATTACK_FIELDS, AttackSpec, EcuSpec, TrafficProfile
 
 
 class ConfigError(ValueError):
@@ -60,8 +60,7 @@ KEY_SPECS = {
     "synth_seed": (int, 0, _at_least(0)),
 }
 
-_ECU_RE = re.compile(r"^ecu(\d+)$")
-_ATTACK_RE = re.compile(r"^attack(\d+)$")
+_SPEC_KEY = re.compile(r"(ecu|attack)(\d+)")  # the ecuN and attackN keys, matched whole
 
 
 @dataclass
@@ -82,14 +81,13 @@ class PipelineConfig:
 
     def set(self, key: str, raw: str) -> None:
         key = key.strip()
-        ecu, attack = _ECU_RE.match(key), _ATTACK_RE.match(key)
-        if not (ecu or attack or key in KEY_SPECS):
+        spec = _SPEC_KEY.fullmatch(key)
+        if not (spec or key in KEY_SPECS):
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            if ecu:
-                self.ecus[int(ecu.group(1))] = _parse_ecu(raw)
-            elif attack:
-                self.attacks[int(attack.group(1))] = _parse_attack(raw)
+            if spec:
+                specs, parse = (self.ecus, _parse_ecu) if spec[1] == "ecu" else (self.attacks, _parse_attack)
+                specs[int(spec[2])] = parse(raw)
             else:
                 self.values[key] = KEY_SPECS[key][0](raw.strip())
         except ValueError as e:  # a failed cast, a spec parser's ConfigError, a spec out of range
@@ -154,39 +152,38 @@ def _parse_ecu(raw: str) -> EcuSpec:
     return EcuSpec(_int_auto(parts[0]), float(parts[1]), int(parts[2]), parts[3])
 
 
+def _mutations(text: str):
+    return tuple((int(idx), _int_auto(lo), _int_auto(hi))
+                 for idx, lo, hi in (entry.split(":") for entry in text.split(",")))
+
+
+# option -> (AttackSpec field, form of each comma-separated entry or None, parser of the value)
+ATTACK_OPTIONS = {
+    "rate": ("rate", None, float),
+    "target": ("target_id", None, _int_auto),
+    "span": ("replay_span", "FROM:TO", lambda text: tuple(map(float, text.split(":")))),
+    "mutate": ("mutation", "IDX:LO:HI", _mutations),
+}
+
+
 def _parse_attack(raw: str) -> AttackSpec:
-    """Attack spec: "<kind> <start> <duration> [rate=R] [target=0xID]
-    [span=FROM:TO] [mutate=IDX:LO:HI[,IDX:LO:HI]]"."""
+    """Attack spec: "<kind> <start> <duration> [option=value ...]", each option of
+    ATTACK_OPTIONS that synth.ATTACK_FIELDS gives the kind."""
     parts = raw.split()
     if len(parts) < 3:
         raise ConfigError(f"attack spec needs 'kind start duration ...', got {raw!r}")
-    try:
-        kind = Label.from_string(parts[0])
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if kind is Label.NORMAL:
-        raise ConfigError("attack kind cannot be Normal")
+    kind = Label.from_string(parts[0])
     kwargs = {"kind": kind, "start": float(parts[1]), "duration": float(parts[2])}
     for extra in parts[3:]:
-        if "=" not in extra:
+        opt, eq, val = extra.partition("=")
+        if not eq:
             raise ConfigError(f"bad attack option {extra!r}")
-        opt, val = extra.split("=", 1)
-        form = {"span": "FROM:TO", "mutate": "IDX:LO:HI"}.get(opt)
+        if opt not in ATTACK_OPTIONS:
+            raise ConfigError(f"unknown attack option {opt!r}")
+        name, form, parse = ATTACK_OPTIONS[opt]
         if form and any(f.count(":") != form.count(":") for f in val.split(",")):
             raise ConfigError(f"{opt} needs {form}, got {val!r}")
-        if opt == "rate":
-            kwargs["rate"] = float(val)
-        elif opt == "target":
-            kwargs["target_id"] = _int_auto(val)
-        elif opt == "span":
-            lo, hi = val.split(":")
-            kwargs["replay_span"] = (float(lo), float(hi))
-        elif opt == "mutate":
-            muts = []
-            for m in val.split(","):
-                idx, lo, hi = m.split(":")
-                muts.append((int(idx), _int_auto(lo), _int_auto(hi)))
-            kwargs["mutation"] = tuple(muts)
-        else:
-            raise ConfigError(f"unknown attack option {opt!r}")
+        if name not in ATTACK_FIELDS.get(kind, (name,)):  # Normal is AttackSpec's to refuse
+            raise ConfigError(f"{kind.value.lower()} takes no {opt!r} option")
+        kwargs[name] = parse(val)
     return AttackSpec(**kwargs)

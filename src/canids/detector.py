@@ -13,7 +13,6 @@ nothing else; inference runs it once over all timesteps.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from . import nn
 from .analysis import MetricBlock, compute_metrics
 from .encoder import EMBED_DIM
 
-log = logging.getLogger(__name__)
 
 HIDDEN_DIM = 64
 HEAD_DIM = 32
@@ -142,7 +140,7 @@ def train_detector(model: DetectorModel, train_seqs, val_seqs, config):
         f1 = compute_metrics((val_probs >= 0.5).astype(np.int64), y_val, val_probs).f1
         return f1, f1
 
-    return model, nn.fit(model, config, steps, validate, log, "detector", ("val_f1", "val F1 %.4f"))
+    return model, nn.fit(model, config, steps, validate, "detector", ("val_f1", "val F1 %.4f"))
 
 
 def detect(model: DetectorModel, embeddings, length: int, threshold: float = 0.5) -> DetectionReport:

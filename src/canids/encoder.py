@@ -5,7 +5,6 @@ then embeds arbitrary graphs into 1x32 vectors via global mean pooling.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,6 @@ import numpy as np
 from . import nn
 from .graph import WindowGraph, normalized_adjacency
 
-log = logging.getLogger(__name__)
 
 IN_DIM = 9
 LATENT_DIM = 16
@@ -92,8 +90,7 @@ def train_encoder(graphs, config):
         val_loss = float(np.mean([_reconstruction_loss(model, g).item() for g in val_graphs]))
         return -val_loss, val_loss
 
-    return model, nn.fit(model, config, steps, validate, log, "encoder",
-                         ("val_loss", "val loss %.6g"))
+    return model, nn.fit(model, config, steps, validate, "encoder", ("val_loss", "val loss %.6g"))
 
 
 def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:

@@ -138,7 +138,7 @@ def _parse_row(ts, arb, dlc, payload, label):
     length = int(_cell(dlc, "dlc"))
     if not 0 <= length <= MAX_DLC:
         raise ValueError(f"dlc {length} outside [0, {MAX_DLC}]")
-    data = _parse_payload(payload)
+    data = _parse_payload(_cell(payload, "payload"))
     code = LABELS.index(Label.from_string(label)) if label else 0
     if not 0 <= arbitration_id < MAX_ARBITRATION_ID:
         raise ValueError(f"arbitration id {arbitration_id:#x} outside 29-bit range")
@@ -257,12 +257,13 @@ def _blocks(fh, width: int, fields, line: int):
 def parse_log(path) -> FrameTable:
     r"""Parse a CSV CAN log into one FrameTable, rows in file order.
 
-    The header row names the columns, in any order, with the names in COLUMNS; a log
-    with no label column is all Normal. Blank lines are skipped. A malformed row
-    raises ParseError naming its physical line (1-based, header included); when
-    several rows are bad, the first in file order is named, with the first failing
-    check of that row. A byte that is not UTF-8 (a BOM is skipped) is named when read,
-    maybe ahead of earlier bad rows. Non-monotone timestamps produce a warning, not an error.
+    The header row names the columns, in any order, with the names in COLUMNS; every
+    column but label is required, and a log with no label column is all Normal. Blank
+    lines are skipped. A malformed row raises ParseError naming its physical line
+    (1-based, header included); when several rows are bad, the first in file order is
+    named, with the first failing check of that row. A byte that is not UTF-8 (a BOM is
+    skipped) is named when read, maybe ahead of earlier bad rows. Non-monotone timestamps
+    produce a warning, not an error, naming the first row earlier than the row before it.
 
     The file is read _BLOCK_ROWS lines at a time. A plain block (no '"', every line
     ending in "\n" or "\r\n", no blank line, and as many fields on every line as the
@@ -281,7 +282,7 @@ def parse_log(path) -> FrameTable:
     bytes are zero-padded; a payload longer than the declared DLC is truncated to it.
     """
     path = Path(path)
-    tables, block_lines = [], []
+    tables, back_line, last = [], None, -np.inf  # the first step back in time, the last timestamp
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -291,22 +292,22 @@ def parse_log(path) -> FrameTable:
                 raise ParseError(reader.line_num, str(e)) from None
             # a repeated name maps to its last column, as in csv.DictReader
             position = {name: i for i, name in enumerate(header)}
-            fields = [(position.get(name), default)
-                      for name, default in zip(COLUMNS, (None, None, None, "", ""))]
+            fields = [(position.get(name), "" if name == "label" else None) for name in COLUMNS]
             for columns, lines in _blocks(fh, len(header), fields, reader.line_num):
-                tables.append(_parse_block(columns, lines))
-                block_lines.append(lines)
+                tables.append(block := _parse_block(columns, lines))
                 del columns
+                back = np.flatnonzero(block.timestamp < np.append(last, block.timestamp[:-1]))
+                if back_line is None and back.size:
+                    back_line = lines[back[0]]
+                last = block.timestamp[-1]
     except UnicodeDecodeError:  # at an offset into a read chunk: find the byte's line
         with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
             line, bad = next((n, c) for n, text in enumerate(fh, 1) if not text.isascii()
                              for c in text if "\udc80" <= c <= "\udcff")  # byte b: chr(0xDC00 + b)
         raise ParseError(line, f"byte {ord(bad) - 0xDC00:#04x} is not UTF-8") from None
     table = FrameTable.concat(tables) if tables else _parse_block([[]] * len(COLUMNS), [])
-    back = np.flatnonzero(table.timestamp[1:] < table.timestamp[:-1])
-    if back.size:
-        line = next(islice(chain.from_iterable(block_lines), int(back[0]) + 1, None))
-        log.warning("%s: non-monotone timestamp at line %d (kept in file order)", path, line)
+    if back_line is not None:
+        log.warning("%s: non-monotone timestamp at line %d (kept in file order)", path, back_line)
     return table
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import logging
 import time
 
 import numpy as np
@@ -61,11 +62,11 @@ def adam_step(model, lr: float = 1e-3) -> None:
     model.data -= m_hat
 
 
-def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
+def fit(model, config, steps, validate, name: str, metric: tuple) -> dict:
     """Train `model` for up to `<name>_epochs` epochs and return its training record.
 
-    `name` ("encoder", "detector") prefixes both the log lines and the settings read
-    from `config`: `<name>_epochs`, `<name>_lr`, `<name>_patience` and `grad_clip`.
+    `name` ("encoder", "detector") names the logger, `canids.<name>`, prefixes its
+    lines and the settings read from `config`: `<name>_epochs`, `<name>_lr`, `<name>_patience` and `grad_clip`.
     Each epoch takes one Adam step at `<name>_lr` per (loss, weight) pair `steps()`
     yields, clipping the gradients' global norm to `grad_clip` when it is > 0.
     A non-finite step loss, or train loss (the weighted mean), raises FloatingPointError,
@@ -104,7 +105,7 @@ def fit(model, config, steps, validate, log, name: str, metric: tuple) -> dict:
         with nn.no_grad():
             score, value = validate()
         history.append({"epoch": epoch, "train_loss": train_loss, column: value})
-        log.info(f"%s epoch %d: train loss %.6g, {shown}, %.2f s",
+        logging.getLogger(f"canids.{name}").info(f"%s epoch %d: train loss %.6g, {shown}, %.2f s",
                  name, epoch, train_loss, value, time.perf_counter() - started)
         if score > best_score:
             best_score, best_epoch, best_state = score, epoch, model.snapshot()

@@ -72,19 +72,24 @@ class TrafficProfile:
             raise ValueError(f"profile asks for {frames:.4g} frames, more than MAX_FRAMES = {MAX_FRAMES}")
 
 
+# The AttackSpec fields beyond kind, start and duration that `inject` reads, per attack kind.
+ATTACK_FIELDS = {Label.FLOODING: ("rate", "target_id"), Label.FUZZING: ("rate",),
+                 Label.REPLAY: ("replay_span",), Label.SPOOFING: ("rate", "target_id", "mutation")}
+
+
 @dataclass(frozen=True)
 class AttackSpec:
     kind: Label
     start: float
     duration: float
-    rate: float = 100.0                       # messages/second (flooding, fuzzing, spoofing)
-    target_id: int = 0x000                    # flooding, spoofing
+    rate: float = 100.0  # messages/second
+    target_id: int = 0x000
     replay_span: Tuple[float, float] = (0.0, 0.0)
     mutation: Tuple[Tuple[int, int, int], ...] = ()  # (byte index, lo, hi) inclusive ranges
 
     def __post_init__(self) -> None:
-        if self.kind not in LABELS[1:]:
-            raise ValueError(f"not an attack kind: {self.kind}")
+        if self.kind not in ATTACK_FIELDS:
+            raise ValueError("attack kind cannot be Normal")
         if not (np.isfinite(self.start) and 0 <= self.duration < np.inf):
             raise ValueError(f"attack needs a finite start and a finite duration >= 0, "
                              f"got {self.start} and {self.duration}")

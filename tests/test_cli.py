@@ -361,6 +361,27 @@ def test_malformed_synth_spec_is_config_error(tmp_path, spec):
     assert not out.exists()
 
 
+OPTION_VALUES = {"rate": "50", "target": "0x100", "span": "0.1:0.3", "mutate": "0:1:2"}
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("flooding", "span"), ("flooding", "mutate"),
+    ("fuzzing", "target"), ("fuzzing", "span"), ("fuzzing", "mutate"),
+    ("replay", "rate"), ("replay", "target"), ("replay", "mutate"),
+    ("spoofing", "span"),
+])
+def test_attack_option_the_kind_does_not_read_is_config_error(tmp_path, capsys, kind, option):
+    out = tmp_path / "traffic.csv"
+    cfg = tmp_path / "p.cfg"
+    needed = {"replay": "span=0.1:0.3", "spoofing": "mutate=0:1:2"}.get(kind, "")
+    cfg.write_text(f"synth_output = {out}\necu1 = 0x100 10 8 const\n"
+                   f"attack1 = {kind} 0.5 0.2 {needed} {option}={OPTION_VALUES[option]}\n")
+    assert main(["synth", "--config", str(cfg)]) == EXIT_CONFIG
+    assert (f"{cfg}:3: bad value for 'attack1': {kind} takes no {option!r} option"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override, message", [
     ("synth_jitter=0.7", "jitter must lie in [0, 0.5), got 0.7"),
     ("synth_duration=-3", "duration must be finite and > 0, got -3.0"),
@@ -399,6 +420,16 @@ def test_data_error_exit_code(tmp_path):
     cfg = tmp_path / "missing.cfg"
     cfg.write_text(f"input_log = {tmp_path / 'nope.csv'}\nwork_dir = {tmp_path / 'w'}\n")
     assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+
+
+def test_log_without_a_payload_column_is_a_data_error(tmp_path, capsys):
+    log = tmp_path / "data.csv"
+    log.write_text("timestamp,arbitration_id,dlc,data,label\n"
+                   "1.0,100,8,01 02 03 04 05 06 07 08,Normal\n1.1,100,2,AA BB,Normal\n")
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text(f"input_log = {log}\nwork_dir = {tmp_path / 'w'}\n")
+    assert main(["run", "--config", str(cfg)]) == EXIT_DATA
+    assert "line 2: missing column 'payload'" in capsys.readouterr().err
 
 
 def test_empty_log_entropy_error(tmp_path, capsys):

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from canids.config import KEY_SPECS, ConfigError, PipelineConfig
+from canids.config import ATTACK_OPTIONS, KEY_SPECS, ConfigError, PipelineConfig
 from canids.frames import Label
 from canids.synth import EcuSpec
 
@@ -165,6 +165,43 @@ def test_attack_option_field_count_error(tmp_path, option, form):
     with pytest.raises(ConfigError) as e:
         PipelineConfig.from_file(write_cfg(tmp_path, f"attack1 = spoofing 0.2 0.1 {option}\n"))
     assert str(e.value).endswith(f"pipeline.cfg:1: bad value for 'attack1': {form}, got '{bad}'")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("flooding 1.0 0.5 power=9", "unknown attack option 'power'"),
+    ("flooding 1.0 0.5 rate", "bad attack option 'rate'"),
+    ("flooding 1.0", "attack spec needs 'kind start duration ...', got 'flooding 1.0'"),
+    ("flood 1.0 0.5", "unknown label 'flood'"),
+    ("normal 1.0 0.5", "attack kind cannot be Normal"),
+    ("normal 1.0 0.5 rate=5 span=1:2", "attack kind cannot be Normal"),
+    ("replay 1.0 0.5 span=1:2:3 rate=5", "span needs FROM:TO, got '1:2:3'"),
+    ("replay 1.0 0.5 rate=5 span=1:2:3", "replay takes no 'rate' option"),
+])
+def test_attack_spec_messages(spec, message):
+    with pytest.raises(ConfigError) as e:
+        PipelineConfig().set("attack1", spec)
+    assert str(e.value) == f"bad value for 'attack1': {message}"
+
+
+def test_each_kind_takes_the_options_inject_reads():
+    """7 of the 16 (kind, option) pairs parse, to the value given; the other 9 are refused."""
+    values = {"rate": "50", "target": "0x100", "span": "0.1:0.3", "mutate": "0:1:2"}
+    parsed = {"rate": 50.0, "target_id": 0x100, "replay_span": (0.1, 0.3), "mutation": ((0, 1, 2),)}
+    accepted = set()
+    for kind in ("flooding", "fuzzing", "replay", "spoofing"):
+        for option, (name, _, _) in ATTACK_OPTIONS.items():
+            cfg = PipelineConfig()
+            needed = " mutate=0:1:2" if kind == "spoofing" else ""
+            try:
+                cfg.set("attack1", f"{kind} 0.5 0.2{needed} {option}={values[option]}")
+            except ConfigError as e:
+                assert str(e).endswith(f"{kind} takes no {option!r} option")
+            else:
+                assert getattr(cfg.attacks[1], name) == parsed[name]
+                accepted.add((kind, option))
+    assert accepted == {("flooding", "rate"), ("flooding", "target"), ("fuzzing", "rate"),
+                        ("replay", "span"), ("spoofing", "rate"), ("spoofing", "target"),
+                        ("spoofing", "mutate")}
 
 
 def test_set_overrides():

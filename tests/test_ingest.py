@@ -76,6 +76,15 @@ class TestParseLog:
         assert t.payload[0, :2].tolist() == [1, 2]
         assert LABELS[t.label[0]] is Label.NORMAL
 
+    @pytest.mark.parametrize("rows, header, line", [
+        (["1.0,100,8,01 02 03 04 05 06 07 08,Normal", "1.1,100,2,AA BB,Normal"],
+         "timestamp,arbitration_id,dlc,data,label", 2),
+        (["1.0,100,2,01 02,Normal", "1.1,100,2"], "timestamp,arbitration_id,dlc,payload,label", 3),
+    ], ids=["misnamed-header", "three-cell-row"])
+    def test_payload_column_is_required(self, tmp_path, rows, header, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: missing column 'payload'$"):
+            parse_log(write_csv(tmp_path, rows, header=header))
+
     def test_malformed_hex_names_line(self, tmp_path):
         path = write_csv(tmp_path, ["1.0,XYZ,8,00,Normal"])
         with pytest.raises(ParseError, match=r"^line 2: malformed hex arbitration id 'XYZ'$"):
@@ -247,9 +256,9 @@ def oracle_parse_log(path):
                 raise ParseError(line_no, f"dlc {dlc} outside [0, 8]")
             try:
                 raw = get(row, "payload")
-            except KeyError:
-                raw = ""
-            data = _oracle_payload(raw or "", line_no)[:dlc]
+            except KeyError as e:
+                raise ParseError(line_no, f"missing column {e}") from None
+            data = _oracle_payload(raw, line_no)[:dlc]
             label = Label.NORMAL
             try:
                 text = get(row, "label")
@@ -394,6 +403,25 @@ def test_a_written_log_takes_only_plain_blocks(tmp_path, monkeypatch, caplog):
     refuse(monkeypatch, "ingest._row_columns", "ingest._parse_row")
     with caplog.at_level("WARNING"):
         assert_tables_equal(parse_log(path), table(frames))
+    assert [r.message for r in caplog.records] == [
+        f"{path}: non-monotone timestamp at line {back + 2} (kept in file order)"]
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "csv"])
+def test_a_step_back_at_a_block_boundary_names_its_line(tmp_path, caplog, quoted):
+    """The first row of the third block is earlier than the last of the second: that
+    row's line is named, whether the rows go through plain blocks or csv rows."""
+    frames = [make_frame(ts=i * 0.001) for i in range(2 * ingest._BLOCK_ROWS + 5)]
+    back = 2 * ingest._BLOCK_ROWS
+    frames[back] = frames[back]._replace(timestamp=0.5)
+    path = tmp_path / "log.csv"
+    write_log(table(frames), path)
+    if quoted:  # a quoted cell in the first block sends every row through csv.reader
+        path.write_bytes(path.read_bytes().replace(b",Normal\r\n", b',"Normal"\r\n', 1))
+    spy = mock.patch.object(ingest, "_row_columns", wraps=ingest._row_columns)
+    with spy as row_columns, caplog.at_level("WARNING"):
+        assert_tables_equal(parse_log(path), table(frames))
+    assert row_columns.called == quoted
     assert [r.message for r in caplog.records] == [
         f"{path}: non-monotone timestamp at line {back + 2} (kept in file order)"]
 

@@ -433,13 +433,13 @@ class TestAdam:
         assert np.sqrt(sum((p.grad ** 2).sum() for p in (p1, p2))) == pytest.approx(5.0)
 
 
-FIT_LOG = logging.getLogger("fit-test")
+FIT_LOG = logging.getLogger("canids.toy")
 
 
 def fit_toy(model, steps, validate, epochs=20, patience=2, grad_clip=0.0):
     """nn.fit on a toy model; its history column is `score`, logged as "score %.1f"."""
     config = SimpleNamespace(toy_epochs=epochs, toy_lr=0.1, toy_patience=patience, grad_clip=grad_clip)
-    return nn.fit(model, config, steps, validate, FIT_LOG, "toy", ("score", "score %.1f"))
+    return nn.fit(model, config, steps, validate, "toy", ("score", "score %.1f"))
 
 
 def constant_loss(model, value):
