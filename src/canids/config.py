@@ -157,7 +157,8 @@ def _mutations(text: str):
                  for idx, lo, hi in (entry.split(":") for entry in text.split(",")))
 
 
-# option -> (AttackSpec field, form of each comma-separated entry or None, parser of the value)
+# option -> (AttackSpec field, form of the value or None, parser of the value); only
+# mutate's value is a comma-separated list of entries of its form
 ATTACK_OPTIONS = {
     "rate": ("rate", None, float),
     "target": ("target_id", None, _int_auto),
@@ -181,7 +182,8 @@ def _parse_attack(raw: str) -> AttackSpec:
         if opt not in ATTACK_OPTIONS:
             raise ConfigError(f"unknown attack option {opt!r}")
         name, form, parse = ATTACK_OPTIONS[opt]
-        if form and any(f.count(":") != form.count(":") for f in val.split(",")):
+        entries = val.split(",") if opt == "mutate" else [val]
+        if form and any(f.count(":") != form.count(":") or "," in f for f in entries):
             raise ConfigError(f"{opt} needs {form}, got {val!r}")
         if name not in ATTACK_FIELDS.get(kind, (name,)):  # Normal is AttackSpec's to refuse
             raise ConfigError(f"{kind.value.lower()} takes no {opt!r} option")

@@ -28,6 +28,9 @@ HIDDEN_DIM = 64
 HEAD_DIM = 32
 DROPOUT_P = 0.3
 VIEWS = ("sequence", "mean", "max")
+# The GRU layers and dropout of a training step compute in this dtype, over float64
+# master weights (see README, "Model state").
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -95,18 +98,20 @@ class DetectorModel(nn.Module):
 
         Returns the head's output as one Tensor: (L, B, 1), every timestep's
         probability, or in training (B, 1), the final step's only, which is all the
-        loss reads. The sequence probabilities are the final step's.
+        loss reads. The sequence probabilities are the final step's. In training the
+        GRU layers and dropout compute in TRAIN_DTYPE and the head in float64.
         """
         if x.ndim != 3 or x.shape[2] != EMBED_DIM:
             raise ValueError(f"expected (B, L, {EMBED_DIM}) input, got {x.shape}")
         if training and self.dropout_p > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        x = nn.Tensor(x.transpose(1, 0, 2))
         if not training:
+            x = nn.Tensor(x.transpose(1, 0, 2))
             return nn.sigmoid(nn.dense_stack(nn.gru_stack(x, [self.gru1, self.gru2]), None, self.head))
+        x = nn.Tensor(x.transpose(1, 0, 2).astype(TRAIN_DTYPE, order="C"))
         h1 = nn.gru_stack(x, [self.gru1])
         h2 = nn.gru_stack(nn.dropout(h1, self.dropout_p, rng), [self.gru2])
-        return nn.sigmoid(nn.dense_stack(nn.take_step(h2, -1), None, self.head))
+        return nn.sigmoid(nn.dense_stack(nn.astype(nn.take_step(h2, -1), np.float64), None, self.head))
 
 
 def train_detector(model: DetectorModel, train_seqs, val_seqs, config):

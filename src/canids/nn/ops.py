@@ -1,5 +1,7 @@
 """Differentiable operations: linear, activations, dropout, graph conv, the GRU,
-pooling, and the MSE/BCE losses. All return Tensors recorded for backprop.
+pooling, and the MSE/BCE losses. All return Tensors recorded for backprop. Each op
+computes in its input's dtype, float32 or float64: the GRU casts its float64 weights
+once per call, and `astype` moves a tensor between the two on the tape.
 
 Both models' dense layers run as `dense_stack` ops, tested value for value against
 the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU is one
@@ -123,14 +125,15 @@ def tanh(x) -> Tensor:
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Returns x itself when p is 0. The mask is captured for the backward pass.
+    Returns x itself when p is 0. The mask, float64 draws cast to x's dtype, is
+    captured for the backward pass.
     """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
     if p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    mask = ((rng.random(x.data.shape) >= p) / (1.0 - p)).astype(x.data.dtype, copy=False)
 
     def bwd(g):
         if _tracked(x):
@@ -224,19 +227,20 @@ def _gru_steps(x: np.ndarray, layers, gates=None) -> np.ndarray:
     layers' stacked (..., m, B, H) arrays, so the bits equal a stack of gru_cell
     steps. Rows run top layer first; layer j's state after step t sits in hs[t + 1]
     until layer j + 1 has read it. Given a (4, L, B, H) buffer for a single layer,
-    each step's n, z, r and h U_n + b_hn are written into it.
+    each step's n, z, r and h U_n + b_hn are written into it. It computes in x's
+    dtype, the weights cast to it as they are stacked.
     """
     length, batch, _ = x.shape
     n, d_h, top_first = len(layers), layers[0]["u_z"].shape[0], layers[::-1]
 
     def stacked(keys, of=top_first):
-        return np.array([[_wrap(p[k]).data for k in keys] for p in of])
+        return np.array([[_wrap(p[k]).data for k in keys] for p in of], dtype=x.dtype)
 
     (w0,), u = stacked(("w_z", "w_r", "w_n"), layers[:1]), stacked(("u_z", "u_r", "u_n"))
     w_in = stacked(("w_z", "w_r", "w_n"), top_first[:-1])
     bias = np.repeat(stacked(("b_z", "b_r", "b_in", "b_hn")).transpose(1, 0, 2)[:, :, None], batch, 2)
-    hs = np.zeros((length + 1, batch, d_h))
-    gates_in, gates_rec = np.empty((2, 3, n, batch, d_h))  # x W and h U per gate
+    hs = np.zeros((length + 1, batch, d_h), x.dtype)
+    gates_in, gates_rec = np.empty((2, 3, n, batch, d_h), x.dtype)  # x W and h U per gate
     # within nn.optim.PARAMETER_BOUND only exp(-zr) can overflow, and its inf gives a gate
     # of 0, the rounded value
     with np.errstate(over="ignore"):
@@ -263,20 +267,43 @@ def _gru_steps(x: np.ndarray, layers, gates=None) -> np.ndarray:
     return hs
 
 
+# Timesteps per weight-gradient GEMM. OpenBLAS sums a GEMM over K = L·B rows in an
+# order that can depend on its thread count (K = 1450 and 2150 did), so _gru_layer sums
+# blocks of this many steps, the blocks added in ascending order. In GEMM probes, blocks
+# of 5 steps gave the same bits at 1 and 2 threads for B = 29, 43 and 64, and blocks of 10
+# did not at B = 43. tests/test_detector.py's
+# test_checkpoint_bytes_do_not_depend_on_the_blas_threads holds training to it, at
+# batches of 64 and 256 with last batches of 29 and 43 rows; one GEMM over all rows fails it.
+GRAD_BLOCK = 5
+
+
+def _time_summed_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sum over t of a[t].T @ b[t], for time-major (T, B, m) and (T, B, k) arrays:
+    one GEMM per GRAD_BLOCK steps, the blocks added in ascending order."""
+    total = np.zeros((a.shape[-1], b.shape[-1]), a.dtype)
+    for s in range(0, len(a), GRAD_BLOCK):
+        block_a, block_b = a[s : s + GRAD_BLOCK], b[s : s + GRAD_BLOCK]
+        total += block_a.reshape(-1, a.shape[-1]).T @ block_b.reshape(-1, b.shape[-1])
+    return total
+
+
 def _gru_layer(x, params: dict) -> Tensor:
     """gru_stack's recorded op for one layer: _gru_steps over it, keeping every step's
-    gates. The backward runs BPTT in reverse t, then does the weight-gradient GEMMs
-    for all L steps at once; it may run only once, as it overwrites the kept gates."""
+    gates, in x's dtype, the weights cast to it once. The backward runs BPTT in reverse
+    t, then the weight-gradient GEMMs over blocks of GRAD_BLOCK steps; it may run only
+    once, as it overwrites the kept gates. The gradients go to the weights in x's dtype."""
     x = _wrap(x)
     p = {k: _wrap(params[k]) for k in _GRU_KEYS}
-    w_z, u_z, w_r, u_r, w_n, u_n = (p[k].data for k in ("w_z", "u_z", "w_r", "u_r", "w_n", "u_n"))
+    dtype = x.data.dtype
+    cast = {k: t.data.astype(dtype, copy=False) for k, t in p.items()}
+    w_z, u_z, w_r, u_r, w_n, u_n = (cast[k] for k in ("w_z", "u_z", "w_r", "u_r", "w_n", "u_n"))
     (length, batch, _), d_h = x.data.shape, u_z.shape[0]
-    gates = np.empty((4, length, batch, d_h))  # n, z, r and h U_n + b_hn per step
-    hs = _gru_steps(x.data, [p], gates)
+    gates = np.empty((4, length, batch, d_h), dtype)  # n, z, r and h U_n + b_hn per step
+    hs = _gru_steps(x.data, [cast], gates)
 
     def bwd(g):
         # BPTT overwrites each step's gates with the gradients of a_n, a_z, a_r and h U_n + b_hn
-        dh = np.zeros((batch, d_h))
+        dh = np.zeros((batch, d_h), dtype)
         for t in reversed(range(length)):
             dh += g[t]
             n, z, r, hn = gates[:, t]
@@ -288,14 +315,13 @@ def _gru_layer(x, params: dict) -> Tensor:
             np.multiply(n, r, out=hn)
             r[...] = da_r
             dh = dh_next + z @ u_z.T + r @ u_r.T + hn @ u_n.T
+        (d_n, d_z, d_r, d_hn), hs_prev = gates, hs[1:-1]  # h_{t-1} for t >= 1; h_0 = 0 adds nothing
+        grads = {"w_n": _time_summed_gemm(x.data, d_n), "w_z": _time_summed_gemm(x.data, d_z),
+                 "w_r": _time_summed_gemm(x.data, d_r), "u_z": _time_summed_gemm(hs_prev, d_z[1:]),
+                 "u_r": _time_summed_gemm(hs_prev, d_r[1:]), "u_n": _time_summed_gemm(hs_prev, d_hn[1:])}
         d_n, d_z, d_r, d_hn = gates.reshape(4, length * batch, d_h)
-        xs = x.data.reshape(length * batch, -1)
-        hs_prev = hs[1:-1].reshape(-1, d_h)  # h_{t-1} for t >= 1; h_0 = 0 adds nothing
-        grads = {"w_n": xs.T @ d_n, "w_z": xs.T @ d_z, "w_r": xs.T @ d_r,
-                 "u_z": hs_prev.T @ d_z[batch:], "u_r": hs_prev.T @ d_r[batch:],
-                 "u_n": hs_prev.T @ d_hn[batch:],
-                 "b_in": d_n.sum(axis=0), "b_z": d_z.sum(axis=0), "b_r": d_r.sum(axis=0),
-                 "b_hn": d_hn.sum(axis=0)}
+        grads |= {"b_in": d_n.sum(axis=0), "b_z": d_z.sum(axis=0), "b_r": d_r.sum(axis=0),
+                  "b_hn": d_hn.sum(axis=0)}
         for key, grad in grads.items():
             if _tracked(p[key]):
                 p[key].accumulate(grad)
@@ -328,6 +354,17 @@ def take_step(seq, t: int) -> Tensor:
             seq.accumulate(full)
 
     return Tensor(seq.data[t], parents=(seq,), backward_fn=bwd)
+
+
+def astype(x, dtype) -> Tensor:
+    """x in another float dtype; the backward hands the gradient back in x's."""
+    x = _wrap(x)
+
+    def bwd(g):
+        if _tracked(x):
+            x.accumulate(g.astype(x.data.dtype))
+
+    return Tensor(x.data.astype(dtype), parents=(x,), backward_fn=bwd)
 
 
 def mse_loss(pred, target) -> Tensor:

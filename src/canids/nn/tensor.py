@@ -1,4 +1,7 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
+
+A Tensor keeps a float32 array's dtype and holds anything else as float64, so an op
+computes in its input's dtype; Parameters are float64.
 
 Every op records its parents and a backward closure, except under no_grad();
 Tensor.backward() walks the recorded graph in reverse topological order and
@@ -34,7 +37,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "parents", "backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, parents=(), backward_fn=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        float32 = isinstance(data, np.ndarray) and data.dtype == np.float32
+        self.data = data if float32 else np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad = None
         self.parents = parents if _recording else ()

@@ -49,7 +49,7 @@ STAGES = {
     "train-detector": Stage(("sequence_length", "detector_epochs", "detector_lr",
                              "detector_batch", "detector_patience", "detector_seed", "grad_clip"),
                             ("embeddings_train.csv", "embeddings_val.csv"),
-                            ("detector.ckpt", "detector_log.csv"), 2),
+                            ("detector.ckpt", "detector_log.csv"), 3),
     "detect": Stage(("sequence_length", "threshold"), ("embeddings_test.csv", "detector.ckpt"),
                     tuple(f"detect_{v}.csv" for v in VIEWS) + ("summary.txt",)),
 }

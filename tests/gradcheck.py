@@ -3,7 +3,7 @@ forward as unfused linear/gcn_conv/relu ops, and the detector's forward as a
 stack of unfused GRU cells under a linear/relu/sigmoid head."""
 import numpy as np
 
-from canids import nn
+from canids import detector, nn
 from canids.graph import normalized_adjacency
 
 
@@ -77,16 +77,21 @@ def unfused_forward_batch(model, x, training=False, rng=None):
     """DetectorModel.forward_batch built from one nn.gru_cell per layer and
     timestep, one (B, H) dropout draw per timestep and the unfused head on each
     step: the oracle that the fused nn.gru_stack and nn.dense_stack path must
-    reproduce. Returns forward_batch's contract: the (L, B, 1) stack of every
-    step's probabilities, or in training the final step's (B, 1)."""
+    reproduce. In training the cells and dropout compute in detector.TRAIN_DTYPE,
+    the input and the GRU weights cast to it once, and the final step goes back to
+    float64 for the head. Returns forward_batch's contract: the (L, B, 1) stack of
+    every step's probabilities, or in training the final step's (B, 1)."""
     b, length, _ = x.shape
-    h1 = h2 = nn.Tensor(np.zeros((b, model.gru1["u_z"].shape[0])))
+    dtype = detector.TRAIN_DTYPE if training else np.float64
+    gru1, gru2 = ({k: nn.astype(p, dtype) for k, p in gru.items()} if training else gru
+                  for gru in (model.gru1, model.gru2))
+    h1 = h2 = nn.Tensor(np.zeros((b, model.gru1["u_z"].shape[0]), dtype))
     probs = []
     for t in range(length):
-        h1 = nn.gru_cell(nn.Tensor(x[:, t, :]), h1, model.gru1)
-        h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, rng) if training else h1, h2, model.gru2)
+        h1 = nn.gru_cell(nn.Tensor(x[:, t, :].astype(dtype)), h1, gru1)
+        h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, rng) if training else h1, h2, gru2)
         if not training or t == length - 1:
-            probs.append(unfused_head(model, h2))
+            probs.append(unfused_head(model, nn.astype(h2, np.float64) if training else h2))
     return probs[-1] if training else stack(probs)
 
 

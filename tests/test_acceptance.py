@@ -6,7 +6,9 @@ Criteria:
     the fused GRU layer equals the unfused GRU cell stack (values exactly,
     gradients to 1e-12 relative); the fused encoder stack and the detector's
     dense_stack head equal the unfused linear/gcn_conv/relu tape (values and
-    gradients exactly), the head run once over all steps as well as step by step
+    gradients exactly), the head run once over all steps as well as step by step;
+    the detector's float32 training steps give the float64 steps' loss and every
+    gradient within 1e-5 relative (L2)
  2. structural oracles: window partition, graph node/edge counts, sequence
     count and any-attack labeling vs brute force
  3. entropy oracles: closed-form cases, 200 random count vectors, sweep shape
@@ -34,6 +36,7 @@ from canids import nn
 from canids.analysis import auc_score, entropy_sweep
 from canids.cli import EXIT_OK, main
 from canids.config import PipelineConfig
+from canids import detector as detector_module
 from canids.detector import DetectorModel, detect, make_sequences, train_detector
 from canids.encoder import EncoderModel, GraphEmbedding, train_encoder
 from canids.frames import FrameTable
@@ -155,7 +158,7 @@ def toy_embeddings(labels, seed=0, offset=2.0):
 
 # --- criterion 1: gradient correctness ---------------------------------------
 
-def test_criterion_1_gradients(capfd):
+def test_criterion_1_gradients(capfd, monkeypatch):
     with criterion(1, "gradients match finite differences (all ops + composed losses)", capfd):
         t0 = time.monotonic()
         gru_keys_w = ("w_z", "w_r", "w_n")
@@ -308,6 +311,23 @@ def test_criterion_1_gradients(capfd):
                 probs = det.forward_batch(xc).data
                 assert np.array_equal(probs, per_step)
                 assert np.array_equal(probs, unfused_forward_batch(det, xc).data)
+
+        # the detector's training steps in float32 over its float64 weights: the loss and
+        # each of the 24 gradients within 1e-5 relative (L2) of float64 steps' with the
+        # same dropout masks, at batches with the acceptance corpus's L = 50
+        for seed, batch in ((0, 1), (1, 29), (2, 43), (3, 64)):
+            det, rm = DetectorModel(seed=seed), np.random.default_rng(6000 + seed)
+            xm, ym = rm.normal(size=(batch, 50, 32)), Tensor(rm.integers(0, 2, size=(batch, 1)).astype(float))
+            runs = []
+            for dtype in (np.float32, np.float64):
+                monkeypatch.setattr(detector_module, "TRAIN_DTYPE", dtype)
+                loss = lambda: nn.bce_loss(det.forward_batch(xm, training=True, rng=np.random.default_rng(seed)), ym)
+                runs.append((loss().item(), gradients(loss, det.params)))
+            (loss32, got), (loss64, want) = runs
+            assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+            assert len(want) == 24 and all(
+                np.linalg.norm(got[k] - want[k]) <= 1e-5 * np.linalg.norm(want[k]) for k in want)
+        monkeypatch.undo()
 
         # the fused encoder stack: all 14 gradients against finite differences at
         # W = 2, 4 and 50, then the loss and gradients equal to the unfused

@@ -1,6 +1,7 @@
 """The byte-identity guard: `synth`, `preprocess` and `run` on a tiny config, at one
-BLAS thread, must write the log and every STAGES output with the sha256 pinned in
-artifact_pins.json, unless the stage's `version` moved with its bytes.
+and at two BLAS threads, must write the log and every STAGES output with the one set
+of sha256s pinned in artifact_pins.json, unless the stage's `version` moved with its
+bytes.
 
 The pins hold only for the environment recorded beside them: the numpy version, its
 BLAS and the CPU features numpy found. On any other environment the test skips and
@@ -56,13 +57,14 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def artifacts(root: Path) -> dict:
+def artifacts(root: Path, threads: str = "1") -> dict:
     """The log's sha256, and each stage's version and output sha256s from manifest.json,
-    after `synth`, `preprocess` and `run` on CONFIG in `root`, each in a subprocess."""
+    after `synth`, `preprocess` and `run` on CONFIG in `root`, each in a subprocess with
+    `threads` BLAS threads."""
     log, work, config = root / "traffic.csv", root / "work", root / "tiny.cfg"
     config.write_text(CONFIG + f"synth_output = {log}\ninput_log = {log}\nwork_dir = {work}\n")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": str(Path(canids.__file__).parents[1])}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads, "PYTHONPATH": str(Path(canids.__file__).parents[1])}
     for command in ("synth", "preprocess", "run"):
         result = subprocess.run([sys.executable, "-m", "canids.cli", command, "--config", str(config)],
                                 capture_output=True, text=True, env=env, timeout=300)
@@ -78,19 +80,22 @@ def test_stage_outputs_match_their_pins(tmp_path):
     here = environment()
     if pinned["environment"] != here:
         pytest.skip(f"the pins were made on {pinned['environment']}, this is {here}")
-    got = artifacts(tmp_path)
-    if got["log"] != pinned["log"]:
-        pytest.fail(f"synth writes other log bytes; if that is meant, re-pin with {REPIN}")
-    for stage, now in got["stages"].items():  # in run order
-        was = pinned["stages"].get(stage, {"version": None, "outputs": {}})
-        changed = sorted(o for o, digest in now["outputs"].items() if digest != was["outputs"].get(o))
-        if now["version"] == was["version"] and changed:
-            pytest.fail(f"stage {stage}: the bytes of {', '.join(changed)} changed without a "
-                        f"version bump (version {now['version']})")
-        if now != was:
-            pytest.fail(f"stage {stage} is at version {now['version']}, pinned at {was['version']}; "
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        got = artifacts(tmp_path / threads, threads)
+        if got["log"] != pinned["log"]:
+            pytest.fail(f"synth writes other log bytes at {threads} BLAS threads; if that is meant, "
                         f"re-pin with {REPIN}")
-    assert got["stages"].keys() == pinned["stages"].keys(), f"STAGES changed; re-pin with {REPIN}"
+        for stage, now in got["stages"].items():  # in run order
+            was = pinned["stages"].get(stage, {"version": None, "outputs": {}})
+            changed = sorted(o for o, digest in now["outputs"].items() if digest != was["outputs"].get(o))
+            if now["version"] == was["version"] and changed:
+                pytest.fail(f"stage {stage}: the bytes of {', '.join(changed)} changed without a "
+                            f"version bump (version {now['version']}), at {threads} BLAS threads")
+            if now != was:
+                pytest.fail(f"stage {stage} is at version {now['version']}, pinned at {was['version']}; "
+                            f"re-pin with {REPIN}")
+        assert got["stages"].keys() == pinned["stages"].keys(), f"STAGES changed; re-pin with {REPIN}"
 
 
 if __name__ == "__main__":

@@ -175,6 +175,8 @@ def test_attack_option_field_count_error(tmp_path, option, form):
     ("normal 1.0 0.5", "attack kind cannot be Normal"),
     ("normal 1.0 0.5 rate=5 span=1:2", "attack kind cannot be Normal"),
     ("replay 1.0 0.5 span=1:2:3 rate=5", "span needs FROM:TO, got '1:2:3'"),
+    ("replay 1 0.2 span=0.1:0.2,0.3:0.4", "span needs FROM:TO, got '0.1:0.2,0.3:0.4'"),
+    ("replay 1 0.2 span=0.1,0.2:0.3", "span needs FROM:TO, got '0.1,0.2:0.3'"),
     ("replay 1.0 0.5 rate=5 span=1:2:3", "replay takes no 'rate' option"),
 ])
 def test_attack_spec_messages(spec, message):

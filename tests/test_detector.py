@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canids
-from canids import nn
+from canids import detector, nn
 from canids.analysis import compute_metrics
 from canids.config import PipelineConfig
 from canids.detector import (DetectorModel, detect, make_sequences, read_report_csvs,
@@ -129,31 +129,40 @@ class TestForward:
             model.parameters(), rtol=1e-4, max_coords=4, rng=rng)
 
 
-    def test_training_forward_matches_unfused_cells_with_dropout(self):
+    def test_training_forward_matches_unfused_cells_with_dropout(self, monkeypatch):
         """One (L, B, H) dropout draw is the stream of L per-step (B, H) draws, so a
-        training forward gives the unfused gru_cell stack's loss bit for bit."""
+        training forward gives the unfused gru_cell stack's loss bit for bit, in float32
+        steps as in float64 ones. The gradients sum in other orders: within 1e-12
+        relative in float64, and 1e-5 in float32."""
         model = DetectorModel(seed=4, dropout_p=0.3)
         x = np.random.default_rng(4).normal(size=(6, 9, 32))
         y = nn.Tensor(np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]]))
-        rngs = [np.random.default_rng(11), np.random.default_rng(11)]
-        fused = nn.bce_loss(model.forward_batch(x, training=True, rng=rngs[0]), y)
-        unfused = nn.bce_loss(unfused_forward_batch(model, x, training=True, rng=rngs[1]), y)
-        assert fused.item() == unfused.item()
-        assert rngs[0].random() == rngs[1].random()  # the same number of draws
-        assert_close_gradients(
-            gradients(lambda: nn.bce_loss(model.forward_batch(
-                x, training=True, rng=np.random.default_rng(11)), y), model.params),
-            gradients(lambda: nn.bce_loss(unfused_forward_batch(
-                model, x, training=True, rng=np.random.default_rng(11)), y), model.params))
+        for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            monkeypatch.setattr(detector, "TRAIN_DTYPE", dtype)
+            rngs = [np.random.default_rng(11), np.random.default_rng(11)]
+            fused = nn.bce_loss(model.forward_batch(x, training=True, rng=rngs[0]), y)
+            unfused = nn.bce_loss(unfused_forward_batch(model, x, training=True, rng=rngs[1]), y)
+            assert fused.item() == unfused.item()
+            assert rngs[0].random() == rngs[1].random()  # the same number of draws
+            assert_close_gradients(
+                gradients(lambda: nn.bce_loss(model.forward_batch(
+                    x, training=True, rng=np.random.default_rng(11)), y), model.params),
+                gradients(lambda: nn.bce_loss(unfused_forward_batch(
+                    model, x, training=True, rng=np.random.default_rng(11)), y), model.params),
+                rtol=rtol)
 
-    def test_training_runs_the_head_on_the_final_step_only(self):
+    def test_training_runs_the_head_on_the_final_step_only(self, monkeypatch):
+        """Without dropout a training forward gives the final step of the inference
+        forward: bit for bit in float64 steps, within 1e-6 relative in float32 ones."""
         model = DetectorModel(seed=0)
         x = np.random.default_rng(0).normal(size=(3, 7, 32))
         prob = model.forward_batch(x, training=True, rng=np.random.default_rng(0))
-        assert prob.shape == (3, 1)
-        model.dropout_p = 0.0  # without dropout, the final step of the inference forward
+        assert prob.shape == (3, 1) and prob.data.dtype == np.float64
+        model.dropout_p = 0.0
         with nn.no_grad():
             probs = model.forward_batch(x)
+        assert np.allclose(model.forward_batch(x, training=True).data, probs.data[-1], rtol=1e-6, atol=0)
+        monkeypatch.setattr(detector, "TRAIN_DTYPE", np.float64)
         assert np.array_equal(model.forward_batch(x, training=True).data, probs.data[-1])
 
     def test_one_gru_time_loop_serves_training_and_inference(self, monkeypatch):
@@ -267,6 +276,34 @@ class TestTraining:
                                 env=env, timeout=300)
         assert result.returncode == 0, result.stderr
         assert int(result.stdout) < 1000
+
+    def test_checkpoint_bytes_do_not_depend_on_the_blas_threads(self):
+        """Two epochs on random (n, 50, 32) sequences whose last batch is partial (29 or 43
+        rows), at batches of 64 and 256, write the same checkpoint bytes at 1 and 2 BLAS
+        threads. Summing the weight gradients over all L·B rows in one GEMM did not: OpenBLAS
+        reduces K = 1450 or 2150 rows in another order on 2 threads (nn.ops.GRAD_BLOCK)."""
+        code = (
+            "import hashlib, sys, tempfile\nfrom pathlib import Path\nimport numpy as np\n"
+            "from canids.config import PipelineConfig\n"
+            "from canids.detector import DetectorModel, train_detector\n"
+            "for n, batch in ((93, 64), (107, 64), (285, 256), (299, 256)):\n"
+            "    rng = np.random.default_rng(n)\n"
+            "    seqs = rng.standard_normal((n, 50, 32)), np.arange(n) % 2\n"
+            "    val = rng.standard_normal((20, 50, 32)), np.arange(20) % 2\n"
+            "    cfg = PipelineConfig(values=dict(detector_batch=batch, detector_epochs=2))\n"
+            "    model, _ = train_detector(DetectorModel(seed=n), seqs, val, cfg)\n"
+            "    with tempfile.TemporaryDirectory() as tmp:\n"
+            "        model.save(Path(tmp) / 'detector.ckpt')\n"
+            "        print(n, batch, hashlib.sha256((Path(tmp) / 'detector.ckpt').read_bytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": str(Path(canids.__file__).parents[1])}
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env=env, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout.splitlines())
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
     def test_single_class_rejected(self):
         seqs = make_sequences(embeddings_from_labels([0] * 6), 2)

@@ -516,7 +516,7 @@ PINNED_DIGESTS = {
     "windows": "ef5ae5bcbc6bddb4e6e7a659bb2ae248f7374f0966d7914215ad589a8b99562a",
     "train-encoder": "701a90fe8b430cc8077f447907d2ef2234b93f2b37f4bbc6f96542159967535b",
     "embed": "64708ea7d5a93b3afe88e598505bba57db1ca61ef52a01aa9886327406a2b923",
-    "train-detector": "08ad2f6e0afde93e4f4d251b206f1fe35c9aa90c441cce6936c2eec358e5534f",
+    "train-detector": "a7df08a9817089b4ef4bd0c388c6a1af1a7ea48f782fad4d35f4577b4b789d30",
     "detect": "ad0d74ce1e07f8d0fc4f23c871b1885ac378537b1c21de9e95e8e3e299a3952f",
 }
 
