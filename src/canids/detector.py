@@ -7,9 +7,8 @@ aggregate each window's per-occurrence probabilities by mean or max.
 
 The GRU is `nn.gru_stack`: at inference one call for both layers, in training one
 call per layer with the dropout between them (see `nn.ops`). The head is one
-`nn.dense_stack` op; `nn.gru_cell`, `linear` and `relu` are only the tests'
-oracles. Training runs the head on the final timestep only, since the loss reads
-nothing else; inference runs it once over all timesteps.
+`nn.dense_stack` op. Training runs the head on the final timestep only, since the
+loss reads nothing else; inference runs it once over all timesteps.
 """
 from __future__ import annotations
 
@@ -99,7 +98,8 @@ class DetectorModel(nn.Module):
         Returns the head's output as one Tensor: (L, B, 1), every timestep's
         probability, or in training (B, 1), the final step's only, which is all the
         loss reads. The sequence probabilities are the final step's. In training the
-        GRU layers and dropout compute in TRAIN_DTYPE and the head in float64.
+        GRU layers and dropout compute in TRAIN_DTYPE, and the head's float64 weights
+        promote the final step to float64 (see nn.dense_stack).
         """
         if x.ndim != 3 or x.shape[2] != EMBED_DIM:
             raise ValueError(f"expected (B, L, {EMBED_DIM}) input, got {x.shape}")
@@ -111,7 +111,7 @@ class DetectorModel(nn.Module):
         x = nn.Tensor(x.transpose(1, 0, 2).astype(TRAIN_DTYPE, order="C"))
         h1 = nn.gru_stack(x, [self.gru1])
         h2 = nn.gru_stack(nn.dropout(h1, self.dropout_p, rng), [self.gru2])
-        return nn.sigmoid(nn.dense_stack(nn.astype(nn.take_step(h2, -1), np.float64), None, self.head))
+        return nn.sigmoid(nn.dense_stack(nn.take_step(h2, -1), None, self.head))
 
 
 def train_detector(model: DetectorModel, train_seqs, val_seqs, config):

@@ -96,9 +96,8 @@ def train_encoder(graphs, config):
 def embed(model: EncoderModel, graph: WindowGraph) -> GraphEmbedding:
     """Pooled 1x32 embedding, recorded on no tape; the decoder does not run."""
     with nn.no_grad():
-        pooled = nn.global_mean_pool(model.encode(graph))
-    return GraphEmbedding(vector=pooled.data.reshape(EMBED_DIM),
-                          window_index=graph.window_index, label=graph.label)
+        pooled = model.encode(graph).data.mean(axis=0)
+    return GraphEmbedding(vector=pooled, window_index=graph.window_index, label=graph.label)
 
 
 def write_embeddings_csv(embeddings, path) -> None:

@@ -65,7 +65,3 @@ class Window:
     @property
     def size(self) -> int:
         return len(self.frames)
-
-    def attack_kinds(self) -> set:
-        """Attack labels present in this window (empty for a normal window)."""
-        return {LABELS[c] for c in np.unique(self.frames.label)} - {Label.NORMAL}

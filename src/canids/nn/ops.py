@@ -1,15 +1,20 @@
-"""Differentiable operations: linear, activations, dropout, graph conv, the GRU,
-pooling, and the MSE/BCE losses. All return Tensors recorded for backprop. Each op
-computes in its input's dtype, float32 or float64: the GRU casts its float64 weights
-once per call, and `astype` moves a tensor between the two on the tape.
+"""Differentiable operations: dense layers, dropout, the GRU, the MSE/BCE losses and
+the elementwise ops a GRU step is built from. All return Tensors recorded for backprop.
+Each op computes in its input's dtype, float32 or float64: the GRU casts its float64
+weights once per call, and `dense_stack` promotes a float32 input to its float64
+weights exactly.
 
-Both models' dense layers run as `dense_stack` ops, tested value for value against
-the `linear`/`gcn_conv`/`relu` composition that no model path calls. The GRU is one
-op, `gru_stack`, over one time loop, `_gru_steps`, a wavefront over a stack of
-layers. Under no_grad it runs the loop once for the whole stack and keeps no gates;
-on a tape each layer is one recorded op that keeps the gates its hand-written BPTT
-reads. `gru_cell` is one step built from the elementwise ops, the oracle the GRU is
-tested against value for value.
+Both models' dense layers run as `dense_stack` ops. The GRU is one op, `gru_stack`,
+over one time loop, `_gru_steps`, a wavefront over a stack of layers. Under no_grad it
+runs the loop once for the whole stack and keeps no gates; on a tape each layer is one
+recorded op that keeps the gates its hand-written BPTT reads.
+
+No model path calls `gru_cell`, one GRU step, or `gcn_conv`, one graph convolution:
+they are the oracles that `gru_stack` and `dense_stack` are tested against value for
+value. They stay here, with `add`, `sub`, `mul`, `matmul`, `tanh` and `linear` that they
+are built from, because perfbench's tracer patches `gru_cell` and `gcn_conv` by name.
+The tests' other oracles, `relu`, `global_mean_pool` and `astype`, are in
+tests/gradcheck.py.
 """
 from __future__ import annotations
 
@@ -88,17 +93,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(a.data @ b.data, parents=(a, b), backward_fn=bwd)
 
 
-def relu(x) -> Tensor:
-    x = _wrap(x)
-    mask = x.data > 0  # subgradient at 0 is 0
-
-    def bwd(g):
-        if _tracked(x):
-            x.accumulate(g * mask)
-
-    return Tensor(np.where(mask, x.data, 0.0), parents=(x,), backward_fn=bwd)
-
-
 def sigmoid(x) -> Tensor:
     x = _wrap(x)
     with np.errstate(over="ignore"):  # exp(-x) = inf gives 0, the rounded value
@@ -156,9 +150,11 @@ def dense_stack(x, norm_adj, layers) -> Tensor:
     """Dense layers h -> h @ W + b over x, (..., d_in), as one op, from (weight, bias,
     conv, relu) tuples of Tensors: a conv layer first takes h to norm_adj @ h, as
     gcn_conv does, and a relu layer ends in a ReLU. Forward and backward keep the
-    linear/gcn_conv/relu tape's expressions and order, so on a 2-D x they equal it
-    bit for bit; parameter gradients sum over all leading axes, and x gets one only
-    if it is a tracked Tensor. Under no_grad nothing is kept."""
+    expressions and order of a tape of linear or gcn_conv and ReLU ops, so on a 2-D x
+    they equal it bit for bit; parameter gradients sum over all leading axes, and x
+    gets one only if it is a tracked Tensor. A float32 x under float64 weights is
+    promoted exactly by the first GEMM, and its gradient is handed back in float64,
+    for the op that made x to round into x's dtype. Under no_grad nothing is kept."""
     x = _wrap(x)
     saved, h = [], x.data  # saved: each layer's GEMM input and ReLU mask (or None)
     for w, b, conv, relu in layers:
@@ -186,18 +182,6 @@ def dense_stack(x, norm_adj, layers) -> Tensor:
             x.accumulate(g)
 
     return Tensor(h, parents=(x, *(t for w, b, _, _ in layers for t in (w, b))), backward_fn=bwd)
-
-
-def global_mean_pool(node_feats) -> Tensor:
-    """Columnwise mean over nodes: (W, d) -> (1, d); backward spreads grad by 1/W."""
-    x = _wrap(node_feats)
-    w = x.data.shape[0]
-
-    def bwd(g):
-        if _tracked(x):
-            x.accumulate(np.broadcast_to(g / w, x.data.shape))
-
-    return Tensor(x.data.mean(axis=0, keepdims=True), parents=(x,), backward_fn=bwd)
 
 
 def gru_cell(x, h_prev, params: dict) -> Tensor:
@@ -344,7 +328,8 @@ def gru_stack(x, layers) -> Tensor:
 
 
 def take_step(seq, t: int) -> Tensor:
-    """Step t of a time-major (L, ...) sequence; the backward fills only step t."""
+    """Step t of a time-major (L, ...) sequence; the backward fills only step t, in
+    seq's dtype, so a float64 gradient for a float32 seq is rounded to nearest once."""
     seq = _wrap(seq)
 
     def bwd(g):
@@ -354,17 +339,6 @@ def take_step(seq, t: int) -> Tensor:
             seq.accumulate(full)
 
     return Tensor(seq.data[t], parents=(seq,), backward_fn=bwd)
-
-
-def astype(x, dtype) -> Tensor:
-    """x in another float dtype; the backward hands the gradient back in x's."""
-    x = _wrap(x)
-
-    def bwd(g):
-        if _tracked(x):
-            x.accumulate(g.astype(x.data.dtype))
-
-    return Tensor(x.data.astype(dtype), parents=(x,), backward_fn=bwd)
 
 
 def mse_loss(pred, target) -> Tensor:

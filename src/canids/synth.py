@@ -93,11 +93,12 @@ class AttackSpec:
         if not (np.isfinite(self.start) and 0 <= self.duration < np.inf):
             raise ValueError(f"attack needs a finite start and a finite duration >= 0, "
                              f"got {self.start} and {self.duration}")
-        if not 0 < self.rate < np.inf:
-            raise ValueError(f"{self.kind.value.lower()} rate must be positive and finite")
-        if not self.rate * self.duration <= MAX_FRAMES:
-            raise ValueError(f"{self.kind.value.lower()} asks for {self.rate * self.duration:.4g} frames, "
-                             f"more than MAX_FRAMES = {MAX_FRAMES}")
+        if "rate" in ATTACK_FIELDS[self.kind]:
+            if not 0 < self.rate < np.inf:
+                raise ValueError(f"{self.kind.value.lower()} rate must be positive and finite")
+            if not self.rate * self.duration <= MAX_FRAMES:
+                raise ValueError(f"{self.kind.value.lower()} asks for {self.rate * self.duration:.4g} "
+                                 f"frames, more than MAX_FRAMES = {MAX_FRAMES}")
         if not 0 <= self.target_id < MAX_ARBITRATION_ID:
             raise ValueError(f"attack target_id {self.target_id:#x} outside 29-bit range")
         if self.kind is Label.SPOOFING and not self.mutation:
@@ -237,23 +238,25 @@ def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
     t0, t1 = table.timestamp[[0, -1]].tolist()
     if spec.start < t0 - 1e-9 or end > t1 + 1e-9:
         raise ValueError(f"attack interval [{spec.start}, {end}] outside log span [{t0}, {t1}]")
-    count = int(round(spec.rate * spec.duration))
-    arb = np.full(count, spec.target_id, np.int64)
-    dlc = np.full(count, MAX_DLC, np.uint8)
-    payload = np.zeros((count, MAX_DLC), np.uint8)
-    ts = spec.start + np.arange(count) / spec.rate
-
-    if spec.kind is Label.FUZZING:
-        ts = np.sort(rng.uniform(spec.start, end, size=count))
-        arb, dlc, payload = _fuzzing(rng, count)
-    elif spec.kind is Label.REPLAY:
+    if spec.kind is Label.REPLAY:
         lo, hi = spec.replay_span
         source = table[(lo <= table.timestamp) & (table.timestamp < hi)]
         if not len(source):
             raise ValueError(f"replay span [{lo}, {hi}) contains no frames")
         ts = spec.start + (source.timestamp - source.timestamp[0])
         arb, dlc, payload = source.arbitration_id, source.dlc, source.payload
-    elif spec.kind is Label.SPOOFING:
+    else:  # the kinds that read a rate
+        count = int(round(spec.rate * spec.duration))
+        if spec.kind is Label.FUZZING:
+            ts = np.sort(rng.uniform(spec.start, end, size=count))
+            arb, dlc, payload = _fuzzing(rng, count)
+        else:  # flooding and spoofing send to target_id at the rate
+            arb = np.full(count, spec.target_id, np.int64)
+            dlc = np.full(count, MAX_DLC, np.uint8)
+            payload = np.zeros((count, MAX_DLC), np.uint8)
+            ts = spec.start + np.arange(count) / spec.rate
+
+    if spec.kind is Label.SPOOFING:
         # spoofed payloads start from the victim's last genuine payload
         victim = np.flatnonzero(table.arbitration_id == spec.target_id)
         last = np.searchsorted(table.timestamp[victim], ts, side="right") - 1

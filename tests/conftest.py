@@ -53,6 +53,11 @@ def windows_from(frames, window_size):
     return make_windows(table(frames), window_size)
 
 
+def attack_kinds(window) -> set:
+    """The attack labels among a window's frames (empty for a normal window)."""
+    return {LABELS[c] for c in np.unique(window.frames.label)} - {Label.NORMAL}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

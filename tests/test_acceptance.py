@@ -45,8 +45,9 @@ from canids.ingest import make_windows
 from canids.nn.tensor import Parameter, Tensor
 from canids.pipeline import prepare_splits, run_pipeline, run_synth
 
-from gradcheck import (assert_close_gradients, assert_gradients_match, gradients,
-                       unfused_encoder_forward, unfused_forward_batch, unfused_head)
+from conftest import attack_kinds
+from gradcheck import (assert_close_gradients, assert_gradients_match, global_mean_pool, gradients,
+                       relu, unfused_encoder_forward, unfused_forward_batch, unfused_head)
 
 
 @contextmanager
@@ -173,7 +174,7 @@ def test_criterion_1_gradients(capfd, monkeypatch):
             w = Parameter(r.normal(size=(4, 2)), "w")
             b = Parameter(r.normal(size=2), "b")
             assert_gradients_match(
-                lambda: nn.mse_loss(nn.relu(nn.linear(x, w, b)),
+                lambda: nn.mse_loss(relu(nn.linear(x, w, b)),
                                     Tensor(np.ones((3, 2)))), [x, w, b])
 
             # sigmoid / tanh
@@ -205,7 +206,7 @@ def test_criterion_1_gradients(capfd, monkeypatch):
             # global_mean_pool + mse
             xp = Parameter(r.normal(size=(7, 3)), "xp")
             assert_gradients_match(
-                lambda: nn.mse_loss(nn.global_mean_pool(xp), Tensor(np.ones((1, 3)))), [xp])
+                lambda: nn.mse_loss(global_mean_pool(xp), Tensor(np.ones((1, 3)))), [xp])
 
             # bce
             pr = Parameter(r.uniform(0.05, 0.95, size=(5, 1)), "pr")
@@ -480,7 +481,7 @@ def test_criterion_5_overfit(capfd):
 # --- criterion 6: end-to-end detection on the bundled corpus -------------------
 
 def _segment_aucs(report, splits, length):
-    kinds_by_index = {w.index: w.attack_kinds() for w in splits["test"]}
+    kinds_by_index = {w.index: attack_kinds(w) for w in splits["test"]}
     aucs = {}
     for kind in ("Flooding", "Fuzzing", "Replay", "Spoofing"):
         scores, labels = [], []

@@ -15,7 +15,7 @@ from canids.ingest import (ParseError, make_windows, parse_log, split_dataset, w
                            write_windows_csv)
 from canids.nn import atomic_path
 
-from conftest import make_frame, normal_frames, refuse, rows_of, table, windows_from
+from conftest import attack_kinds, make_frame, normal_frames, refuse, rows_of, table, windows_from
 
 
 COLUMNS = ("timestamp", "arbitration_id", "dlc", "payload", "label")
@@ -686,9 +686,9 @@ class TestFrameTable:
         frames[1] = make_frame(ts=0.001, label=Label.REPLAY)
         frames[4] = make_frame(ts=0.004, label=Label.FLOODING)
         first, second = windows_from(frames, 3)
-        assert first.attack_kinds() == {Label.REPLAY}
-        assert second.attack_kinds() == {Label.FLOODING}
-        assert windows_from(normal_frames(3), 3)[0].attack_kinds() == set()
+        assert attack_kinds(first) == {Label.REPLAY}
+        assert attack_kinds(second) == {Label.FLOODING}
+        assert attack_kinds(windows_from(normal_frames(3), 3)[0]) == set()
 
 
 class TestMakeWindows:

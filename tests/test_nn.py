@@ -13,7 +13,8 @@ from canids.graph import WindowGraph
 from canids.nn.optim import BETA1, BETA2, EPS, PARAMETER_BOUND
 from canids.nn.tensor import Parameter, Tensor, seeded_init
 
-from gradcheck import assert_close_gradients, assert_gradients_match, gradients, stack
+from gradcheck import (assert_close_gradients, assert_gradients_match, astype, global_mean_pool,
+                       gradients, relu, stack)
 
 
 def param(data, name="p"):
@@ -34,7 +35,7 @@ class TestForwardValues:
             nn.matmul(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 2))))
 
     def test_activations(self):
-        assert nn.relu(Tensor([-1.0, 0.0, 2.0])).data.tolist() == [0.0, 0.0, 2.0]
+        assert relu(Tensor([-1.0, 0.0, 2.0])).data.tolist() == [0.0, 0.0, 2.0]
         assert nn.sigmoid(Tensor([0.0])).data == pytest.approx([0.5])
         assert nn.tanh(Tensor([0.0])).data == pytest.approx([0.0])
 
@@ -51,11 +52,11 @@ class TestForwardValues:
         assert h0.data == pytest.approx(np.zeros((2, 4)))
 
     def test_global_mean_pool(self):
-        assert nn.global_mean_pool(Tensor([[3.0, 4.0]])).data.tolist() == [[3.0, 4.0]]
-        two = nn.global_mean_pool(Tensor([[0.0] * 4, [1.0] * 4]))
+        assert global_mean_pool(Tensor([[3.0, 4.0]])).data.tolist() == [[3.0, 4.0]]
+        two = global_mean_pool(Tensor([[0.0] * 4, [1.0] * 4]))
         assert two.data == pytest.approx(np.full((1, 4), 0.5))
         x = np.random.default_rng(1).normal(size=(50, 32))
-        assert nn.global_mean_pool(Tensor(x)).data == pytest.approx(
+        assert global_mean_pool(Tensor(x)).data == pytest.approx(
             x.mean(axis=0, keepdims=True), abs=1e-12)
 
     def test_gcn_identity_propagation(self):
@@ -129,7 +130,7 @@ class TestGradients:
             [x, w, b])
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("act", [nn.relu, nn.sigmoid, nn.tanh])
+    @pytest.mark.parametrize("act", [relu, nn.sigmoid, nn.tanh])
     def test_activations(self, seed, act):
         r = np.random.default_rng(seed)
         x = Parameter(r.normal(size=(4, 3)) + 0.1, "x")  # keep clear of relu kink
@@ -168,8 +169,8 @@ class TestGradients:
             lambda: nn.mse_loss(nn.dense_stack(x, a, layers), Tensor(np.zeros((3, 2)))), ps)
 
         def unfused():
-            h = nn.relu(nn.gcn_conv(Tensor(x), a, ps[0], ps[1]))
-            return nn.gcn_conv(nn.relu(nn.linear(h, ps[2], ps[3])), a, ps[4], ps[5])
+            h = relu(nn.gcn_conv(Tensor(x), a, ps[0], ps[1]))
+            return nn.gcn_conv(relu(nn.linear(h, ps[2], ps[3])), a, ps[4], ps[5])
 
         target = Tensor(r.normal(size=(3, 2)))
         tensors = {p.name: p for p in ps}
@@ -177,6 +178,28 @@ class TestGradients:
                 == nn.mse_loss(unfused(), target).item())
         got = gradients(lambda: nn.mse_loss(nn.dense_stack(x, a, layers), target), tensors)
         want = gradients(lambda: nn.mse_loss(unfused(), target), tensors)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    @pytest.mark.parametrize("batch", [1, 7, 43])
+    def test_dense_stack_promotes_a_float32_step_as_astype_does(self, batch):
+        """A float32 step under float64 weights: dense_stack promotes it exactly, and
+        take_step rounds the float64 gradient into the float32 sequence, bit for bit
+        as an astype to float64 between them does both ways."""
+        r = np.random.default_rng(batch)
+        seq = Tensor(r.normal(size=(4, batch, 6)).astype(np.float32), requires_grad=True)
+        ps = [param(r.normal(size=shape), name) for name, shape in
+              (("w1", (6, 5)), ("b1", 5), ("w2", (5, 1)), ("b2", 1))]
+        layers = [(ps[0], ps[1], False, True), (ps[2], ps[3], False, False)]
+        target = Tensor(r.normal(size=(batch, 1)))
+
+        def loss(cast):
+            return lambda: nn.mse_loss(nn.dense_stack(cast(nn.take_step(seq, -1)), None, layers), target)
+
+        plain, cast = loss(lambda h: h), loss(lambda h: astype(h, np.float64))
+        assert plain().item() == cast().item()
+        tensors = {"seq": seq} | {p.name: p for p in ps}
+        got, want = gradients(plain, tensors), gradients(cast, tensors)
+        assert got["seq"].dtype == np.float32
         assert all(np.array_equal(got[k], want[k]) for k in want)
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -202,14 +225,14 @@ class TestGradients:
         r = np.random.default_rng(seed)
         x = Parameter(r.normal(size=(7, 3)), "x")
         assert_gradients_match(
-            lambda: nn.mse_loss(nn.global_mean_pool(x), Tensor(np.ones((1, 3)))), [x])
+            lambda: nn.mse_loss(global_mean_pool(x), Tensor(np.ones((1, 3)))), [x])
         p = Parameter(r.uniform(0.05, 0.95, size=(5, 1)), "p")
         y = Tensor(r.integers(0, 2, size=(5, 1)).astype(float))
         assert_gradients_match(lambda: nn.bce_loss(p, y), [p])
 
     def test_pool_gradient_conservation(self):
         x = Parameter(np.random.default_rng(0).normal(size=(10, 4)), "x")
-        pooled = nn.global_mean_pool(x)
+        pooled = global_mean_pool(x)
         loss = nn.mse_loss(pooled, Tensor(np.zeros((1, 4))))
         loss.backward()
         incoming = 2 * pooled.data / pooled.data.size
@@ -234,9 +257,9 @@ class TestGradients:
         y = Tensor(np.array([[1.0]]))
 
         def loss():
-            h = nn.relu(nn.linear(x, w1, b1))
+            h = relu(nn.linear(x, w1, b1))
             h = nn.gru_cell(h, Tensor(np.zeros((5, 4))), gru)
-            pooled = nn.global_mean_pool(h)
+            pooled = global_mean_pool(h)
             prob = nn.sigmoid(nn.linear(pooled, w2, b2))
             return nn.bce_loss(prob, y)
 
@@ -355,7 +378,7 @@ class TestTape:
             y = nn.sigmoid(nn.linear(x, w, b))
             with nn.no_grad():
                 pass
-            inner = nn.relu(y)  # an inner block exits back into no_grad
+            inner = relu(y)  # an inner block exits back into no_grad
         assert y.parents == () and y.backward_fn is None
         assert inner.parents == () and inner.backward_fn is None
         assert np.array_equal(y.data, nn.sigmoid(nn.linear(x, w, b)).data)

@@ -106,6 +106,15 @@ class TestInject:
         # inter-arrival gaps preserved
         assert np.diff(rep.timestamp) == pytest.approx(np.diff(src.timestamp))
 
+    def test_replay_reads_no_rate(self, base_log):
+        """Replay copies its span whatever its rate, which no frame count bounds."""
+        src = base_log[(0.0 <= base_log.timestamp) & (base_log.timestamp < 0.1)]
+        want = FrameTable(1.0 + (src.timestamp - src.timestamp[0]), src.arbitration_id, src.dlc,
+                          src.payload, np.full(len(src), LABELS.index(Label.REPLAY), np.int8))
+        for rate in (1e8, 1e308):
+            spec = AttackSpec(Label.REPLAY, start=1.0, duration=0.5, rate=rate, replay_span=(0.0, 0.1))
+            assert same_columns(of_kind(inject(base_log, spec), Label.REPLAY), want)
+
     def test_fuzzing_deterministic_and_uniform_ids(self, base_log):
         spec = AttackSpec(Label.FUZZING, start=0.2, duration=1.0, rate=2000)
         out1 = inject(base_log, spec, seed=3)
@@ -215,7 +224,7 @@ def test_frame_count_bound():
                                 (seconds + 0.001) / 2), r"1e\+07"),
         (lambda: TrafficProfile((simple_ecu(period_ms=1.0),), 1e308), "inf"),
         (lambda: AttackSpec(Label.FUZZING, 0.0, 1.0, rate=MAX_FRAMES + 1), r"1e\+07"),
-        (lambda: AttackSpec(Label.REPLAY, 0.0, 2.0, rate=1e308), "inf"),
+        (lambda: AttackSpec(Label.FLOODING, 0.0, 2.0, rate=1e308), "inf"),
     ]:
         with pytest.raises(ValueError, match=rf"asks for {count} frames, more than MAX_FRAMES = {MAX_FRAMES}$"):
             make()

@@ -22,9 +22,10 @@ A fifth input runs `synth` on each of the 25 held-out captures that every
 each odd capture, their configs built from perfbench/workloads.py's constants.
 Each input runs in its own directory under --out, removed first; --out
 defaults to one fixed path, since paths are written into the work dir: both
-trees must run with the same --out. BLAS runs on one
-thread, as in perfbench. Each output line is `<input> <command> exit=<code>
-stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves,
+trees must run with the same --out. BLAS runs on as many threads as the
+environment gives it: every artifact has the same bytes at 1 and 2 threads, as
+tests/test_artifact_pins.py holds. Each output line is `<input> <command>
+exit=<code> stdout=<sha256>` or `<input> <file> <sha256>`, for every file the input leaves,
 or `<input> work/manifest.json:<key> <value>`, for every entry of the manifest,
 so a change to how stage digests are formed shows as changed stage-digest lines
 while every recorded output sha256 stays equal; the captures input gives one
@@ -32,22 +33,18 @@ while every recorded output sha256 stays equal; the captures input gives one
 """
 from __future__ import annotations
 
-import os
+import argparse
+import contextlib
+import csv
+import hashlib
+import io
+import json
+import shutil
 import sys
+import tempfile
+from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"  # before numpy loads
 sys.dont_write_bytecode = True  # leaves no cache files in perfbench/ or tests/
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import csv  # noqa: E402
-import hashlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import shutil  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 REWRITTEN = "criterion7-rewritten"
