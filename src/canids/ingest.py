@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-import math
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -73,11 +72,12 @@ _MAX_WIDTH = {10: 18, 16: 15}  # the widest cells whose value always fits int64
 _CANONICAL_WIDTH = 3 * MAX_DLC - 1  # "HH HH HH HH HH HH HH HH"
 
 
-def _integers(texts, base: int) -> np.ndarray:
-    """The int64 values of an integer column: from one joined buffer through _DIGIT if
-    its cells are all ASCII base-`base` digits of one width, else from one pass of
-    int(text, base), which raises for a missing cell (None) or a rejected one. An
-    underscore raises ValueError: int(text, 16) reads "0x_1", which _parse_id rejects."""
+def _integers(texts, base: int, parse) -> np.ndarray:
+    """The values of an integer column, tried three ways: int64 through _DIGIT from one
+    joined buffer, if every cell is ASCII base-`base` digits of one width; int64 from
+    one int(text, base) pass, if no cell holds "_" (int(text, 16) reads "0x_1", which
+    _parse_id rejects); else Python ints from `parse` cell by cell, which raises
+    ValueError for a cell it rejects. A missing cell (None) raises TypeError."""
     n = len(texts)
     joined = "".join(texts)
     width = len(joined) // n if n else 0
@@ -89,9 +89,12 @@ def _integers(texts, base: int) -> np.ndarray:
             for column in digits.T:
                 values = values * base + column
             return values
-    if "_" in joined:
-        raise ValueError("an underscore in an integer cell")
-    return np.fromiter(map(int, texts, repeat(base)), np.int64, n)
+    if "_" not in joined:
+        try:
+            return np.fromiter(map(int, texts, repeat(base)), np.int64, n)
+        except (ValueError, OverflowError):  # "0x 1a", say, or a value beyond int64
+            pass
+    return np.fromiter(map(parse, texts), object, n)
 
 
 def _decode_payloads(texts) -> np.ndarray:
@@ -119,64 +122,47 @@ def _decode_payloads(texts) -> np.ndarray:
     return payload
 
 
-def _cell(text, name: str) -> str:
-    if text is None:
-        raise ValueError(f"missing column {name!r}")
-    return text
-
-
-def _parse_row(ts, arb, dlc, payload, label):
-    """One row's (timestamp, id, DLC, payload bytes zero-padded to 8, label code),
-    from its five cells in COLUMNS order, where a missing column's cell is None.
-    Raises ValueError with the message of the row's first failing check, in this
-    order: the timestamp, its finiteness, the id, the DLC, its range, the payload,
-    the label and the id's range."""
-    timestamp = float(_cell(ts, "timestamp"))
-    if not math.isfinite(timestamp):
-        raise ValueError(f"timestamp {ts!r} is not finite")
-    arbitration_id = _parse_id(_cell(arb, "arbitration_id"))
-    length = int(_cell(dlc, "dlc"))
-    if not 0 <= length <= MAX_DLC:
-        raise ValueError(f"dlc {length} outside [0, {MAX_DLC}]")
-    data = _parse_payload(_cell(payload, "payload"))
-    code = LABELS.index(Label.from_string(label)) if label else 0
-    if not 0 <= arbitration_id < MAX_ARBITRATION_ID:
-        raise ValueError(f"arbitration id {arbitration_id:#x} outside 29-bit range")
-    return timestamp, arbitration_id, length, data + [0] * (MAX_DLC - len(data)), code
-
-
 _BLOCK_ROWS = 4096  # lines read, or rows converted, at a time: bounds how much text is alive at once
+
+
+def _column(name: str, convert, *args):
+    """convert(*args), where a missing cell (None) raises TypeError: its column is missing."""
+    try:
+        return convert(*args)
+    except TypeError:
+        raise ValueError(f"missing column {name!r}") from None
 
 
 def _parse_block(columns, lines) -> FrameTable:
     """Convert and validate the five text columns (in COLUMNS order) of consecutive
-    non-blank rows; `lines[i]` is row i's physical line number. The block is converted
-    column by column; if a conversion raises or a value is out of range, it is parsed
-    again row by row through _parse_row, to a ParseError naming the first bad row, or
-    to the values of a block that only _parse_row reads (an id such as "0x 1a")."""
+    non-blank rows; `lines[i]` is row i's physical line number. Each column converts
+    at once, and the checks run in a row's order: the timestamp, its finiteness, the
+    id, the DLC, its range, the payload, the label and the id's range. A block that
+    fails is converted again in halves, down to a block of its first bad row, whose
+    first failing check raises a ParseError naming the row's line."""
     ts_text, id_text, dlc_text, payload_text, label_text = columns
     n = len(ts_text)
-    try:  # TypeError: a missing cell (None)
-        timestamp = np.fromiter(map(float, ts_text), np.float64, n)
-        arb, dlc = _integers(id_text, 16), _integers(dlc_text, 10)
-        payload = _decode_payloads(payload_text)
+    try:
+        timestamp = _column("timestamp", np.fromiter, map(float, ts_text), np.float64, n)
+        for i in np.flatnonzero(~np.isfinite(timestamp))[:1]:
+            raise ValueError(f"timestamp {ts_text[i]!r} is not finite")
+        arb = _column("arbitration_id", _integers, id_text, 16, _parse_id)
+        dlc = _column("dlc", _integers, dlc_text, 10, int)
+        for i in np.flatnonzero((dlc < 0) | (dlc > MAX_DLC))[:1]:
+            raise ValueError(f"dlc {dlc[i]} outside [0, {MAX_DLC}]")
+        payload = _column("payload", _decode_payloads, payload_text)
         codes = {text: LABELS.index(Label.from_string(text)) if text else 0 for text in set(label_text)}
         label = np.fromiter(map(codes.__getitem__, label_text), np.int8, n)
-        if not (np.isfinite(timestamp).all() and ((dlc >= 0) & (dlc <= MAX_DLC)).all()
-                and ((arb >= 0) & (arb < MAX_ARBITRATION_ID)).all()):
-            raise ValueError("a value out of range")
-    except (TypeError, ValueError, OverflowError):
-        rows = []
-        for line, row in zip(lines, zip(*columns)):
-            try:
-                rows.append(_parse_row(*row))
-            except ValueError as e:
-                raise ParseError(line, str(e)) from None
-        timestamp, arb, dlc, payload, label = (
-            np.array(column, dtype) for column, dtype in
-            zip(zip(*rows), (np.float64, np.int64, np.int64, np.uint8, np.int8)))
+        for i in np.flatnonzero((arb < 0) | (arb >= MAX_ARBITRATION_ID))[:1]:
+            raise ValueError(f"arbitration id {arb[i]:#x} outside 29-bit range")
+    except ValueError as e:
+        if n == 1:
+            raise ParseError(lines[0], str(e)) from None
+        for half in (slice(n // 2), slice(n // 2, n)):
+            _parse_block([column[half] for column in columns], lines[half])
+        raise  # unreachable: a block fails only where one of its rows does
     payload[np.arange(MAX_DLC) >= dlc[:, None]] = 0  # the declared DLC wins
-    return FrameTable(timestamp, arb, dlc.astype(np.uint8), payload, label)
+    return FrameTable(timestamp, arb.astype(np.int64, copy=False), dlc.astype(np.uint8), payload, label)
 
 
 def _row_columns(rows, fields):
@@ -272,14 +258,15 @@ def parse_log(path) -> FrameTable:
     through csv.reader a row at a time, since a quoted cell can span lines. Both
     paths hand the same text columns to the same conversions and checks, so the
     table, the error with its line number and the warning's line are the same
-    whichever path a row takes. A block is converted column by column: ids and DLCs
-    whose cells are all ASCII digits of one width, and payloads in the form write_log
-    emits ("HH HH ..."), are decoded at once; other ids and DLCs ("0x" prefixes,
-    padding) take one int() pass, and other payloads (comma-separated, contiguous
-    "A1B2C3", non-ASCII, single-digit) are parsed cell by cell. A block with a bad row,
-    or with an id that only _parse_id reads, is parsed again row by row through
-    _parse_row, the one place that orders a row's checks. Payloads shorter than 8
-    bytes are zero-padded; a payload longer than the declared DLC is truncated to it.
+    whichever path a row takes. Every block is converted column by column in
+    _parse_block, the one place that orders a row's checks: ids and DLCs whose cells
+    are all ASCII digits of one width, and payloads in the form write_log emits
+    ("HH HH ..."), are decoded at once; other ids and DLCs ("0x" prefixes, padding)
+    take one int() pass, or go cell by cell where that pass refuses them ("0x 1a",
+    "1_0"), and other payloads (comma-separated, contiguous "A1B2C3", non-ASCII,
+    single-digit) are parsed cell by cell. A block with a bad row is converted again
+    in halves, down to that row. Payloads shorter than 8 bytes are zero-padded; a
+    payload longer than the declared DLC is truncated to it.
     """
     path = Path(path)
     tables, back_line, last = [], None, -np.inf  # the first step back in time, the last timestamp

@@ -99,15 +99,16 @@ class AttackSpec:
             if not self.rate * self.duration <= MAX_FRAMES:
                 raise ValueError(f"{self.kind.value.lower()} asks for {self.rate * self.duration:.4g} "
                                  f"frames, more than MAX_FRAMES = {MAX_FRAMES}")
-        if not 0 <= self.target_id < MAX_ARBITRATION_ID:
+        if "target_id" in ATTACK_FIELDS[self.kind] and not 0 <= self.target_id < MAX_ARBITRATION_ID:
             raise ValueError(f"attack target_id {self.target_id:#x} outside 29-bit range")
-        if self.kind is Label.SPOOFING and not self.mutation:
-            raise ValueError("spoofing needs at least one byte mutation")
-        for index, lo, hi in self.mutation:
-            if not 0 <= index < MAX_DLC:
-                raise ValueError(f"mutation byte index {index} outside [0, {MAX_DLC - 1}]")
-            if not 0 <= lo <= hi <= 0xFF:
-                raise ValueError(f"mutation bounds {lo}:{hi} need 0 <= lo <= hi <= 255")
+        if self.kind is Label.SPOOFING:
+            if not self.mutation:
+                raise ValueError("spoofing needs at least one byte mutation")
+            for index, lo, hi in self.mutation:
+                if not 0 <= index < MAX_DLC:
+                    raise ValueError(f"mutation byte index {index} outside [0, {MAX_DLC - 1}]")
+                if not 0 <= lo <= hi <= 0xFF:
+                    raise ValueError(f"mutation bounds {lo}:{hi} need 0 <= lo <= hi <= 255")
 
 
 def _ecu_frames(spec: EcuSpec, profile: TrafficProfile, idx: int) -> FrameTable:

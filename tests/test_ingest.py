@@ -393,16 +393,30 @@ def mixed_frames(n):
     return frames, back
 
 
+def block_sizes(monkeypatch):
+    """The row count of each call of ingest._parse_block, in call order, its calls of
+    itself on the halves of a failing block included."""
+    sizes, parse_block = [], ingest._parse_block
+
+    def spy(columns, lines):
+        sizes.append(len(lines))
+        return parse_block(columns, lines)
+    monkeypatch.setattr(ingest, "_parse_block", spy)
+    return sizes
+
+
 def test_a_written_log_takes_only_plain_blocks(tmp_path, monkeypatch, caplog):
     """write_log's output is plain, block after block, so no row of it goes through
-    the csv row path, and every block converts column-wise, so none is parsed row by
-    row; line numbers still count from the header."""
+    the csv row path, and every block converts column-wise once, so none is converted
+    again in halves; line numbers still count from the header."""
     frames, back = mixed_frames(2 * ingest._BLOCK_ROWS + 5)
     path = tmp_path / "log.csv"
     write_log(table(frames), path)
-    refuse(monkeypatch, "ingest._row_columns", "ingest._parse_row")
+    refuse(monkeypatch, "ingest._row_columns")
+    sizes = block_sizes(monkeypatch)
     with caplog.at_level("WARNING"):
         assert_tables_equal(parse_log(path), table(frames))
+    assert sizes == [ingest._BLOCK_ROWS, ingest._BLOCK_ROWS, 5]
     assert [r.message for r in caplog.records] == [
         f"{path}: non-monotone timestamp at line {back + 2} (kept in file order)"]
 
@@ -441,7 +455,7 @@ OTHER_FORMS = {
 @pytest.mark.parametrize("form", OTHER_FORMS)
 def test_other_valid_forms_convert_column_wise(tmp_path, monkeypatch, form):
     """A valid log in another documented form parses to the same table as write_log's
-    form, and no block of it is parsed row by row."""
+    form, and each block of it is converted column-wise once."""
     frames, _ = mixed_frames(2 * ingest._BLOCK_ROWS + 5)
     path = tmp_path / "log.csv"
     write_log(table(frames), path)
@@ -453,8 +467,9 @@ def test_other_valid_forms_convert_column_wise(tmp_path, monkeypatch, form):
     want = table(frames)
     if form == "no-label":
         want = FrameTable(want.timestamp, want.arbitration_id, want.dlc, want.payload, 0 * want.label)
-    refuse(monkeypatch, "ingest._parse_row")
+    sizes = block_sizes(monkeypatch)
     assert_tables_equal(parse_log(path), want)
+    assert sizes == [ingest._BLOCK_ROWS, ingest._BLOCK_ROWS, 5]
 
 
 def test_a_quoted_cell_hands_the_rest_to_csv_on_the_same_lines(tmp_path, caplog):
@@ -496,6 +511,10 @@ def test_a_quoted_cell_hands_the_rest_to_csv_on_the_same_lines(tmp_path, caplog)
     ["1.0,10000000000000001,0,,Normal", "1.1,10000000000000001,0,,Normal"],
     ["1.0,7FF,18446744073709551617,,Normal", "1.1,7FF,18446744073709551617,,Normal"],
     ["1.0,7FF,08,,Normal", "1.1,7FF,08,,Normal"],
+    # an id beyond int64 is range-checked last: the bad DLC of its row is named
+    ["1.0,100,0,,Normal", "1.1,100000000000000000,9,,Normal"],
+    # the bad row is the last of a full block
+    [f"{i}.0,100,0,,Normal" for i in range(ingest._BLOCK_ROWS - 1)] + ["9999.0,100,0,,Bogus"],
 ])
 def test_blocks_match_row_parser(tmp_path, rows):
     assert_parses_like_row_parser(write_csv(tmp_path, rows))

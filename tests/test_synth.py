@@ -107,13 +107,23 @@ class TestInject:
         assert np.diff(rep.timestamp) == pytest.approx(np.diff(src.timestamp))
 
     def test_replay_reads_no_rate(self, base_log):
-        """Replay copies its span whatever its rate, which no frame count bounds."""
+        """Replay copies its span whatever its rate, which no frame count bounds, its
+        target id or its mutations, none of which it reads."""
         src = base_log[(0.0 <= base_log.timestamp) & (base_log.timestamp < 0.1)]
         want = FrameTable(1.0 + (src.timestamp - src.timestamp[0]), src.arbitration_id, src.dlc,
                           src.payload, np.full(len(src), LABELS.index(Label.REPLAY), np.int8))
-        for rate in (1e8, 1e308):
-            spec = AttackSpec(Label.REPLAY, start=1.0, duration=0.5, rate=rate, replay_span=(0.0, 0.1))
+        for extra in ({"rate": 1e8}, {"rate": 1e308}, {"target_id": 1 << 29},
+                      {"target_id": -1, "mutation": ((9, 0, 1), (0, 9, 8))}):
+            spec = AttackSpec(Label.REPLAY, start=1.0, duration=0.5, replay_span=(0.0, 0.1), **extra)
             assert same_columns(of_kind(inject(base_log, spec), Label.REPLAY), want)
+
+    def test_fuzzing_reads_no_target_id_or_mutation(self, base_log):
+        """Fuzzing draws its ids, so out-of-range target ids and mutations, which it
+        does not read, construct and inject the same frames."""
+        want = inject(base_log, AttackSpec(Label.FUZZING, start=0.2, duration=0.5, rate=100), seed=3)
+        for extra in ({"target_id": 1 << 29}, {"target_id": -1, "mutation": ((9, 0, 1), (0, 9, 8))}):
+            spec = AttackSpec(Label.FUZZING, start=0.2, duration=0.5, rate=100, **extra)
+            assert same_columns(inject(base_log, spec, seed=3), want)
 
     def test_fuzzing_deterministic_and_uniform_ids(self, base_log):
         spec = AttackSpec(Label.FUZZING, start=0.2, duration=1.0, rate=2000)
