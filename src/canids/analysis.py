@@ -25,16 +25,12 @@ class EntropyStats:
 
 @dataclass
 class MetricBlock:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    """The five numbers a view's row of summary.txt and sweep_summary.csv prints."""
     accuracy: float
     precision: float
     recall: float
     f1: float
     auc: Optional[float]        # None when labels are single-class
-    degenerate: bool = False    # a zero-denominator precision/recall was reported as 0
 
 
 def entropy_sweep(table, sizes) -> list:
@@ -115,10 +111,11 @@ def auc_score(scores, labels) -> Optional[float]:
 
 
 def compute_metrics(decisions, labels, scores) -> MetricBlock:
-    """Confusion-matrix metrics plus Mann-Whitney AUC from the raw scores.
+    """Accuracy, precision, recall and F1 from the confusion counts, plus Mann-Whitney
+    AUC from the raw scores.
 
-    Zero-denominator precision/recall are reported as 0 with the degenerate
-    flag set; single-class labels leave AUC as None.
+    A zero-denominator precision, recall or F1 is reported as 0; single-class labels
+    leave AUC as None.
     """
     decisions = np.asarray(decisions, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -128,17 +125,7 @@ def compute_metrics(decisions, labels, scores) -> MetricBlock:
     fp = int(np.sum((decisions == 1) & (labels == 0)))
     tn = int(np.sum((decisions == 0) & (labels == 0)))
     fn = int(np.sum((decisions == 0) & (labels == 1)))
-    degenerate = False
-    accuracy = (tp + tn) / len(labels)
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision, degenerate = 0.0, True
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall, degenerate = 0.0, True
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) > 0 else 0.0
-    return MetricBlock(tp=tp, fp=fp, tn=tn, fn=fn, accuracy=accuracy,
-                       precision=precision, recall=recall, f1=f1,
-                       auc=auc_score(scores, labels), degenerate=degenerate)
+    return MetricBlock((tp + tn) / len(labels), precision, recall, f1, auc_score(scores, labels))

@@ -25,6 +25,7 @@ from .encoder import EMBED_DIM
 
 HIDDEN_DIM = 64
 HEAD_DIM = 32
+# Between the GRU layers in training; forward_batch reads it on each call.
 DROPOUT_P = 0.3
 VIEWS = ("sequence", "mean", "max")
 # The GRU layers and dropout of a training step compute in this dtype, over float64
@@ -78,7 +79,7 @@ def _gru_arrays(prefix: str, d_in: int, d_h: int, rng) -> list:
 
 
 class DetectorModel(nn.Module):
-    def __init__(self, seed: int = 0, dropout_p: float = DROPOUT_P):
+    def __init__(self, seed: int = 0):
         rng = np.random.default_rng(seed)
         named = _gru_arrays("gru1", EMBED_DIM, HIDDEN_DIM, rng)
         named += _gru_arrays("gru2", HIDDEN_DIM, HIDDEN_DIM, rng)
@@ -90,7 +91,6 @@ class DetectorModel(nn.Module):
         self.gru1 = {n[5:]: p for n, p in self.params.items() if n.startswith("gru1_")}
         self.gru2 = {n[5:]: p for n, p in self.params.items() if n.startswith("gru2_")}
         self.head = [(self.params[f"fc{i}_w"], self.params[f"fc{i}_b"], False, i == 1) for i in (1, 2)]
-        self.dropout_p = dropout_p
 
     def forward_batch(self, x: np.ndarray, training: bool = False, rng=None):
         """Run the GRU stack over a (B, L, 32) batch.
@@ -103,14 +103,14 @@ class DetectorModel(nn.Module):
         """
         if x.ndim != 3 or x.shape[2] != EMBED_DIM:
             raise ValueError(f"expected (B, L, {EMBED_DIM}) input, got {x.shape}")
-        if training and self.dropout_p > 0 and rng is None:
+        if training and DROPOUT_P > 0 and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         if not training:
             x = nn.Tensor(x.transpose(1, 0, 2))
             return nn.sigmoid(nn.dense_stack(nn.gru_stack(x, [self.gru1, self.gru2]), None, self.head))
         x = nn.Tensor(x.transpose(1, 0, 2).astype(TRAIN_DTYPE, order="C"))
         h1 = nn.gru_stack(x, [self.gru1])
-        h2 = nn.gru_stack(nn.dropout(h1, self.dropout_p, rng), [self.gru2])
+        h2 = nn.gru_stack(nn.dropout(h1, DROPOUT_P, rng), [self.gru2])
         return nn.sigmoid(nn.dense_stack(nn.take_step(h2, -1), None, self.head))
 
 

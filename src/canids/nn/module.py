@@ -33,12 +33,6 @@ class Module:
     def parameters(self) -> list:
         return list(self.params.values())
 
-    def snapshot(self) -> np.ndarray:
-        return self.data.copy()
-
-    def load_state(self, state: np.ndarray) -> None:
-        self.data[...] = state
-
     def save(self, path) -> None:
         nn.save_checkpoint(self.parameters(), path)
 

@@ -75,13 +75,14 @@ def fit(model, config, steps, validate, name: str, metric: tuple) -> dict:
     history under `metric[0]` and to the INFO line as `metric[1] % value`. The best
     epoch is the first with the highest score. Training stops after the first epoch
     more than `<name>_patience` epochs past it, so up to patience + 1 epochs without
-    improvement can run; the parameters saved after it are then restored.
+    improvement can run; the copy of `model.data` taken after it is then restored.
+    The record is {"best_epoch": ..., "history": [one row per epoch run]}.
     """
     _keep_heap_mapped()
     epochs, lr, patience = (getattr(config, f"{name}_{k}") for k in ("epochs", "lr", "patience"))
     column, shown = metric
     history = []
-    best_score, best_epoch, best_state = -np.inf, -1, model.snapshot()
+    best_score, best_epoch, best_state = -np.inf, -1, model.data.copy()
     for epoch in range(epochs):
         started = time.perf_counter()
         total, weights = 0.0, 0
@@ -108,8 +109,8 @@ def fit(model, config, steps, validate, name: str, metric: tuple) -> dict:
         logging.getLogger(f"canids.{name}").info(f"%s epoch %d: train loss %.6g, {shown}, %.2f s",
                  name, epoch, train_loss, value, time.perf_counter() - started)
         if score > best_score:
-            best_score, best_epoch, best_state = score, epoch, model.snapshot()
+            best_score, best_epoch, best_state = score, epoch, model.data.copy()
         elif epoch - best_epoch > patience:
             break
-    model.load_state(best_state)
-    return {"epochs_run": len(history), "best_epoch": best_epoch, "history": history}
+    model.data[...] = best_state
+    return {"best_epoch": best_epoch, "history": history}

@@ -270,10 +270,20 @@ def inject(table: FrameTable, spec: AttackSpec, seed: int = 0) -> FrameTable:
     injected = FrameTable(ts, arb, dlc, payload,
                           np.full(len(ts), LABELS.index(spec.kind), np.int8))
     # every kind yields time-ordered frames (replay copies sorted rows); each goes after the
-    # originals at or before its time, so only rows at[0]:at[-1] interleave with them
+    # originals at or before its time, so only rows lo:hi interleave with them. Output rows
+    # lo:hi + n hold those and the n injected ones, the i-th at row at[i] + i.
+    n = len(ts)
     at = np.searchsorted(table.timestamp, ts, side="right")
-    lo, hi = (at[0], at[-1]) if len(at) else (0, 0)
-    middle = table[lo:hi]
-    merged = FrameTable(*(np.insert(getattr(middle, f.name), at - lo, getattr(injected, f.name),
-                                    axis=0) for f in fields(FrameTable)))
-    return FrameTable.concat([table[:lo], merged, table[hi:]])
+    lo, hi = (at[0], at[-1]) if n else (0, 0)
+    at += np.arange(n) - lo
+    is_new = np.zeros(hi - lo + n, bool)
+    is_new[at] = True
+    columns = []
+    for f in fields(FrameTable):
+        old = getattr(table, f.name)
+        out = np.empty((len(old) + n,) + old.shape[1:], old.dtype)
+        out[:lo], out[hi + n:] = old[:lo], old[hi:]
+        out[lo:hi + n][is_new] = getattr(injected, f.name)
+        out[lo:hi + n][~is_new] = old[lo:hi]
+        columns.append(out)
+    return FrameTable(*columns)

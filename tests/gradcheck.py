@@ -125,7 +125,7 @@ def unfused_forward_batch(model, x, training=False, rng=None):
     probs = []
     for t in range(length):
         h1 = nn.gru_cell(nn.Tensor(x[:, t, :].astype(dtype)), h1, gru1)
-        h2 = nn.gru_cell(nn.dropout(h1, model.dropout_p, rng) if training else h1, h2, gru2)
+        h2 = nn.gru_cell(nn.dropout(h1, detector.DROPOUT_P, rng) if training else h1, h2, gru2)
         if not training or t == length - 1:
             probs.append(unfused_head(model, astype(h2, np.float64) if training else h2))
     return probs[-1] if training else stack(probs)

@@ -220,8 +220,8 @@ def test_criterion_1_gradients(capfd, monkeypatch):
                 lambda: nn.mse_loss(enc.forward(g), Tensor(g.node_features)),
                 enc.parameters(), max_coords=3, rng=check_rng)
 
-            # composed detector sequence loss (dropout off for determinism)
-            det = DetectorModel(seed=seed, dropout_p=0.0)
+            # composed detector sequence loss (an inference forward, so no dropout)
+            det = DetectorModel(seed=seed)
             xb = np.random.default_rng(seed).normal(size=(2, 3, 32))
             yd = Tensor(np.array([[1.0], [0.0]]))
             assert_gradients_match(  # the head over all steps, recorded; the loss reads the last

@@ -217,18 +217,19 @@ class TestComputeMetrics:
         assert (mb.accuracy, mb.precision, mb.recall, mb.f1, mb.auc) == (1, 1, 1, 1, 1)
 
     def test_hand_confusion_arithmetic(self):
-        labels = [1, 1, 1, 0, 0, 0, 0, 0, 0, 0]
-        decisions = [1, 1, 0, 1, 0, 0, 0, 0, 0, 0]
+        """tp, fp, fn, tn = 3, 2, 1, 4: with fp != fn, precision and recall pin every
+        count, so swapping fp and fn would show."""
+        labels = [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+        decisions = [1, 1, 1, 0, 1, 1, 0, 0, 0, 0]
         mb = compute_metrics(decisions, labels, decisions)
-        assert (mb.tp, mb.fp, mb.fn, mb.tn) == (2, 1, 1, 6)
-        assert mb.precision == pytest.approx(2 / 3)
-        assert mb.recall == pytest.approx(2 / 3)
-        assert mb.f1 == pytest.approx(2 / 3)
-        assert mb.accuracy == pytest.approx(0.8)
+        assert mb.precision == 3 / 5
+        assert mb.recall == 3 / 4
+        assert mb.f1 == 6 / 9
+        assert mb.accuracy == 7 / 10
 
-    def test_degenerate_precision_flag(self):
+    def test_zero_denominator_precision_is_zero(self):
         mb = compute_metrics([0, 0], [1, 0], [0.4, 0.3])
-        assert mb.precision == 0.0 and mb.degenerate
+        assert (mb.precision, mb.recall, mb.f1) == (0.0, 0.0, 0.0)
 
     def test_single_class_auc_none(self):
         mb = compute_metrics([0, 1], [0, 0], [0.1, 0.9])

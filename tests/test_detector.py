@@ -119,7 +119,7 @@ class TestForward:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_bce_gradients_match_finite_differences(self, seed):
-        model = DetectorModel(seed=seed, dropout_p=0.0)
+        model = DetectorModel(seed=seed)
         x = np.random.default_rng(seed).normal(size=(2, 3, 32))
         rng = np.random.default_rng(seed)
         y = nn.Tensor(rng.integers(0, 2, size=(3, 2, 1)).astype(float))  # every step's label
@@ -134,7 +134,7 @@ class TestForward:
         training forward gives the unfused gru_cell stack's loss bit for bit, in float32
         steps as in float64 ones. The gradients sum in other orders: within 1e-12
         relative in float64, and 1e-5 in float32."""
-        model = DetectorModel(seed=4, dropout_p=0.3)
+        model = DetectorModel(seed=4)
         x = np.random.default_rng(4).normal(size=(6, 9, 32))
         y = nn.Tensor(np.array([[1.0], [0.0], [0.0], [1.0], [0.0], [1.0]]))
         for dtype, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
@@ -158,7 +158,7 @@ class TestForward:
         x = np.random.default_rng(0).normal(size=(3, 7, 32))
         prob = model.forward_batch(x, training=True, rng=np.random.default_rng(0))
         assert prob.shape == (3, 1) and prob.data.dtype == np.float64
-        model.dropout_p = 0.0
+        monkeypatch.setattr(detector, "DROPOUT_P", 0.0)
         with nn.no_grad():
             probs = model.forward_batch(x)
         assert np.allclose(model.forward_batch(x, training=True).data, probs.data[-1], rtol=1e-6, atol=0)
@@ -244,7 +244,7 @@ class TestTraining:
             _, log = train_detector(DetectorModel(seed=0), seqs, seqs,
                                     PipelineConfig(values=dict(detector_epochs=3)))
         lines = [r.getMessage() for r in caplog.records if r.name == "canids.detector"]
-        assert len(lines) == log["epochs_run"] == 3
+        assert len(lines) == len(log["history"]) == 3
         for epoch, (line, row) in enumerate(zip(lines, log["history"])):
             assert line.startswith(f"detector epoch {epoch}: train loss ")
             assert f"{row['train_loss']:.6g}" in line and f"val F1 {row['val_f1']:.4f}" in line

@@ -92,7 +92,7 @@ class TestTraining:
         with caplog.at_level(logging.INFO, logger="canids.encoder"):
             _, log = train_encoder(graphs, PipelineConfig(values=dict(encoder_epochs=3, encoder_seed=0)))
         lines = [r.getMessage() for r in caplog.records if r.name == "canids.encoder"]
-        assert len(lines) == log["epochs_run"] == 3
+        assert len(lines) == len(log["history"]) == 3
         for epoch, (line, row) in enumerate(zip(lines, log["history"])):
             assert line.startswith(f"encoder epoch {epoch}: train loss ")
             assert f"{row['train_loss']:.6g}" in line and f"val loss {row['val_loss']:.6g}" in line

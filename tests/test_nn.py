@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from canids import nn
+from canids import detector, nn
 from canids.detector import DetectorModel
 from canids.encoder import EncoderModel
 from canids.graph import WindowGraph
@@ -390,8 +390,9 @@ class TestTape:
         nn.mse_loss(z, Tensor(np.zeros((1, 2)))).backward()
         assert w.grad is not None and b.grad is not None
 
-    def test_backward_frees_the_graph_and_keeps_leaf_gradients(self):
-        model = DetectorModel(seed=0, dropout_p=0.0)
+    def test_backward_frees_the_graph_and_keeps_leaf_gradients(self, monkeypatch):
+        monkeypatch.setattr(detector, "DROPOUT_P", 0.0)
+        model = DetectorModel(seed=0)
         x = np.random.default_rng(0).normal(size=(2, 3, 32))
         seq_probs = model.forward_batch(x, training=True)  # no dropout, so no rng
         scale = Tensor(np.ones((2, 1)), requires_grad=True)  # a leaf that is no Parameter
@@ -478,14 +479,14 @@ class TestFit:
         seen = []
 
         def validate():
-            seen.append(model.snapshot())
+            seen.append(model.data.copy())
             score = next(scores)
             return score, score
 
         with caplog.at_level(logging.INFO, logger=FIT_LOG.name):
             record = fit_toy(model, lambda: [(nn.mse_loss(w, Tensor(1.0)), 1)], validate)
         # the best epoch is 1; epoch 4 is the first more than patience = 2 epochs past it
-        assert record["epochs_run"] == len(seen) == 5
+        assert len(record["history"]) == len(seen) == 5
         assert record["best_epoch"] == 1
         assert [row["score"] for row in record["history"]] == [1.0, 3.0, 2.0, 2.0, 2.0]
         assert len({float(state[0]) for state in seen}) == 5  # every epoch moved w
@@ -524,8 +525,8 @@ class TestFit:
         """An epoch with finite losses that leaves a parameter past PARAMETER_BOUND is
         divergence: no validation forward runs on it."""
         model = module(w=-PARAMETER_BOUND)  # a zero gradient: Adam leaves w where it is
-        assert fit_toy(model, lambda: [(constant_loss(model, 1.0), 1)], lambda: (0.0, 0.0),
-                       epochs=1)["epochs_run"] == 1
+        assert len(fit_toy(model, lambda: [(constant_loss(model, 1.0), 1)], lambda: (0.0, 0.0),
+                           epochs=1)["history"]) == 1
         model, validated = module(w=far), []
         with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 0: a parameter "
                                                      r"is beyond \+-1e\+06$"):
@@ -543,14 +544,6 @@ class TestModule:
         assert np.shares_memory(w.data, m.data) and np.shares_memory(b.data, m.data)
         nn.mse_loss(nn.matmul(Tensor(np.ones((1, 2))), w), Tensor(np.zeros((1, 3)))).backward()
         assert w.grad.base is m.grad and np.array_equal(m.grad[:6], w.grad.ravel())
-
-    def test_snapshot_and_load_state_copy(self):
-        m = module(w=[1.0, 2.0])
-        state = m.snapshot()
-        m.params["w"].data[...] = 9.0
-        assert state.tolist() == [1.0, 2.0]
-        m.load_state(state)
-        assert m.params["w"].data.tolist() == [1.0, 2.0]
 
     def test_save_load_round_trip(self, tmp_path):
         src = module(w=np.arange(6.0).reshape(2, 3), b=[7.0])
