@@ -1,13 +1,16 @@
 """Differentiable operations: dense layers, dropout, the GRU, the MSE/BCE losses and
-the elementwise ops a GRU step is built from. All return Tensors recorded for backprop.
-Each op computes in its input's dtype, float32 or float64: the GRU casts its float64
-weights once per call, and `dense_stack` promotes a float32 input to its float64
-weights exactly.
+the elementwise ops a GRU step is built from. Each op returns a Tensor recorded for
+backprop; `dense_forward` and `dense_backward`, dense_stack's two halves, are plain
+array functions. Each op computes in its input's dtype, float32 or float64: the GRU
+casts its float64 weights once per call, and `dense_stack` promotes a float32 input to
+its float64 weights exactly.
 
-Both models' dense layers run as `dense_stack` ops. The GRU is one op, `gru_stack`,
-over one time loop, `_gru_steps`, a wavefront over a stack of layers. Under no_grad it
-runs the loop once for the whole stack and keeps no gates; on a tape each layer is one
-recorded op that keeps the gates its hand-written BPTT reads.
+Both models' dense layers run as those two halves: the detector's head through the
+`dense_stack` op, and the encoder's training step and embeddings by calling them
+itself, on no tape. The GRU is one op, `gru_stack`, over one time loop, `_gru_steps`,
+a wavefront over a stack of layers. Under no_grad it runs the loop once for the whole
+stack and keeps no gates; on a tape each layer is one recorded op that keeps the gates
+its hand-written BPTT reads.
 
 No model path calls `gru_cell`, one GRU step, or `gcn_conv`, one graph convolution:
 they are the oracles that `gru_stack` and `dense_stack` are tested against value for
@@ -146,40 +149,71 @@ def gcn_conv(node_feats, norm_adj: np.ndarray, weight, bias) -> Tensor:
     return linear(matmul(Tensor(norm_adj), node_feats), weight, bias)
 
 
-def dense_stack(x, norm_adj, layers) -> Tensor:
-    """Dense layers h -> h @ W + b over x, (..., d_in), as one op, from (weight, bias,
-    conv, relu) tuples of Tensors: a conv layer first takes h to norm_adj @ h, as
-    gcn_conv does, and a relu layer ends in a ReLU. Forward and backward keep the
-    expressions and order of a tape of linear or gcn_conv and ReLU ops, so on a 2-D x
-    they equal it bit for bit; parameter gradients sum over all leading axes, and x
-    gets one only if it is a tracked Tensor. A float32 x under float64 weights is
-    promoted exactly by the first GEMM, and its gradient is handed back in float64,
-    for the op that made x to round into x's dtype. Under no_grad nothing is kept."""
-    x = _wrap(x)
-    saved, h = [], x.data  # saved: each layer's GEMM input and ReLU mask (or None)
+def _convolve(norm_adj: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """norm_adj @ h over h's node-major rows: row n·M + m of a 2-D h, or h[n, m] of a
+    3-D one, is node n of graph m, so each of the M graphs is convolved by one
+    (W, W) @ (W, M·d) GEMM. At M = 1 it is norm_adj @ h itself."""
+    return (norm_adj @ h.reshape(len(norm_adj), -1)).reshape(h.shape)
+
+
+def dense_forward(x: np.ndarray, norm_adj, layers):
+    """dense_stack's forward on an array x: (h, saved), where saved holds each layer's
+    GEMM input and ReLU mask (or None) for dense_backward."""
+    saved, h = [], x
     for w, b, conv, relu in layers:
-        inp = norm_adj @ h if conv else h
-        h, mask = inp @ w.data + b.data, None
+        inp = _convolve(norm_adj, h) if conv else h
+        h, mask = inp @ w.data, None
+        h += b.data
         if relu:
             mask = h > 0  # subgradient at 0 is 0
             h = np.where(mask, h, 0.0)
         saved.append((inp, mask))
+    return h, saved
+
+
+def dense_backward(g: np.ndarray, norm_adj, layers, saved, grads, input_grad: bool):
+    """dense_forward's backward from its output's gradient g, over what it saved. Each
+    layer's bias and then weight gradient, summed over all leading axes, is written
+    into that layer's (weight, bias) pair of arrays in `grads`, last layer first.
+    Returns x's gradient if input_grad, else None, skipping its GEMMs."""
+    for i in reversed(range(len(layers))):
+        (w, _, conv, _), (inp, mask), (w_out, b_out) = layers[i], saved[i], grads[i]
+        if mask is not None:
+            g = g * mask
+        rows = g.reshape(-1, g.shape[-1])
+        rows.sum(axis=0, out=b_out)
+        np.matmul(inp.reshape(-1, inp.shape[-1]).T, rows, out=w_out)
+        if i or input_grad:
+            g = g @ w.data.T
+            if conv:
+                g = _convolve(norm_adj.T, g)
+    return g if input_grad else None
+
+
+def dense_stack(x, norm_adj, layers) -> Tensor:
+    """Dense layers h -> h @ W + b over x, (..., d_in), as one op, from (weight, bias,
+    conv, relu) tuples of Tensors: a conv layer first takes h to norm_adj @ h over
+    h's node-major rows (see _convolve), as gcn_conv does on one graph, and a relu
+    layer ends in a ReLU. Forward and backward keep the expressions and order of a
+    tape of linear or gcn_conv and ReLU ops, so on a 2-D x they equal it bit for bit;
+    parameter gradients sum over all leading axes, and x gets one only if it is a
+    tracked Tensor. A float32 x under float64 weights is promoted exactly by the first
+    GEMM, and its gradient is handed back in float64, for the op that made x to round
+    into x's dtype. Under no_grad nothing is kept. The op is dense_forward, then on a
+    tape dense_backward, whose gradients each parameter accumulates."""
+    x = _wrap(x)
+    h, saved = dense_forward(x.data, norm_adj, layers)
     if not recording():
         return Tensor(h)
 
     def bwd(g):
-        for i in reversed(range(len(layers))):
-            (w, b, conv, _), (inp, mask) = layers[i], saved[i]
-            if mask is not None:
-                g = g * mask
-            b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
-            w.accumulate(inp.reshape(-1, inp.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-            if i or _tracked(x):
-                g = g @ w.data.T
-                if conv:
-                    g = norm_adj.T @ g
-        if _tracked(x):
-            x.accumulate(g)
+        grads = [(np.empty(w.data.shape), np.empty(b.data.shape)) for w, b, _, _ in layers]
+        gx = dense_backward(g, norm_adj, layers, saved, grads, _tracked(x))
+        for (w, b, _, _), (w_grad, b_grad) in zip(layers, grads):
+            w.accumulate(w_grad)
+            b.accumulate(b_grad)
+        if gx is not None:
+            x.accumulate(gx)
 
     return Tensor(h, parents=(x, *(t for w, b, _, _ in layers for t in (w, b))), backward_fn=bwd)
 

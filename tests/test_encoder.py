@@ -1,11 +1,15 @@
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from canids import nn
+from canids import encoder, nn
 from canids.config import PipelineConfig
-from canids.encoder import (EncoderModel, GraphEmbedding, embed, read_embeddings_csv,
+from canids.encoder import (EncoderModel, GraphEmbedding, embed, embed_graphs, read_embeddings_csv,
                             train_encoder, write_embeddings_csv)
 from canids.frames import Label
 from canids.graph import ByteMode, WindowGraph, build_graph
@@ -124,12 +128,18 @@ class TestFusedPath:
             assert recorded_ops(model.forward(g)) == recorded_ops(model.encode(g)) == 0
 
     def test_unfused_ops_are_not_on_the_encoder_path(self, monkeypatch, tmp_path):
-        """Training, validation and embed run the fused stack; linear and gcn_conv are
-        only the oracle's, whose checkpoint and embeddings it reproduces."""
+        """Training, validation and embed run the fused stack without a tape; linear and
+        gcn_conv are only the oracle's, trained on the tape, whose checkpoint and
+        embeddings it reproduces."""
         graphs = [random_graph(w=5 + i % 3, seed=i, index=i) for i in range(10)]
         config = PipelineConfig(values=dict(encoder_epochs=1, encoder_seed=2))
+
+        def tape_loss(model, g, backward=False):  # a Tensor loss, which nn.fit backpropagates
+            loss = nn.mse_loss(unfused_encoder_forward(model, g)[1], nn.Tensor(g.node_features))
+            return loss if backward else loss.item()
+
         with monkeypatch.context() as m:
-            m.setattr(EncoderModel, "forward", lambda self, g: unfused_encoder_forward(self, g)[1])
+            m.setattr(encoder, "_reconstruction_loss", tape_loss)
             oracle, oracle_log = train_encoder(graphs, config)
         with nn.no_grad():
             want = [global_mean_pool(unfused_encoder_forward(oracle, g)[0]).data.reshape(-1)
@@ -194,6 +204,62 @@ class TestEmbed:
         g = random_graph(label=1, index=17)
         e = embed(EncoderModel(seed=0), g)
         assert (e.window_index, e.label) == (17, 1)
+
+
+class TestBlockedEmbed:
+    def test_blocks_equal_per_graph_embed_byte_for_byte_at_1_and_2_threads(self):
+        """embed_graphs in blocks of 1, 7, 16 and 32 windows (225 windows, so each ends in
+        a block of 1) writes the embeddings CSV that per-graph embed gives, byte for byte,
+        on perturbed weights, at 1 and 2 BLAS threads."""
+        code = (
+            "import hashlib, sys, tempfile\nfrom pathlib import Path\nimport numpy as np\n"
+            "from canids import encoder\nfrom canids.graph import WindowGraph\n"
+            "rng = np.random.default_rng(5)\nmodel = encoder.EncoderModel(seed=1)\n"
+            "model.data += rng.normal(scale=0.3, size=model.data.size)\n"
+            "graphs = []\n"
+            "for i in range(225):\n"
+            "    f = rng.integers(0, 256, size=(50, 9)) / 255.0\n"
+            "    f[:, 0] = rng.integers(0, 9, size=50) / 8.0\n"
+            "    graphs.append(WindowGraph(f, i % 2, i))\n"
+            "def digest(embs):\n"
+            "    with tempfile.TemporaryDirectory() as tmp:\n"
+            "        encoder.write_embeddings_csv(embs, Path(tmp) / 'e.csv')\n"
+            "        return hashlib.sha256((Path(tmp) / 'e.csv').read_bytes()).hexdigest()\n"
+            "print(digest([encoder.embed(model, g) for g in graphs]))\n"
+            "for block in (1, 7, 16, 32):\n"
+            "    encoder.EMBED_BLOCK = block\n"
+            "    print(digest(encoder.embed_graphs(model, graphs)))\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads, "PYTHONPATH": str(Path(encoder.__file__).parents[1])}
+            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                    env=env, timeout=300)
+            assert result.returncode == 0, result.stderr
+            digests += result.stdout.split()
+        assert len(digests) == 10 and len(set(digests)) == 1
+
+    def test_vectors_and_order_match_embed(self, monkeypatch):
+        monkeypatch.setattr(encoder, "EMBED_BLOCK", 4)
+        model = EncoderModel(seed=2)
+        graphs = [random_graph(w=6, seed=i, label=i % 2, index=10 + i) for i in range(9)]
+        got = embed_graphs(model, graphs)
+        assert [(e.window_index, e.label) for e in got] == [(g.window_index, g.label) for g in graphs]
+        assert all(np.array_equal(e.vector, embed(model, g).vector) for e, g in zip(got, graphs, strict=True))
+        assert embed_graphs(model, []) == []
+
+    def test_a_feature_width_not_9_is_refused(self):
+        g = random_graph()
+        g.node_features = np.zeros((6, 5))
+        with pytest.raises(ValueError, match="9"):
+            embed_graphs(EncoderModel(seed=0), [g, g])
+        with pytest.raises(ValueError, match="9"):
+            embed(EncoderModel(seed=0), g)
+
+    def test_a_block_of_mixed_node_counts_is_refused(self):
+        graphs = [random_graph(w=6), random_graph(w=7)]
+        with pytest.raises(ValueError, match=r"\[6, 7\] nodes"):
+            embed_graphs(EncoderModel(seed=0), graphs)
 
 
 @pytest.mark.filterwarnings("error")  # a header-only file (an empty split) must not warn

@@ -520,6 +520,46 @@ class TestFit:
             fit_toy(model, lambda: ((loss, 1) for loss in losses), lambda: (0.0, 0.0))
         assert model.adam_t == 1
 
+    def test_a_float_step_hands_over_its_written_gradients(self):
+        """A step that returns a float has written and marked model.grad itself: fit
+        takes its Adam step on those gradients, as it would after a tape's backward."""
+        model, tape = module(w=[0.5, -1.0]), module(w=[0.5, -1.0])
+
+        def float_step():
+            w = model.params["w"]
+            w.grad_buffer[...] = w.data  # the gradient of sum(w^2) / 2
+            w.grad = w.grad_buffer
+            return float(np.sum(w.data ** 2) / 2), 1
+
+        def tape_step():
+            w = tape.params["w"]
+            return nn.mse_loss(w, Tensor(np.zeros(2))), 1  # the same gradient and loss
+
+        got = fit_toy(model, lambda: [float_step()], lambda: (0.0, 0.0), epochs=3)
+        want = fit_toy(tape, lambda: [tape_step()], lambda: (0.0, 0.0), epochs=3)
+        assert got == want and model.adam_t == tape.adam_t == 3
+        assert np.array_equal(model.data, tape.data)
+
+    def test_a_non_finite_float_loss_stops_before_any_adam_step(self):
+        model = module(w=[0.5, -1.0])
+        start = model.data.copy()
+
+        def step():
+            w = model.params["w"]
+            w.grad_buffer[...] = 1.0
+            w.grad = w.grad_buffer
+            return float("nan"), 1
+
+        with pytest.raises(FloatingPointError, match=r"^toy training diverged at epoch 0$"):
+            fit_toy(model, lambda: [step()], lambda: (0.0, 0.0))
+        assert model.adam_t == 0 and np.array_equal(model.data, start)
+
+    def test_a_float_step_that_marks_no_gradient_is_refused(self):
+        model = module(w=[0.5, -1.0])
+        with pytest.raises(ValueError, match="'w' has no gradient"):
+            fit_toy(model, lambda: [(1.0, 1)], lambda: (0.0, 0.0))
+        assert model.adam_t == 0
+
     @pytest.mark.parametrize("far", [1e7, -1e300])
     def test_a_parameter_beyond_the_bound_ends_the_epoch_before_validation(self, far):
         """An epoch with finite losses that leaves a parameter past PARAMETER_BOUND is
